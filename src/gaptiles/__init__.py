@@ -67,9 +67,11 @@ from .types import (
     GapSet,
     IntervalTiling,
     LatticePath,
+    Paths,
     RectangleTiling,
     SplitSpec,
     Tile,
+    Tiles,
     TilingAnnotations,
     VerificationReport,
     Violation,

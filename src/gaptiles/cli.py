@@ -68,20 +68,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(token: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise PreconditionError(f"{what}: {token!r} is not an integer") from None
+
+
+def _int_pair(text: str, what: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise PreconditionError(f"{what}: expected two integers a,b, got {text!r}")
+    return _int(parts[0], what), _int(parts[1], what)
+
+
 def parse_gaps(text: str) -> GapSet:
     pairs = []
     for part in text.split(","):
-        if ":" in part:
-            d, k = part.split(":", 1)
-        else:
-            d, k = part, "1"
-        pairs.append((int(d), int(k)))
+        d, sep, k = part.partition(":")
+        pairs.append((_int(d, "--gaps"), _int(k, "--gaps") if sep else 1))
     return GapSet.from_pairs(pairs)
 
 
 def parse_split(text: str) -> SplitSpec:
-    s, p = (int(x) for x in text.split(","))
-    return SplitSpec(s, p)
+    return SplitSpec(*_int_pair(text, "--split"))
 
 
 def _table() -> HeightTable | None:
@@ -169,7 +179,7 @@ def cmd_verify(args) -> int:
         else:
             reports["interval"] = verify_interval_tiling(tiling, gaps)
         if args.boundary:
-            d1, count = (int(x) for x in args.boundary.split(","))
+            d1, count = _int_pair(args.boundary, "--boundary")
             reports["boundary"] = verify_boundary_prefix(tiling, d1, count)
     else:
         reports["rectangle"] = verify_rectangle_tiling(tiling)

@@ -10,32 +10,40 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
+from itertools import chain, groupby
 from math import gcd
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConstructionError, PreconditionError, SearchExhausted
 from .oracle import SearchConfig, SearchStatus, solve_rectangle
 from .serialize import dumps_canonical, read_json, rectangle_to_obj, tiling_from_obj, write_json
 from .types import (
     IntervalTiling,
-    LatticePath,
+    Paths,
     RectangleTiling,
-    ReportBuilder,
     StepType,
-    Tile,
+    Tiles,
+    as_int64,
     normalize_steps,
+    offsets_from_sizes,
 )
-from .verify import check_path_types, stream_cover, verify_rectangle_tiling
+from .verify import verify_lattice_paths, verify_rectangle_tiling
 
 
 @dataclass(frozen=True)
 class RaggedTiling:
-    """Paths over support x [0, height-1] for an explicit x-support."""
+    """Paths over support x [0, height-1] for an explicit x-support.
+
+    ``paths`` may be given as any sequence of ``LatticePath``; it is stored as
+    a ``Paths`` view.
+    """
 
     support: tuple[int, ...]
     height: int
-    paths: tuple[LatticePath, ...]
+    paths: Paths
     step_type: StepType | None = None
     window: int | None = None
 
@@ -47,6 +55,7 @@ class RaggedTiling:
         for a, b in zip(self.support, self.support[1:]):
             if b <= a:
                 raise PreconditionError("support must be strictly increasing")
+        object.__setattr__(self, "paths", Paths.of(self.paths))
 
     @property
     def width(self) -> int:
@@ -83,24 +92,9 @@ def as_rectangle(r: RaggedTiling | RectangleTiling) -> RectangleTiling:
 
 def verify_ragged_tiling(r: RaggedTiling, max_violations: int = 32):
     """Partition + type check over the ragged point set support x [0,height-1]."""
-    rep = ReportBuilder(max_violations)
-    rank = {x: i for i, x in enumerate(r.support)}
-    w = len(r.support)
-    blocks = []
-    for path in r.paths:
-        flat = []
-        for x, y in path.points:
-            i = rank.get(x)
-            if i is None or not (0 <= y < r.height):
-                rep.add("OutOfRange", (x, y), "path point outside the ragged block")
-            else:
-                flat.append(i + y * w)
-        if flat:
-            blocks.append(flat)
-    stream_cover(blocks, w * r.height, rep)
-    if r.step_type is not None:
-        check_path_types(r.paths, r.step_type, r.window, rep)
-    return rep.build()
+    return verify_lattice_paths(
+        r.paths, as_int64(r.support), len(r.support), r.height, r.step_type, r.window, max_violations
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +115,11 @@ def stair_tiling(k: int, l: int) -> RectangleTiling:
         pts = [(i, y) for y in range(l - i + 1)]
         pts += [(x, l - i) for x in range(i + 1, k + i + 1)]
         pts += [(k + i, y) for y in range(l - i + 1, l + 1)]
-        paths.append(LatticePath(tuple(pts)))
+        paths.append(pts)
     return RectangleTiling(
         width=k + l + 1,
         height=l + 1,
-        paths=tuple(paths),
+        paths=Paths.from_rows(paths),
         step_type=normalize_steps({(1, 0): k, (0, 1): l}),
     )
 
@@ -278,12 +272,12 @@ def diagonal_stripe_tiling(n: int, kv: int, m: int) -> RectangleTiling:
             pts = [(x, y)]
             while inside(*succ(*pts[-1])):
                 pts.append(succ(*pts[-1]))
-            paths.append(LatticePath(tuple(pts)))
-    paths.sort(key=lambda p: (p.points[0][1], p.points[0][0]))
+            paths.append(pts)
+    paths.sort(key=lambda pts: (pts[0][1], pts[0][0]))
     return RectangleTiling(
         width=width,
         height=height,
-        paths=tuple(paths),
+        paths=Paths.from_rows(paths),
         step_type=normalize_steps({(1, 0): n, (0, 1): kv}),
         window=period,
     )
@@ -291,6 +285,24 @@ def diagonal_stripe_tiling(n: int, kv: int, m: int) -> RectangleTiling:
 
 # ---------------------------------------------------------------------------
 # Transforms
+
+
+def _repeat(paths: Paths, copies: int, dx: int, dy: int, x0: int = 0) -> Paths:
+    """`copies` copies of the paths, one after another; copy j is shifted by
+    (x0 + j*dx, j*dy)."""
+    j = np.arange(copies)[:, None]
+    n = paths.xs.size
+    offsets = np.append((paths.offsets[:-1] + n * j).ravel(), copies * n)
+    return Paths(offsets, (paths.xs + (x0 + dx * j)).ravel(), (paths.ys + dy * j).ravel())
+
+
+def _concat(parts: Sequence[Paths]) -> Paths:
+    """The paths of every part, in order."""
+    return Paths(
+        offsets_from_sizes(np.concatenate([p.sizes() for p in parts])),
+        np.concatenate([p.xs for p in parts]),
+        np.concatenate([p.ys for p in parts]),
+    )
 
 
 def lift_over_points(
@@ -308,12 +320,13 @@ def lift_over_points(
     src = as_ragged(r)
     if len(xs) != len(src.support):
         raise PreconditionError(f"support has {len(src.support)} columns, xs has {len(xs)}")
-    xs = tuple(int(x) for x in xs)
-    rank = {x: i for i, x in enumerate(src.support)}
-    paths = tuple(
-        LatticePath(tuple((xs[rank[x]], y) for x, y in p.points)) for p in src.paths
-    )
-    return RaggedTiling(xs, src.height, paths, step_type, window)
+    xs = as_int64(xs)
+    support = as_int64(src.support)
+    rank = np.searchsorted(support, src.paths.xs)
+    if np.any(support[np.minimum(rank, support.size - 1)] != src.paths.xs):
+        raise PreconditionError("a path point lies outside the support")
+    paths = Paths(src.paths.offsets, xs[rank], src.paths.ys)
+    return RaggedTiling(tuple(xs.tolist()), src.height, paths, step_type, window)
 
 
 def dilate_x(
@@ -329,7 +342,7 @@ def dilate_x(
     if not (0 <= offset < d):
         raise PreconditionError("offset must satisfy 0 <= offset < d")
     src = as_ragged(r)
-    xs = tuple(offset + d * i for i in range(len(src.support)))
+    xs = offset + d * np.arange(len(src.support))
     st = None
     if src.step_type is not None:
         st = normalize_steps({(dx * d, dy): mult for (dx, dy), mult in src.step_type})
@@ -337,7 +350,7 @@ def dilate_x(
 
 
 def translate_x(r: RaggedTiling, delta: int) -> RaggedTiling:
-    xs = tuple(x + delta for x in r.support)
+    xs = as_int64(r.support) + delta
     return lift_over_points(r, xs, r.step_type, r.window)
 
 
@@ -350,19 +363,17 @@ def stack_to_height(
     period = r.height
     if height % period != 0:
         raise PreconditionError(f"height {height} is not a multiple of the period {period}")
-    copies = height // period
-    paths = []
-    for j in range(copies):
-        dy = period * j
-        for p in r.paths:
-            paths.append(LatticePath(tuple((x, y + dy) for x, y in p.points)))
+    paths = _repeat(r.paths, height // period, 0, period)
     if isinstance(r, RaggedTiling):
-        return RaggedTiling(r.support, height, tuple(paths), r.step_type, r.window)
-    return replace(r, height=height, paths=tuple(paths))
+        return RaggedTiling(r.support, height, paths, r.step_type, r.window)
+    return replace(r, height=height, paths=paths)
 
 
 def concat_columns(blocks: Sequence[RectangleTiling]) -> RectangleTiling:
-    """Concatenate rectangle blocks left to right with cumulative x-offsets."""
+    """Concatenate rectangle blocks left to right with cumulative x-offsets.
+
+    A run of the same block object repeated is laid out by one broadcast.
+    """
     if not blocks:
         raise PreconditionError("need at least one block")
     h = blocks[0].height
@@ -372,16 +383,14 @@ def concat_columns(blocks: Sequence[RectangleTiling]) -> RectangleTiling:
             raise PreconditionError("blocks must share a height")
         if b.step_type != st or b.window != win:
             raise PreconditionError("blocks must share a declared step type")
-    paths = []
+    parts = []
     offset = 0
-    for b in blocks:
-        if offset == 0:
-            paths.extend(b.paths)
-        else:
-            for p in b.paths:
-                paths.append(LatticePath(tuple((x + offset, y) for x, y in p.points)))
-        offset += b.width
-    return RectangleTiling(offset, h, tuple(paths), st, win)
+    for _, run in groupby(blocks, key=id):
+        run = list(run)
+        b = run[0]
+        parts.append(_repeat(b.paths, len(run), b.width, 0, offset))
+        offset += b.width * len(run)
+    return RectangleTiling(offset, h, _concat(parts), st, win)
 
 
 def merge_ragged(pieces: Sequence[RaggedTiling]) -> RaggedTiling:
@@ -390,20 +399,16 @@ def merge_ragged(pieces: Sequence[RaggedTiling]) -> RaggedTiling:
         raise PreconditionError("need at least one piece")
     h = pieces[0].height
     st, win = pieces[0].step_type, pieces[0].window
-    support: list[int] = []
-    paths: list[LatticePath] = []
     for piece in pieces:
         if piece.height != h:
             raise PreconditionError("pieces must share a height")
         if piece.step_type != st or piece.window != win:
             raise PreconditionError("pieces must share a declared step type")
-        support.extend(piece.support)
-        paths.extend(piece.paths)
-    merged = sorted(support)
-    for a, b in zip(merged, merged[1:]):
-        if a == b:
-            raise ConstructionError(f"supports collide at x={a}")
-    return RaggedTiling(tuple(merged), h, tuple(paths), st, win)
+    merged = np.sort(as_int64(list(chain.from_iterable(p.support for p in pieces))))
+    collide = np.flatnonzero(merged[1:] == merged[:-1])
+    if collide.size:
+        raise ConstructionError(f"supports collide at x={merged[collide[0]]}")
+    return RaggedTiling(tuple(merged.tolist()), h, _concat([p.paths for p in pieces]), st, win)
 
 
 def residue_interleave(
@@ -438,13 +443,17 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     """Map (x, y) -> x + y*width, turning each path into a tile.
 
     Monotone steps flatten to strictly increasing points, so each path's point
-    order is preserved. Tiles are emitted sorted by their first point.
+    order is preserved. Tiles are emitted stably sorted by their first point.
     """
     if width != r.width:
         raise PreconditionError(f"width {width} does not match the rectangle width {r.width}")
-    tiles = [Tile(tuple(x + y * width for x, y in p.points)) for p in r.paths]
-    tiles.sort(key=lambda t: t.points[0])
-    return IntervalTiling(width * r.height, tuple(tiles))
+    p = r.paths
+    values = p.xs + p.ys * width
+    order = np.argsort(values[p.offsets[:-1]], kind="stable")
+    sizes = p.sizes()[order]
+    offsets = offsets_from_sizes(sizes)
+    source = np.repeat(p.offsets[:-1][order] - offsets[:-1], sizes) + np.arange(values.size)
+    return IntervalTiling(width * r.height, Tiles(offsets, values[source]))
 
 
 def unflatten(t: IntervalTiling, width: int) -> list[list[tuple[int, int]]]:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     CardinalityViolation,
     ConstructionError,
@@ -48,10 +50,10 @@ from .grid import (
 from .types import (
     GapSet,
     IntervalTiling,
-    LatticePath,
+    Paths,
     SplitSpec,
     StepType,
-    Tile,
+    Tiles,
     TilingAnnotations,
     VerificationReport,
     normalize_steps,
@@ -129,11 +131,9 @@ def _lifted_type(gaps: GapSet, k: int) -> StepType:
 def _endpoints(tiling: IntervalTiling, span: int) -> tuple[tuple[int, int], ...]:
     """Map each of the last `span` points to the index of the tile ending there."""
     found: dict[int, int] = {}
-    lo = tiling.length - span
-    for i, tile in enumerate(tiling.tiles):
-        end = tile.points[-1]
-        if end >= lo:
-            found[end] = i
+    ends = tiling.tiles.ends()
+    for i in np.flatnonzero(ends >= tiling.length - span).tolist():
+        found[int(ends[i])] = i
     if len(found) != span:
         raise ConstructionError("each trailing anchor point must end a tile")
     return tuple(sorted(found.items()))
@@ -247,7 +247,7 @@ def _extension_block(
     climbs the remaining k - i; together the k+1 paths tile the extended
     support times [0, k].
     """
-    v = list(points)
+    v = [int(p) for p in points]
     n = len(v) - 1
     ext = v + [v[-1] + d1 * j for j in range(1, k + 1)]
     paths = []
@@ -255,8 +255,8 @@ def _extension_block(
         pts = [(ext[k - i], y) for y in range(i + 1)]
         pts += [(ext[x], i) for x in range(k - i + 1, k - i + n + 1)]
         pts += [(ext[k - i + n], y) for y in range(i + 1, k + 1)]
-        paths.append(LatticePath(tuple(pts)))
-    return RaggedTiling(tuple(ext), k + 1, tuple(paths), step_type, None)
+        paths.append(pts)
+    return RaggedTiling(tuple(ext), k + 1, Paths.from_rows(paths), step_type, None)
 
 
 def boundary_step(
@@ -290,13 +290,14 @@ def boundary_step(
     ends = dict(prev.endpoint_index)
 
     plain_cols = [
-        stack_to_height(lift_over_points(wit1, t.points, step_type), h) for t in tiles
+        stack_to_height(lift_over_points(wit1, tiles.row(i), step_type), h)
+        for i in range(len(tiles))
     ]
     rect_narrow = as_rectangle(merge_ragged(plain_cols))  # width L+1
 
     widened_idx = ends[L - d1 + 1]
     widened_col = stack_to_height(
-        lift_over_points(wit2, tiles[widened_idx].points + (L + 1,), step_type), h
+        lift_over_points(wit2, np.append(tiles.row(widened_idx), L + 1), step_type), h
     )
     rect_widened = as_rectangle(
         merge_ragged(
@@ -306,7 +307,7 @@ def boundary_step(
 
     ext_cols = {
         ends[L - t]: stack_to_height(
-            _extension_block(tiles[ends[L - t]].points, d1, k, step_type), h
+            _extension_block(tiles.row(ends[L - t]), d1, k, step_type), h
         )
         for t in range(d1)
     }
@@ -355,8 +356,9 @@ def boundary_step(
 # Homogeneous stages
 
 
-def _card_counter(tiles: Sequence[Tile]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(len(t.points) for t in tiles).items()))
+def _card_counter(tiles: Tiles) -> tuple[tuple[int, int], ...]:
+    cards, counts = np.unique(tiles.sizes(), return_counts=True)
+    return tuple(zip(cards.tolist(), counts.tolist()))
 
 
 def homogeneous_base(prev: StageState) -> StageState:
@@ -373,13 +375,12 @@ def homogeneous_base(prev: StageState) -> StageState:
     L, d1 = prev.L, prev.d1
     ends = dict(prev.endpoint_index)
     idx = ends[L - d1 + 1]
-    tiles = list(prev.tiling.tiles)
-    seq = tiles[idx]
+    seq = prev.tiling.tiles[idx]
     if seq.gaps()[0] != d1:
         raise ConstructionError("anchor tile does not start with a d1 gap")
-    tiles[idx] = Tile(seq.points + (L + 1,))
+    tiles = prev.tiling.tiles.with_row(idx, seq.points + (L + 1,))
     gaps = prev.gap_prefix
-    tiling = IntervalTiling(L + 2, tuple(tiles), TilingAnnotations(homogeneous_for=gaps))
+    tiling = IntervalTiling(L + 2, tiles, TilingAnnotations(homogeneous_for=gaps))
     _require_ok(verify_homogeneous(tiling.tiles, L + 2, gaps), "homogeneous base tiling")
     n = gaps.size()
     trace = {
@@ -406,9 +407,7 @@ def homogeneous_base(prev: StageState) -> StageState:
     )
 
 
-def _remove_last_point(
-    tiles: Sequence[Tile], ends: Mapping[int, int], L: int, n: int
-) -> list[Tile]:
+def _remove_last_point(tiles: Tiles, ends: Mapping[int, int], L: int, n: int) -> Tiles:
     """Drop the interval's last point from the sequence ending there.
 
     Sound because that sequence has more than n+1 points, so it stays
@@ -418,9 +417,7 @@ def _remove_last_point(
     seq = tiles[idx]
     if len(seq.points) <= n + 1:
         raise ConstructionError("last sequence too short for the remove-point step")
-    out = list(tiles)
-    out[idx] = Tile(seq.points[:-1])
-    return out
+    return tiles.with_row(idx, seq.points[:-1])
 
 
 def _stripe_bases(
@@ -474,10 +471,10 @@ def homogeneous_step(
     ends = dict(prev.endpoint_index)
     tiles_removed = _remove_last_point(tiles, ends, L, n)
 
-    all_cards = [len(t.points) for t in tiles] + [len(t.points) for t in tiles_removed]
+    all_cards = tiles.sizes().tolist() + tiles_removed.sizes().tolist()
     bases = _stripe_bases(n, k, all_cards, table)
     h = lcm(f1, *[c - 1 + k + 1 for c in sorted(cards) if c - 1 > n])
-    cards_removed = Counter(len(t.points) for t in tiles_removed)
+    cards_removed = set(tiles_removed.sizes().tolist())
     h_removed = lcm(f1, *[c - 1 + k + 1 for c in sorted(cards_removed) if c - 1 > n])
     b, c_cnt = represent_two_coins(d, L, L + 1, True)
     total_h = lcm(h, h_removed) if c_cnt > 0 else h
@@ -485,12 +482,12 @@ def homogeneous_step(
     step_type = _lifted_type(prev.gap_prefix, k)
     window = n + k
 
-    def build_block(seqs: Sequence[Tile]):
+    def build_block(seqs: Tiles):
         cols = []
-        for s in seqs:
-            period, base = bases[len(s.points)]
+        for i, card in enumerate(seqs.sizes().tolist()):
+            period, base = bases[card]
             cols.append(
-                stack_to_height(lift_over_points(base, s.points, step_type, window), total_h)
+                stack_to_height(lift_over_points(base, seqs.row(i), step_type, window), total_h)
             )
         return as_rectangle(merge_ragged(cols))
 
@@ -508,11 +505,12 @@ def homogeneous_step(
     )
     n_new = new_gaps.size()
     new_L = d * total_h - 1
-    last_idx = next(i for i, t in enumerate(tiling.tiles) if t.points[-1] == new_L)
-    last_card = len(tiling.tiles[last_idx].points)
+    sizes = tiling.tiles.sizes()
+    last_idx = int(np.flatnonzero(tiling.tiles.ends() == new_L)[0])
+    last_card = int(sizes[last_idx])
     if last_card <= n_new + 1:
         raise ConstructionError("last sequence lost the long-sequence property")
-    max_card = max(len(t.points) for t in tiling.tiles)
+    max_card = int(sizes.max())
     if max_card > max(cards) - 1 + 2 * k + 1:
         raise ConstructionError("a sequence exceeds the stripe length bound")
     trace = {
@@ -566,23 +564,19 @@ def _final_stage_impl(
     tiles = prev.tiling.tiles
     ends = dict(prev.endpoint_index)
     tiles_removed = _remove_last_point(tiles, ends, L, n)
-    all_cards = sorted(
-        {len(t.points) for t in tiles} | {len(t.points) for t in tiles_removed}
-    )
+    all_cards = sorted(set(tiles.sizes().tolist()) | set(tiles_removed.sizes().tolist()))
     fs = {c: min_height_rect(n, k, c, table=table) for c in all_cards}
     h = lcm(*[fs[c][0] for c in sorted(cards)])
-    cards_removed = Counter(len(t.points) for t in tiles_removed)
+    cards_removed = set(tiles_removed.sizes().tolist())
     h_removed = lcm(*[fs[c][0] for c in sorted(cards_removed)])
     b, c_cnt = represent_two_coins(d, L, L + 1, True)
     total_h = lcm(h, h_removed) if c_cnt > 0 else h
     step_type = _lifted_type(prev.gap_prefix, k)
 
-    def build_block(seqs: Sequence[Tile]):
+    def build_block(seqs: Tiles):
         cols = [
-            stack_to_height(
-                lift_over_points(fs[len(s.points)][1], s.points, step_type), total_h
-            )
-            for s in seqs
+            stack_to_height(lift_over_points(fs[card][1], seqs.row(i), step_type), total_h)
+            for i, card in enumerate(seqs.sizes().tolist())
         ]
         return as_rectangle(merge_ragged(cols))
 
@@ -738,17 +732,16 @@ class _Summary:
 
 
 def _stripe_card_counter(n: int, k: int, m: int) -> Counter:
-    stripe = diagonal_stripe_tiling(n, k, m)
-    return Counter(len(p.points) for p in stripe.paths)
+    return Counter(diagonal_stripe_tiling(n, k, m).paths.sizes().tolist())
 
 
 def _stripe_corner_card(n: int, k: int, m: int) -> int:
-    stripe = diagonal_stripe_tiling(n, k, m)
-    corner = (m, m + k)
-    for p in stripe.paths:
-        if p.points[-1] == corner:
-            return len(p.points)
-    raise ConstructionError("no stripe path ends at the top-right corner")
+    paths = diagonal_stripe_tiling(n, k, m).paths
+    xs, ys = paths.ends()
+    hit = np.flatnonzero((xs == m) & (ys == m + k))
+    if not hit.size:
+        raise ConstructionError("no stripe path ends at the top-right corner")
+    return int(paths.sizes()[hit[0]])
 
 
 def thresholds(

@@ -4,16 +4,28 @@ All types are immutable after construction and safe to share across threads.
 Constructors enforce cheap local invariants (sortedness, positivity); global
 properties such as "tiles partition the interval" are the verifiers' job, so
 verification never trusts construction metadata.
+
+Tilings store their points as int64 CSR arrays: one ``offsets`` array of
+length T+1 plus flat ``values`` (tiles) or ``xs``/``ys`` (paths), where
+element i spans ``offsets[i]:offsets[i+1]``. ``Tiles`` and ``Paths`` are
+read-only sequence views over them that build a ``Tile``/``LatticePath`` only
+when an element is read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import PreconditionError
 
 DEFAULT_VIOLATION_CAP = 32
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 StepType = tuple[tuple[tuple[int, int], int], ...]
 
@@ -135,32 +147,6 @@ def gap_multiset(tile: Tile) -> GapSet:
 
 
 @dataclass(frozen=True)
-class TilingAnnotations:
-    boundary_prefix_count: int | None = None
-    homogeneous_for: GapSet | None = None
-
-
-@dataclass(frozen=True)
-class IntervalTiling:
-    """A set of tiles intended to partition {0..length-1}.
-
-    The partition property itself is checked by ``verify_interval_tiling``,
-    not enforced here.
-    """
-
-    length: int
-    tiles: tuple[Tile, ...]
-    annotations: TilingAnnotations = field(default_factory=TilingAnnotations)
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise PreconditionError("length must be positive")
-
-    def with_annotations(self, **kwargs) -> "IntervalTiling":
-        return replace(self, annotations=replace(self.annotations, **kwargs))
-
-
-@dataclass(frozen=True)
 class LatticePath:
     """A sequence of 2D integer points with coordinatewise nondecreasing steps."""
 
@@ -178,6 +164,228 @@ class LatticePath:
         return tuple((x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only contiguous int64 view of a."""
+    view = np.ascontiguousarray(a, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
+
+
+def offsets_from_sizes(sizes: np.ndarray) -> np.ndarray:
+    """CSR offsets (length len(sizes)+1) of rows with the given sizes."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def as_int64(values) -> np.ndarray:
+    """values as a new int64 array; PreconditionError if one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise PreconditionError("a value does not fit in a signed 64-bit integer") from None
+
+
+class _Rows(Sequence):
+    """Read-only sequence over the rows of a CSR layout.
+
+    Row i of every column array spans ``offsets[i]:offsets[i+1]``. Equality
+    and hashing compare contents.
+    """
+
+    __slots__ = ("offsets",)
+
+    def _init_offsets(self, offsets, n_values: int) -> None:
+        self.offsets = _frozen(offsets)
+        o = self.offsets
+        if o.ndim != 1 or o.size == 0 or o[0] != 0 or o[-1] != n_values or np.any(o[1:] < o[:-1]):
+            raise PreconditionError("offsets must rise from 0 to the number of points")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def _element(self, cols: tuple, a: int, b: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def sizes(self) -> np.ndarray:
+        """Number of points of each element."""
+        return np.diff(self.offsets)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i = operator.index(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("index out of range")
+        i %= n
+        a, b = int(self.offsets[i]), int(self.offsets[i + 1])
+        return self._element(tuple(c[a:b].tolist() for c in self._columns()), 0, b - a)
+
+    def __iter__(self):
+        cols = tuple(c.tolist() for c in self._columns())
+        offs = self.offsets.tolist()
+        for a, b in zip(offs, offs[1:]):
+            yield self._element(cols, a, b)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip((self.offsets, *self._columns()), (other.offsets, *other._columns()))
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(a.tobytes() for a in (self.offsets, *self._columns())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(<{len(self)} elements, {self.offsets[-1]} points>)"
+
+
+class Tiles(_Rows):
+    """Tiles as CSR: tile i is ``values[offsets[i]:offsets[i+1]]``.
+
+    Every tile has at least 2 points, strictly increasing.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, offsets, values):
+        self.values = _frozen(values)
+        self._init_offsets(offsets, self.values.size)
+        if len(self) and self.sizes().min() < 2:
+            raise PreconditionError("a tile needs at least 2 points")
+        v = self.values
+        rising = v[1:] > v[:-1]
+        rising[self.offsets[1:-1] - 1] = True  # pairs that straddle two tiles
+        if not rising.all():
+            raise PreconditionError("tile points must be strictly increasing")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Tiles":
+        """Tiles from sequences of points, one per tile."""
+        rows = list(rows)
+        offsets = offsets_from_sizes(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+        return cls(offsets, as_int64(list(chain.from_iterable(rows))))
+
+    @classmethod
+    def of(cls, tiles: "Tiles | Iterable[Tile]") -> "Tiles":
+        """The tiles as a CSR view; a view is returned as is."""
+        if isinstance(tiles, Tiles):
+            return tiles
+        return cls.from_rows(t.points for t in tiles)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.values,)
+
+    def _element(self, cols: tuple, a: int, b: int) -> Tile:
+        return Tile(tuple(cols[0][a:b]))
+
+    def row(self, i: int) -> np.ndarray:
+        """The points of tile i as a read-only array."""
+        return self.values[self.offsets[i] : self.offsets[i + 1]]
+
+    def ends(self) -> np.ndarray:
+        """The last point of each tile."""
+        return self.values[self.offsets[1:] - 1]
+
+    def with_row(self, i: int, points: Sequence[int]) -> "Tiles":
+        """A copy with tile i replaced by the given points."""
+        a, b = int(self.offsets[i]), int(self.offsets[i + 1])
+        values = np.concatenate((self.values[:a], as_int64(list(points)), self.values[b:]))
+        offsets = self.offsets.copy()
+        offsets[i + 1 :] += len(points) - (b - a)
+        return Tiles(offsets, values)
+
+
+class Paths(_Rows):
+    """Lattice paths as CSR: path i is ``zip(xs, ys)[offsets[i]:offsets[i+1]]``.
+
+    Every path has at least one point, and its steps are nonzero and
+    nondecreasing in both coordinates.
+    """
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, offsets, xs, ys):
+        self.xs = _frozen(xs)
+        self.ys = _frozen(ys)
+        if self.xs.shape != self.ys.shape:
+            raise PreconditionError("xs and ys must have the same length")
+        self._init_offsets(offsets, self.xs.size)
+        if len(self) and self.sizes().min() < 1:
+            raise PreconditionError("a path needs at least one point")
+        x0, x1, y0, y1 = self.xs[:-1], self.xs[1:], self.ys[:-1], self.ys[1:]
+        monotone = (x1 >= x0) & (y1 >= y0) & ((x1 != x0) | (y1 != y0))
+        monotone[self.offsets[1:-1] - 1] = True  # pairs that straddle two paths
+        if not monotone.all():
+            raise PreconditionError("path steps must be nonzero and nondecreasing in both coordinates")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[tuple[int, int]]]) -> "Paths":
+        """Paths from sequences of (x, y) points, one per path."""
+        rows = list(rows)
+        offsets = offsets_from_sizes(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+        pts = as_int64(list(chain.from_iterable(rows)))
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise PreconditionError("path points must be (x, y) pairs")
+        return cls(offsets, pts[:, 0], pts[:, 1])
+
+    @classmethod
+    def of(cls, paths: "Paths | Iterable[LatticePath]") -> "Paths":
+        """The paths as a CSR view; a view is returned as is."""
+        if isinstance(paths, Paths):
+            return paths
+        return cls.from_rows(p.points for p in paths)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.xs, self.ys
+
+    def _element(self, cols: tuple, a: int, b: int) -> LatticePath:
+        return LatticePath(tuple(zip(cols[0][a:b], cols[1][a:b])))
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The last point of each path, as x and y arrays."""
+        last = self.offsets[1:] - 1
+        return self.xs[last], self.ys[last]
+
+
+@dataclass(frozen=True)
+class TilingAnnotations:
+    boundary_prefix_count: int | None = None
+    homogeneous_for: GapSet | None = None
+
+
+@dataclass(frozen=True)
+class IntervalTiling:
+    """A set of tiles intended to partition {0..length-1}.
+
+    The partition property itself is checked by ``verify_interval_tiling``,
+    not enforced here. ``tiles`` may be given as any sequence of ``Tile``; it
+    is stored as a ``Tiles`` view.
+    """
+
+    length: int
+    tiles: Tiles
+    annotations: TilingAnnotations = field(default_factory=TilingAnnotations)
+
+    def __post_init__(self):
+        if self.length < 1:
+            raise PreconditionError("length must be positive")
+        if self.length > INT64_MAX:
+            raise PreconditionError("length must fit in a signed 64-bit integer")
+        object.__setattr__(self, "tiles", Tiles.of(self.tiles))
+
+    def with_annotations(self, **kwargs) -> "IntervalTiling":
+        return replace(self, annotations=replace(self.annotations, **kwargs))
+
+
 @dataclass(frozen=True)
 class RectangleTiling:
     """Paths intended to partition the points of [0,width-1] x [0,height-1].
@@ -185,24 +393,29 @@ class RectangleTiling:
     ``window`` selects the verification mode: ``None`` means every path's full
     step multiset must equal ``step_type`` (uniform mode); an integer w means
     every window of w consecutive steps of every path must equal ``step_type``
-    (windowed mode, in which paths may be longer than one window).
+    (windowed mode, in which paths may be longer than one window). ``paths``
+    may be given as any sequence of ``LatticePath``; it is stored as a
+    ``Paths`` view.
     """
 
     width: int
     height: int
-    paths: tuple[LatticePath, ...]
+    paths: Paths
     step_type: StepType
     window: int | None = None
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise PreconditionError("width and height must be positive")
+        if self.width * self.height > INT64_MAX:
+            raise PreconditionError("the rectangle must have fewer than 2**63 points")
         if not self.step_type:
             raise PreconditionError("step_type must be non-empty")
         if self.window is not None:
             total = sum(k for _, k in self.step_type)
             if self.window != total:
                 raise PreconditionError("window must equal the declared steps per window")
+        object.__setattr__(self, "paths", Paths.of(self.paths))
 
 
 @dataclass(frozen=True)
@@ -233,6 +446,24 @@ class ReportBuilder:
         self._count += 1
         if len(self._stored) < self.cap:
             self._stored.append(Violation(kind, tuple(int(x) for x in location), detail))
+
+    def add_all(
+        self,
+        kind: str,
+        locations: np.ndarray,
+        detail: str | Callable[[int], str],
+        count: int | None = None,
+    ) -> None:
+        """Record `count` violations (default: one per row of `locations`), of
+        which the stored ones are the leading rows. `detail` is a string or a
+        function of the row index."""
+        locations = np.asarray(locations)
+        if locations.ndim == 1:
+            locations = locations[:, None]
+        room = max(self.cap - len(self._stored), 0)
+        for i, loc in enumerate(locations[:room].tolist()):
+            self._stored.append(Violation(kind, tuple(loc), detail if isinstance(detail, str) else detail(i)))
+        self._count += len(locations) if count is None else count
 
     @property
     def count(self) -> int:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gaptiles
 from gaptiles import stair_tiling, verify_interval_tiling
 from gaptiles.catalog import enumerate_gap_sets
@@ -46,6 +48,21 @@ class TestConstructCommand:
         out = capsys.readouterr().out
         assert "final" in out and "2970" in out
 
+    @pytest.mark.parametrize(
+        "args, token",
+        [
+            (["--gaps", "1:x"], "'x'"),
+            (["--gaps", "1:"], "''"),
+            (["--gaps", "1:1,9:1", "--split", "2"], "'2'"),
+            (["--gaps", "1:1,9:1", "--split", "2,y"], "'y'"),
+        ],
+    )
+    def test_malformed_gaps_or_split_exit_1(self, tmp_path, capsys, args, token):
+        assert run(["construct", *args, "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and token in err
+        assert "Traceback" not in err
+
     def test_auto_split(self, tmp_path):
         out = tmp_path / "t.json"
         assert run(["construct", "--gaps", "1:1,9:1,2970:1", "--out", str(out)]) == 0
@@ -82,6 +99,35 @@ class TestVerifyCommand:
         obj["tiles"][0][0] += 1  # shift one point
         write_json(out, obj)
         assert run(["verify", str(out)]) == 4
+
+    @pytest.mark.parametrize(
+        "length, tiles",
+        [(10**12, [[0, 1], [2, 3]]), (2**63 - 1, [[-5, -4]]), (2**63 - 1, [])],
+        ids=["1e12", "max-length-below-0", "max-length-no-tiles"],
+    )
+    def test_huge_declared_length_reports_capped_holes(self, tmp_path, capsys, length, tiles):
+        f = tmp_path / "huge.json"
+        write_json(f, {"kind": "interval", "length": length, "gap_set": [[1, 1]], "tiles": tiles})
+        assert run(["verify", str(f)]) == 4
+        report = json.loads(capsys.readouterr().out)["interval"]
+        assert report["truncated"] and not report["ok"]
+        points = [p for tile in tiles for p in tile]
+        below = [[p] for p in points if p < 0]
+        holes = [[p] for p in range(64) if p not in points][: 32 - len(below)]
+        assert [v["location"] for v in report["violations"]] == below + holes
+        assert [v["kind"] for v in report["violations"]] == ["OutOfRange"] * len(below) + ["Hole"] * len(holes)
+
+    @pytest.mark.parametrize(
+        "tiles",
+        [[[0, 99999999999999999999999], [2, 3]], [[1, 0], [2, 3]], [[0], [1, 2, 3]], [5, [0, 1]]],
+        ids=["beyond-int64", "non-increasing", "one-point", "not-a-list"],
+    )
+    def test_malformed_tiles_are_parse_errors(self, tmp_path, capsys, tiles):
+        f = tmp_path / "bad.json"
+        write_json(f, {"kind": "interval", "length": 4, "gap_set": [[1, 1]], "tiles": tiles})
+        assert run(["verify", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "Traceback" not in err
 
     def test_unparseable_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,0 +1,47 @@
+"""Golden bytes: the construction writes exactly the files it wrote before
+tilings were stored as CSR arrays (SHA-256 of each output)."""
+
+import hashlib
+
+import pytest
+
+from gaptiles import boundary_base, homogeneous_base, homogeneous_step
+from gaptiles.cli import main
+from gaptiles.serialize import dumps_canonical, interval_to_obj
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "gaps, split, tiling, trace, thresholds",
+    [
+        (
+            "1:1,9:1,2970:1",
+            "2,1",
+            "4c5c0b5127e349008b0328dc8c5e60c50a0636a1db8c45f8e763b65b737133c5",
+            "f494dc0016779b8d41ba59dc18536e3036cf29cf55b5d8e4a02222ec1c8405e5",
+            "9228e6840c33f52b75f0caa9165d6a700517b7359d0213e646192ebaccf54761",
+        ),
+        (
+            "1:2,16:1,4225:1",
+            "3,0",
+            "915653a9fa56683d7f290ed61b580303439e9d64c85b7619a644f9a789d503bc",
+            "81fdc295a33f937eee81e3ecaf01383ccbe52753dcd9c207af04e85191a93cb6",
+            "58d8f35de61eeb799a02b6d2fc7722921a0f90bd8fb7a5220fb206324585f680",
+        ),
+    ],
+)
+def test_construct_outputs_are_byte_identical(tmp_path, gaps, split, tiling, trace, thresholds):
+    out = tmp_path / "t.json"
+    assert main(["construct", "--gaps", gaps, "--split", split, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == tiling
+    assert sha256(out.with_suffix(".trace.json").read_bytes()) == trace
+    assert sha256(out.with_suffix(".thresholds.json").read_bytes()) == thresholds
+
+
+def test_homogeneous_step_output_is_byte_identical():
+    st = homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), 3025, 1)
+    text = dumps_canonical(interval_to_obj(st.tiling, st.tiling.annotations.homogeneous_for))
+    assert sha256(text.encode()) == "f37499437489f94c52fcc0d8cd16918a0bb019479ff99df607e4bf73534cf09c"

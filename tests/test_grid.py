@@ -23,7 +23,7 @@ from gaptiles import (
     verify_rectangle_tiling,
 )
 from gaptiles.errors import PreconditionError
-from gaptiles.grid import HeightTable
+from gaptiles.grid import HeightTable, RaggedTiling
 from gaptiles.oracle import SearchStatus
 from gaptiles.types import normalize_steps
 
@@ -169,6 +169,18 @@ class TestTransforms:
             i = (0, 1, 3, 7).index(xs[0])
             assert tuple(xs) == (0, 1, 3, 7)[i : i + len(xs)]
         assert verify_ragged_tiling(lifted).ok
+
+    @pytest.mark.parametrize("window", [4, 6])
+    def test_ragged_window_other_than_step_total_mismatches(self, window):
+        # stair_tiling(3, 2): three paths of 5 steps each.
+        rect = stair_tiling(3, 2)
+        ragged = RaggedTiling(tuple(range(rect.width)), rect.height, rect.paths, rect.step_type, window)
+        rep = verify_ragged_tiling(ragged)
+        assert not rep.ok
+        if window == 4:
+            assert [v.location for v in rep.violations] == [(i, o) for i in range(3) for o in range(2)]
+        else:
+            assert [v.detail for v in rep.violations] == ["path has fewer than 6 steps"] * 3
 
     def test_lift_width_mismatch(self):
         with pytest.raises(PreconditionError):

@@ -1,3 +1,7 @@
+import json
+
+import pytest
+
 from gaptiles import (
     GapSet,
     boundary_base,
@@ -7,11 +11,13 @@ from gaptiles import (
     verify_rectangle_tiling,
 )
 from gaptiles.serialize import (
+    _rows_json,
     dumps_canonical,
     interval_to_obj,
     rectangle_to_obj,
     tiling_from_obj,
 )
+from gaptiles.types import Paths, Tiles
 
 
 def test_interval_round_trip_with_annotations():
@@ -54,3 +60,24 @@ def test_homogeneous_annotation_round_trip():
     obj = interval_to_obj(st.tiling, st.gap_prefix)
     _, tiling, _ = tiling_from_obj(obj)
     assert tiling.annotations.homogeneous_for == GapSet.from_pairs([(1, 1), (9, 1)])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_rows_print_as_json_lists(chunk):
+    # The rows are formatted from the CSR arrays; they must read exactly as
+    # json.dumps prints the same rows as lists, wherever a chunk ends.
+    st = boundary_base(1, 9, 1, 1)
+    for rows, lists in [
+        (st.tiling.tiles, [list(t.points) for t in st.tiling.tiles]),
+        (Tiles.from_rows([]), []),
+        (stair_tiling(3, 2).paths, [[list(pt) for pt in p.points] for p in stair_tiling(3, 2).paths]),
+        (Paths.from_rows([[(0, 0)], [(1, 0), (1, 1)]]), [[[0, 0]], [[1, 0], [1, 1]]]),
+    ]:
+        assert _rows_json(rows, chunk) == json.dumps(lists, separators=(",", ":"))
+
+
+def test_canonical_dump_matches_json_dumps():
+    rect = diagonal_stripe_tiling(3, 2, 4)
+    obj = rectangle_to_obj(rect)
+    plain = dict(obj, paths=[[list(pt) for pt in p.points] for p in rect.paths])
+    assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
