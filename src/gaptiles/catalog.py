@@ -12,9 +12,11 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+from .errors import SearchExhausted
 from .oracle import SearchConfig, min_interval
 from .serialize import dumps_canonical, gap_set_to_obj, interval_to_obj, write_json
 from .types import GapSet
@@ -43,14 +45,21 @@ def config_hash(max_distance: int, max_multiplicity: int, n_max: int, max_nodes:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _solve_one(args):
+def _solve_one(args) -> tuple[str, int | None, dict | str | None, float]:
+    """(outcome, min length, witness object or budget message, elapsed seconds)."""
     entries, n_max, max_nodes = args
+    t0 = time.perf_counter()
     gs = GapSet(entries)
-    found = min_interval(gs, n_max, SearchConfig(max_nodes=max_nodes))
-    if found is None:
-        return None
-    n, witness = found
-    return n, interval_to_obj(witness, gs)
+    try:
+        found = min_interval(gs, n_max, SearchConfig(max_nodes=max_nodes))
+    except SearchExhausted as exc:
+        result = ("budget-exceeded", None, str(exc))
+    else:
+        if found is None:
+            result = ("not-found", None, None)
+        else:
+            result = ("found", found[0], interval_to_obj(found[1], gs))
+    return (*result, time.perf_counter() - t0)
 
 
 def _load_completed(path: Path, chash: str) -> int:
@@ -99,51 +108,48 @@ def run_catalog(
     todo = gap_sets[done:]
     witness_dir = path.parent / (path.stem + "-witnesses")
     not_found: list[str] = []
+    budget_exceeded: list[str] = []
 
-    def record_for(index: int, gs: GapSet, result, elapsed: float | None) -> dict:
+    def record_for(index: int, gs: GapSet, result) -> dict:
+        outcome, n, payload, elapsed = result
         rec = {
             "index": index,
             "gap_set": gap_set_to_obj(gs),
             "mode": "oracle",
             "config_hash": chash,
             "n_max": n_max,
-            "wall_ms": round(elapsed * 1000.0, 3) if elapsed is not None else None,
+            "wall_ms": round(elapsed * 1000.0, 3) if timings else None,
+            "outcome": outcome,
+            "min_length": n,
+            "witness": None,
         }
-        if result is None:
-            rec["outcome"] = "not-found"
-            rec["min_length"] = None
-            rec["witness"] = None
-            not_found.append(str(gs))
-        else:
-            n, witness_obj = result
-            rec["outcome"] = "found"
-            rec["min_length"] = n
+        if outcome == "found":
             witness_dir.mkdir(parents=True, exist_ok=True)
             name = f"{index:05d}_{str(gs).replace(':', '-').replace(',', '_')}.json"
-            write_json(witness_dir / name, witness_obj)
+            write_json(witness_dir / name, payload)
             rec["witness"] = f"{witness_dir.name}/{name}"
+        elif outcome == "not-found":
+            not_found.append(str(gs))
+        else:
+            budget_exceeded.append(payload)
         return rec
 
-    with path.open("a", encoding="utf-8") as fh:
+    args = [(gs.entries, n_max, max_nodes) for gs in todo]
+    with path.open("a", encoding="utf-8") as fh, ExitStack() as stack:
         if workers and workers > 1 and todo:
-            args = [(gs.entries, n_max, max_nodes) for gs in todo]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = list(pool.map(_solve_one, args))
-            for offset, (gs, result) in enumerate(zip(todo, futures)):
-                rec = record_for(done + offset, gs, result, None)
-                fh.write(dumps_canonical(rec))
-                fh.flush()
+            # map yields in submission order as results arrive, so each record
+            # is written once it and every earlier one are done.
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_solve_one, args)
         else:
-            for offset, gs in enumerate(todo):
-                t0 = time.perf_counter() if timings else None
-                result = _solve_one((gs.entries, n_max, max_nodes))
-                elapsed = (time.perf_counter() - t0) if timings else None
-                rec = record_for(done + offset, gs, result, elapsed)
-                fh.write(dumps_canonical(rec))
-                fh.flush()
+            results = map(_solve_one, args)
+        for offset, (gs, result) in enumerate(zip(todo, results)):
+            fh.write(dumps_canonical(record_for(done + offset, gs, result)))
+            fh.flush()
     return {
         "total": len(gap_sets),
         "resumed_at": done,
         "computed": len(todo),
         "not_found": not_found,
+        "budget_exceeded": budget_exceeded,
     }

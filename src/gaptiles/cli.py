@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 I/O or parse failure, 2 hypothesis violation,
-3 not-found-within-bounds, 4 verification failure.
+3 not-found-within-bounds or search budget exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ _HYPOTHESIS_ERRORS = (
     NoFeasibleSplit,
     NoRepresentation,
 )
+
+
+_MAX_NODES_HELP = "search budget: DFS states entered per searched length (default %(default)s)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,7 +156,11 @@ def cmd_solve(args) -> int:
 def cmd_minlen(args) -> int:
     gaps = parse_gaps(args.gaps)
     cfg = SearchConfig(max_nodes=args.max_nodes, parallel_width=args.parallel)
-    found = min_interval(gaps, args.max, cfg)
+    try:
+        found = min_interval(gaps, args.max, cfg)
+    except SearchExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if found is None:
         print(f"not found within {args.max}")
         return 3
@@ -237,6 +244,8 @@ def cmd_catalog(args) -> int:
     )
     for name in summary["not_found"]:
         print(f"NOT FOUND within bound: {{{name}}} — candidate for deeper search", file=sys.stderr)
+    for message in summary["budget_exceeded"]:
+        print(f"BUDGET EXCEEDED: {message} — rerun with a larger --max-nodes", file=sys.stderr)
     return 0
 
 
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact-cover search at one length")
     p.add_argument("--gaps", required=True)
     p.add_argument("--len", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--parallel", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
@@ -285,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minlen", help="least tilable length up to a bound")
     p.add_argument("--gaps", required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--parallel", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_minlen)
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", default="catalog.jsonl")
     p.add_argument("--workers", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--timings", action="store_true", help="record wall time per record")
     p.set_defaults(func=cmd_catalog)
 

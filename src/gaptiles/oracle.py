@@ -12,9 +12,9 @@ import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import ConstructionError
+from .errors import ConstructionError, SearchExhausted
 from .types import (
     GapSet,
     IntervalTiling,
@@ -38,7 +38,6 @@ class SearchStatus(Enum):
 class SearchConfig:
     max_nodes: int = 10_000_000
     max_solutions: int = 1
-    canonicalize: bool = True
     parallel_width: int = 0
 
     def __post_init__(self):
@@ -48,6 +47,10 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """Result of one search. ``nodes_explored`` counts the DFS states entered
+    (a placed-tile configuration, solution leaves included); ``max_nodes``
+    bounds the same count."""
+
     status: SearchStatus
     witnesses: tuple
     nodes_explored: int
@@ -80,74 +83,99 @@ def multiset_permutations(items: Sequence) -> list[tuple]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _gap_orders(gaps: tuple[int, ...], canonicalize: bool) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """(offsets, mask, span) per gap ordering. Offsets are prefix sums from 0."""
-    if canonicalize:
-        perms: Iterable[tuple[int, ...]] = multiset_permutations(gaps)
-    else:
-        import itertools
+def _first_step_runs(masks: Sequence[int]) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Orders grouped by their second point: ``(bit, ((index, mask), ...))``.
 
-        perms = itertools.permutations(sorted(gaps))
-    rows = []
-    for perm in perms:
+    ``bit`` is the mask's lowest bit above bit 0. Orders are listed
+    lexicographically, so the orders that share a first step are contiguous
+    and the runs keep the order of the orders.
+    """
+    runs: list[tuple[int, list[tuple[int, int]]]] = []
+    for oi, mask in enumerate(masks):
+        bit = (mask ^ 1) & -(mask ^ 1)
+        if runs and runs[-1][0] == bit:
+            runs[-1][1].append((oi, mask))
+        else:
+            runs.append((bit, [(oi, mask)]))
+    return tuple((bit, tuple(orders)) for bit, orders in runs)
+
+
+@lru_cache(maxsize=256)
+def _gap_orders(gaps: tuple[int, ...]):
+    """Offsets (prefix sums from 0) per distinct gap order, and their first-step runs."""
+    offsets = []
+    for perm in multiset_permutations(gaps):
         offs = [0]
         for g in perm:
             offs.append(offs[-1] + g)
-        mask = 0
-        for o in offs:
-            mask |= 1 << o
-        rows.append((tuple(offs), mask, offs[-1]))
-    return tuple(rows)
+        offsets.append(tuple(offs))
+    return tuple(offsets), _first_step_runs([sum(1 << o for o in offs) for offs in offsets])
 
 
 def _interval_dfs(
     length: int,
-    orders,
+    span: int,
+    runs,
     occupied: int,
     placements: list[tuple[int, int]],
     budget: list[int],
     solutions: list[tuple[tuple[int, int], ...]],
     max_solutions: int,
+    dead: set[int],
     forced_first: int | None = None,
     stop=None,
 ) -> bool:
     """Returns True when the search should stop (budget hit, enough solutions,
-    or another worker signalled the shared stop flag)."""
+    or another worker signalled the shared stop flag).
+
+    ``span`` is the sum of the gaps, the reach of every order. ``dead`` holds
+    the frontiers whose subtrees were exhausted without a solution. Below a
+    node, the search depends only on ``occupied >> c`` and ``length - c``; the
+    tiles placed so far start before ``c``, so that rest is below
+    ``2**span`` and the pair packs into one int.
+    """
+    budget[0] += 1
+    if budget[0] > budget[1]:
+        budget[2] = 1
+        return True
+    if stop is not None and (budget[0] & 1023) == 0 and stop.is_set():
+        return True
     full = (1 << length) - 1
     if occupied == full:
         solutions.append(tuple(placements))
         return len(solutions) >= max_solutions
     free = ~occupied & full
     c = (free & -free).bit_length() - 1
-    first = forced_first is not None
-    for oi, (offs, mask, span) in enumerate(orders):
-        if first and oi != forced_first:
+    if c + span >= length:
+        return False
+    rest = occupied >> c
+    key = rest | (length - c) << span
+    if key in dead:
+        return False
+    found = len(solutions)
+    for bit, orders in runs:
+        if rest & bit:
             continue
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            budget[2] = 1
-            return True
-        if stop is not None and (budget[0] & 1023) == 0 and stop.is_set():
-            return True
-        if c + span >= length:
-            continue
-        m = mask << c
-        if occupied & m:
-            continue
-        placements.append((c, oi))
-        if _interval_dfs(
-            length, orders, occupied | m, placements, budget, solutions, max_solutions, stop=stop
-        ):
-            return True
-        placements.pop()
+        for oi, mask in orders:
+            if rest & mask or (forced_first is not None and oi != forced_first):
+                continue
+            placements.append((c, oi))
+            if _interval_dfs(
+                length, span, runs, occupied | mask << c, placements, budget, solutions,
+                max_solutions, dead, stop=stop,
+            ):
+                return True
+            placements.pop()
+    if len(solutions) == found and forced_first is None:
+        # a forced root tried one order only, so its frontier is not proven dead
+        dead.add(key)
     return False
 
 
-def _build_interval_witness(length: int, orders, placements) -> IntervalTiling:
+def _build_interval_witness(length: int, offsets, placements) -> IntervalTiling:
     tiles = []
     for start, oi in placements:
-        offs = orders[oi][0]
+        offs = offsets[oi]
         tiles.append(Tile(tuple(start + o for o in offs)))
     tiles.sort(key=lambda t: t.points[0])
     return IntervalTiling(length, tuple(tiles))
@@ -162,10 +190,11 @@ def _worker_init(event):
 
 
 def _solve_interval_worker(args):
-    gaps, length, roots, max_nodes, max_solutions, signal_on_found, canonicalize = args
-    orders = _gap_orders(gaps, canonicalize)
+    gaps, length, roots, max_nodes, max_solutions, signal_on_found = args
+    _, runs = _gap_orders(gaps)
     solutions: list = []
     budget = [0, max_nodes, 0]
+    dead: set[int] = set()
     stop = _WORKER_STOP
     for root in roots:
         if len(solutions) >= max_solutions or budget[2]:
@@ -173,7 +202,7 @@ def _solve_interval_worker(args):
         if stop is not None and stop.is_set():
             break
         _interval_dfs(
-            length, orders, 0, [], budget, solutions, max_solutions,
+            length, sum(gaps), runs, 0, [], budget, solutions, max_solutions, dead,
             forced_first=root, stop=stop,
         )
     if solutions and signal_on_found and stop is not None:
@@ -192,17 +221,17 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
     if length < 1 or length % ppt != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
     gaps = gap_set.expand()
-    orders = _gap_orders(gaps, cfg.canonicalize)
+    offsets, runs = _gap_orders(gaps)
 
-    if cfg.parallel_width > 0 and len(orders) > 1:
+    if cfg.parallel_width > 0 and len(offsets) > 1:
         # Root branches split round-robin across workers. A shared stop flag
         # lets the first witness end the race when one solution suffices; for
         # exhaustive collection every worker runs its subset to completion and
         # the merge is deterministic. A worker aborts only after the flag is
         # set, so "no solution" still means every subtree was exhausted.
-        width = min(cfg.parallel_width, len(orders))
+        width = min(cfg.parallel_width, len(offsets))
         buckets: list[list[int]] = [[] for _ in range(width)]
-        for i in range(len(orders)):
+        for i in range(len(offsets)):
             buckets[i % width].append(i)
         per_worker = max(1, cfg.max_nodes // width)
         signal = cfg.max_solutions == 1
@@ -212,7 +241,7 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
             results = pool.map(
                 _solve_interval_worker,
                 [
-                    (gaps, length, b, per_worker, cfg.max_solutions, signal, cfg.canonicalize)
+                    (gaps, length, b, per_worker, cfg.max_solutions, signal)
                     for b in buckets
                 ],
             )
@@ -221,15 +250,15 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
         all_placements = [p for r in results for p in r[0]]
         all_placements.sort()
         witnesses = tuple(
-            _build_interval_witness(length, orders, p) for p in all_placements[: cfg.max_solutions]
+            _build_interval_witness(length, offsets, p) for p in all_placements[: cfg.max_solutions]
         )
     else:
         solutions: list = []
         budget = [0, cfg.max_nodes, 0]
-        _interval_dfs(length, orders, 0, [], budget, solutions, cfg.max_solutions)
+        _interval_dfs(length, sum(gaps), runs, 0, [], budget, solutions, cfg.max_solutions, set())
         nodes = budget[0]
         budget_hit = bool(budget[2])
-        witnesses = tuple(_build_interval_witness(length, orders, p) for p in solutions)
+        witnesses = tuple(_build_interval_witness(length, offsets, p) for p in solutions)
 
     if witnesses:
         for wit in witnesses:
@@ -244,62 +273,70 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
 def min_interval(
     gap_set: GapSet, n_max: int, cfg: SearchConfig | None = None
 ) -> tuple[int, IntervalTiling] | None:
-    """Least length <= n_max that the gap set tiles, with a witness; None if absent."""
+    """Least length <= n_max that the gap set tiles, with a witness; None if
+    every admissible length was exhausted without one.
+
+    Raises SearchExhausted, naming the length, when the budget runs out
+    first: a longer tilable length would not be the least one.
+    """
     ppt = gap_set.points_per_tile()
     for n in range(ppt, n_max + 1, ppt):
         outcome = solve_interval(gap_set, n, cfg)
         if outcome.status is SearchStatus.FOUND:
             return n, outcome.witnesses[0]
+        if outcome.status is SearchStatus.BUDGET_EXCEEDED:
+            raise SearchExhausted(
+                f"interval search budget exceeded at length {n} for {{{gap_set}}}"
+            )
     return None
 
 
 @lru_cache(maxsize=256)
-def _step_orders(steps: tuple[tuple[int, int], ...], width: int, canonicalize: bool):
-    """(walk, mask, kmax, lmax) per step ordering, masks flattened at row width."""
-    if canonicalize:
-        perms: Iterable = multiset_permutations(steps)
-    else:
-        import itertools
-
-        perms = itertools.permutations(sorted(steps))
-    rows = []
-    for perm in perms:
+def _step_orders(steps: tuple[tuple[int, int], ...], width: int):
+    """Walks per distinct step order, and their first-step runs with masks
+    flattened at row width."""
+    walks = []
+    for perm in multiset_permutations(steps):
         walk = [(0, 0)]
         for dx, dy in perm:
             px, py = walk[-1]
             walk.append((px + dx, py + dy))
-        mask = 0
-        for x, y in walk:
-            mask |= 1 << (x + y * width)
-        kmax = max(x for x, _ in walk)
-        lmax = max(y for _, y in walk)
-        rows.append((tuple(walk), mask, kmax, lmax))
-    return tuple(rows)
+        walks.append(tuple(walk))
+    masks = [sum(1 << (x + y * width) for x, y in walk) for walk in walks]
+    return tuple(walks), _first_step_runs(masks)
 
 
-def _rect_dfs(width, height, orders, occupied, placements, budget, solutions, max_solutions):
-    total = width * height
-    full = (1 << total) - 1
+def _rect_dfs(width, height, kmax, lmax, runs, occupied, placements, budget, solutions, max_solutions):
+    """As _interval_dfs, without the frontier memo. Steps are nonnegative, so
+    every path's last point lies kmax columns right of and lmax rows above its
+    first, and no point lies farther."""
+    budget[0] += 1
+    if budget[0] > budget[1]:
+        budget[2] = 1
+        return True
+    full = (1 << width * height) - 1
     if occupied == full:
         solutions.append(tuple(placements))
         return len(solutions) >= max_solutions
     free = ~occupied & full
     c = (free & -free).bit_length() - 1
-    cx, cy = c % width, c // width
-    for oi, (walk, mask, kmax, lmax) in enumerate(orders):
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            budget[2] = 1
-            return True
-        if cx + kmax >= width or cy + lmax >= height:
+    cy, cx = divmod(c, width)
+    if cx + kmax >= width or cy + lmax >= height:
+        return False
+    rest = occupied >> c
+    for bit, orders in runs:
+        if rest & bit:
             continue
-        m = mask << c
-        if occupied & m:
-            continue
-        placements.append((c, oi))
-        if _rect_dfs(width, height, orders, occupied | m, placements, budget, solutions, max_solutions):
-            return True
-        placements.pop()
+        for oi, mask in orders:
+            if rest & mask:
+                continue
+            placements.append((c, oi))
+            if _rect_dfs(
+                width, height, kmax, lmax, runs, occupied | mask << c, placements, budget,
+                solutions, max_solutions,
+            ):
+                return True
+            placements.pop()
     return False
 
 
@@ -317,16 +354,18 @@ def solve_rectangle(
     ppp = len(steps) + 1
     if width < 1 or height < 1 or (width * height) % ppp != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
-    orders = _step_orders(steps, width, cfg.canonicalize)
+    walks, runs = _step_orders(steps, width)
+    kmax = sum(dx for dx, _ in steps)
+    lmax = sum(dy for _, dy in steps)
     solutions: list = []
     budget = [0, cfg.max_nodes, 0]
-    _rect_dfs(width, height, orders, 0, [], budget, solutions, cfg.max_solutions)
+    _rect_dfs(width, height, kmax, lmax, runs, 0, [], budget, solutions, cfg.max_solutions)
     witnesses = []
     for placements in solutions:
         paths = []
         for c, oi in placements:
             cx, cy = c % width, c // width
-            walk = orders[oi][0]
+            walk = walks[oi]
             paths.append(LatticePath(tuple((cx + x, cy + y) for x, y in walk)))
         witnesses.append(RectangleTiling(width, height, tuple(paths), st))
     if witnesses:

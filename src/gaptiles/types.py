@@ -186,6 +186,19 @@ def as_int64(values) -> np.ndarray:
         raise PreconditionError("a value does not fit in a signed 64-bit integer") from None
 
 
+def _first_non_pair(rows: Sequence[Sequence]) -> str:
+    """Names the first point of the first path that is not an [x, y] pair of numbers."""
+    for i, row in enumerate(rows):
+        for point in row:
+            if not (
+                isinstance(point, (list, tuple))
+                and len(point) == 2
+                and all(isinstance(v, (int, float)) for v in point)
+            ):
+                return f"path {i}: point {point!r} is not an [x, y] pair"
+    return "path points must be [x, y] pairs"
+
+
 class _Rows(Sequence):
     """Read-only sequence over the rows of a CSR layout.
 
@@ -330,11 +343,16 @@ class Paths(_Rows):
         """Paths from sequences of (x, y) points, one per path."""
         rows = list(rows)
         offsets = offsets_from_sizes(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
-        pts = as_int64(list(chain.from_iterable(rows)))
-        if pts.size == 0:
+        try:
+            pts = as_int64(list(chain.from_iterable(rows)))
+        except PreconditionError:
+            raise
+        except ValueError:  # ragged or non-numeric points
+            pts = None
+        if pts is not None and pts.shape == (0,):
             pts = pts.reshape(0, 2)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise PreconditionError("path points must be (x, y) pairs")
+        if pts is None or pts.ndim != 2 or pts.shape[1] != 2:
+            raise PreconditionError(_first_non_pair(rows))
         return cls(offsets, pts[:, 0], pts[:, 1])
 
     @classmethod

@@ -85,6 +85,14 @@ class TestSolveCommands:
     def test_solve_not_found_exit_3(self):
         assert run(["solve", "--gaps", "1:1,2:1", "--len", "4"]) == 3
 
+    def test_minlen_budget_exceeded_is_an_error_exit_3(self, capsys):
+        # {3,4,5,5} tiles length 70; the budget runs out long before that
+        args = ["minlen", "--gaps", "3:1,4:1,5:2", "--max", "120", "--max-nodes", "100"]
+        assert run(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: interval search budget exceeded at length ")
+
 
 class TestVerifyCommand:
     def test_good_file_exit_0(self, tmp_path):
@@ -128,6 +136,25 @@ class TestVerifyCommand:
         assert run(["verify", str(f)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "paths, named",
+        [
+            ([[[0, 0, 3], [1, 0]]], "path 0: point [0, 0, 3]"),
+            ([[[0, 0], [1, 0]], [[0, 1], [1]]], "path 1: point [1]"),
+            ([[[0, 0], 5]], "path 0: point 5"),
+        ],
+        ids=["three-coordinates", "one-coordinate", "scalar"],
+    )
+    def test_rectangle_point_not_a_pair_is_parse_error(self, tmp_path, capsys, paths, named):
+        f = tmp_path / "bad.json"
+        f.write_text(
+            json.dumps({"kind": "rectangle", "width": 2, "height": 1, "step_type": [[[1, 0], 1]], "paths": paths}),
+            encoding="utf-8",
+        )
+        assert run(["verify", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {named} is not an [x, y] pair") and "Traceback" not in err
 
     def test_unparseable_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -253,6 +280,32 @@ class TestCatalog:
                  "--workers", workers, "--out", str(d / "catalog.jsonl")]
             )
         assert (d1 / "catalog.jsonl").read_bytes() == (d2 / "catalog.jsonl").read_bytes()
+
+    def test_worker_pool_records_timings(self, tmp_path):
+        out = tmp_path / "catalog.jsonl"
+        run(
+            ["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "20",
+             "--workers", "2", "--timings", "--out", str(out)]
+        )
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["index"] for r in records] == list(range(5))
+        assert all(isinstance(r["wall_ms"], float) and r["wall_ms"] >= 0 for r in records)
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_budget_exceeded_is_its_own_outcome(self, tmp_path, capsys, workers):
+        # one DFS state cannot reach a solution, so every search runs out
+        out = tmp_path / "catalog.jsonl"
+        assert run(
+            ["catalog", "--max-distance", "1", "--max-multiplicity", "2", "--nmax", "12",
+             "--max-nodes", "1", "--workers", workers, "--out", str(out)]
+        ) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["outcome"], r["min_length"], r["witness"]) for r in records] == [
+            ("budget-exceeded", None, None)
+        ] * 2
+        err = capsys.readouterr().err
+        assert "NOT FOUND" not in err
+        assert err.count("BUDGET EXCEEDED: interval search budget exceeded at length ") == 2
 
 
 def test_conditions_command(capsys):

@@ -1,13 +1,16 @@
 """Golden bytes: the construction writes exactly the files it wrote before
-tilings were stored as CSR arrays (SHA-256 of each output)."""
+tilings were stored as CSR arrays, and the oracle finds exactly the witnesses
+it found before its DFS tested each node once (SHA-256 of each output)."""
 
 import hashlib
 
 import pytest
 
 from gaptiles import boundary_base, homogeneous_base, homogeneous_step
+from gaptiles.catalog import run_catalog
 from gaptiles.cli import main
-from gaptiles.serialize import dumps_canonical, interval_to_obj
+from gaptiles.grid import HeightTable, min_height_rect
+from gaptiles.serialize import dumps_canonical, interval_to_obj, rectangle_to_obj
 
 
 def sha256(data: bytes) -> str:
@@ -45,3 +48,28 @@ def test_homogeneous_step_output_is_byte_identical():
     st = homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), 3025, 1)
     text = dumps_canonical(interval_to_obj(st.tiling, st.tiling.annotations.homogeneous_for))
     assert sha256(text.encode()) == "f37499437489f94c52fcc0d8cd16918a0bb019479ff99df607e4bf73534cf09c"
+
+
+def test_catalog_sweep_is_byte_identical(tmp_path):
+    run_catalog(tmp_path / "cat.jsonl", 6, 4, 120)
+    assert sha256((tmp_path / "cat.jsonl").read_bytes()) == (
+        "867366fb044b043abfa2107999b9da108941e60b76da6cc9ee2a623440432a70"
+    )
+    witnesses = sorted((tmp_path / "cat-witnesses").iterdir(), key=lambda f: f.name)
+    assert len(witnesses) == 207
+    assert sha256(b"".join(f.read_bytes() for f in witnesses)) == (
+        "d7aab476c154f8ad3985de1e45ab64153daa3681a91466bec9e8c7405dfd2397"
+    )
+
+
+def test_min_height_witnesses_are_byte_identical():
+    # every (k, l, m) with k + l <= 8 whose width is below the staircase's k + l + 1
+    instances = [
+        (k, l, m) for k in range(1, 8) for l in range(1, 9 - k) for m in range(k + 1, k + l + 1)
+    ]
+    assert len(instances) == 84
+    table = HeightTable()
+    dumps = [dumps_canonical(rectangle_to_obj(min_height_rect(*klm, table=table)[1])) for klm in instances]
+    assert sha256("".join(dumps).encode()) == (
+        "13e5e355bc409113ca364f45767566cccbc778b4f92eaa2736f41408b74e571f"
+    )

@@ -1,10 +1,12 @@
 import itertools
 
+import pytest
 from naive_oracle import naive_tilable
 
 from gaptiles import (
     GapSet,
     SearchConfig,
+    SearchExhausted,
     SearchStatus,
     min_interval,
     multiset_permutations,
@@ -95,6 +97,13 @@ class TestMinInterval:
 
     def test_not_found_within_bound(self):
         assert min_interval(T(2, 3), 12) is None
+
+    def test_budget_exhaustion_is_not_untilability(self):
+        # {3,4,5,5} first tiles at length 70; a budget that runs out at a
+        # shorter length must not let the sweep move on to longer lengths
+        assert min_interval(T(3, 4, 5, 5), 120)[0] == 70
+        with pytest.raises(SearchExhausted, match=r"budget exceeded at length \d+ for \{3:1,4:1,5:2\}"):
+            min_interval(T(3, 4, 5, 5), 120, SearchConfig(max_nodes=100))
 
 
 class TestNaiveAgreement:
