@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConstructionError, PreconditionError, SearchExhausted
 from .oracle import SearchConfig, SearchStatus, solve_rectangle
-from .serialize import dumps_canonical, read_json, rectangle_to_obj, tiling_from_obj, write_json
+from .serialize import dumps_canonical  # noqa: F401  benchmarks/tracing.py patches it here
+from .serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
 from .types import (
     IntervalTiling,
     Paths,
@@ -128,8 +129,9 @@ class HeightTable:
     """Memoized map (k, l, m) -> (f, witness), optionally persisted to disk.
 
     The on-disk layout is an ``index.json`` mapping "k,l,m" to {"f", "witness_path"}
-    plus one rectangle-tiling JSON file per witness. Writes go through a
-    temp-file rename, so readers never observe a partial index.
+    plus one rectangle-tiling JSON file per witness. Every file is written
+    with ``write_json``, through a temporary file and a rename, so readers
+    never observe a partial index or witness.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
@@ -176,9 +178,7 @@ class HeightTable:
                     }
                     for key, (fv, _) in sorted(self._mem.items())
                 }
-                tmp = self._dir / "index.json.tmp"
-                tmp.write_text(dumps_canonical(index), encoding="utf-8")
-                os.replace(tmp, self._index_path())
+                write_json(self._index_path(), index)
 
 
 _default_table: HeightTable | None = None

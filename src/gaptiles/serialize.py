@@ -9,14 +9,20 @@ Rectangle tilings:
 Dumps are canonical (sorted keys, fixed separators, trailing newline), so
 identical inputs always produce byte-identical files. The dicts that
 interval_to_obj and rectangle_to_obj return keep "tiles" or "paths" as the
-tiling's CSR view; dumps_canonical prints it as the list of rows.
+tiling's CSR view, and the rows are printed as bytes straight from its
+arrays, 65,536 points at a time: each number's digits come from a table of
+4-digit words, and one keep mask drops the leading zeros and unused
+separator bytes. write_json streams those chunks into a temporary file in
+the target's directory and renames it over the target, so a failed write
+leaves the earlier file as it was and no temporary file behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -32,50 +38,136 @@ from .types import (
     normalize_steps,
 )
 
+_CHUNK_POINTS = 1 << 16
+# _WORDS[i] holds the four ASCII digits of i, zero-padded, in memory order
+# (built in uint16, so that the temporaries stay small).
+_PLACES = np.array([1000, 100, 10, 1], dtype=np.uint16)
+_WORDS = (
+    (np.arange(10_000, dtype=np.uint16)[:, None] // _PLACES % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
 
-def _rows_json(rows: Tiles | Paths, chunk: int = 1 << 16) -> str:
-    """The rows as json.dumps prints them: [[p,...],...] for tiles,
-    [[[x,y],...],...] for paths.
 
-    The text is formatted straight from the CSR arrays, `chunk` points at a
-    time, so no list per row is ever built.
+def _magnitude(v: np.ndarray) -> np.ndarray:
+    """|v| as uint64, exact for every int64 including its minimum."""
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=v < 0)
+    return mag
+
+
+def _points_bytes(cols: tuple[np.ndarray, ...], last: np.ndarray) -> bytes:
+    """Each point followed by its separator: "p," or "p],[" for one column,
+    "[x,y]," or "[x,y]],[" for two; "],[" ends a row.
+
+    Every point gets one row of a uint8 matrix: a sign byte, zero-padded
+    digits as wide as the chunk's largest magnitude needs, and the
+    punctuation; a boolean mask keeps the bytes that belong to the text. A
+    digit is kept when the magnitude reaches its place value, or it is the
+    units digit.
     """
+    n = last.size
+    mags = [_magnitude(c) for c in cols]
+    words = (len(str(max(int(m.max()) for m in mags))) + 3) // 4
+    field = 1 + 4 * words  # sign byte, then the digits
+    pair = len(cols) == 2
+    width = len(cols) * field + 3 * pair + 3
+    text = np.empty((n, width), dtype=np.uint8)
+    keep = np.ones((n, width), dtype=bool)
+    pos = 0
+    if pair:
+        text[:, 0] = ord("[")
+        pos = 1
+    for i, (c, mag) in enumerate(zip(cols, mags)):
+        if i:
+            text[:, pos] = ord(",")
+            pos += 1
+        text[:, pos] = ord("-")
+        np.less(c, 0, out=keep[:, pos])
+        for j, place in enumerate(_POW10[4 * words - 2 :: -1], start=pos + 1):
+            np.greater_equal(mag, place, out=keep[:, j])
+        w = np.empty((n, words), dtype=np.uint32)
+        for j in range(words - 1, -1, -1):
+            mag, w[:, j] = np.divmod(mag, 10_000)
+        text[:, pos + 1 : pos + field] = _WORDS[w].view(np.uint8)
+        pos += field
+    if pair:
+        text[:, pos] = ord("]")
+        pos += 1
+    text[:, pos] = np.where(last, ord("]"), ord(","))
+    text[:, pos + 1] = ord(",")
+    text[:, pos + 2] = ord("[")
+    keep[:, pos + 1 :] = last[:, None]
+    return text[keep].tobytes()
+
+
+def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[bytes]:
+    """The rows as json.dumps prints them, [[p,...],...] for tiles and
+    [[[x,y],...],...] for paths, in pieces of `chunk` points."""
     cols = (rows.values,) if isinstance(rows, Tiles) else (rows.xs, rows.ys)
     n = cols[0].size
     if n == 0:
-        return "[]"
+        yield b"[]"
+        return
     last = np.zeros(n, dtype=bool)
     last[rows.offsets[1:] - 1] = True
-    parts = []
+    yield b"[["
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        if len(cols) == 1:
-            points = list(map(str, cols[0][a:b].tolist()))
-        else:
-            points = [f"[{x},{y}]" for x, y in zip(cols[0][a:b].tolist(), cols[1][a:b].tolist())]
-        tokens = [""] * (2 * (b - a))
-        tokens[0::2] = points
-        tokens[1::2] = np.where(last[a:b], "],[", ",").tolist()
-        parts.append("".join(tokens))
-    # Every point is followed by a separator; the final one is "],[".
-    return "[[" + "".join(parts)[:-3] + "]]"
+        text = _points_bytes(tuple(c[a:b] for c in cols), last[a:b])
+        # the final point's separator is "],["; the rows close with "]]"
+        yield text if b < n else text[:-3] + b"]]"
 
 
-def _dumps(obj: Any) -> str:
+def _rows_json(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> str:
+    """The rows as json.dumps prints them, formatted `chunk` points at a time."""
+    return b"".join(_rows_chunks(rows, chunk)).decode("ascii")
+
+
+def _chunks(obj: Any) -> Iterator[bytes]:
+    """The canonical JSON of obj, without the trailing newline, as ASCII
+    bytes in pieces; a dict holding a Tiles or Paths value yields its rows
+    chunk by chunk."""
     if isinstance(obj, (Tiles, Paths)):
-        return _rows_json(obj)
-    if isinstance(obj, dict) and any(isinstance(v, (Tiles, Paths)) for v in obj.values()):
-        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(obj[k])}" for k in sorted(obj)) + "}"
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        yield from _rows_chunks(obj)
+    elif isinstance(obj, dict) and any(isinstance(v, (Tiles, Paths)) for v in obj.values()):
+        sep = b"{"
+        for k in sorted(obj):
+            yield sep + json.dumps(k).encode("ascii") + b":"
+            yield from _chunks(obj[k])
+            sep = b","
+        yield b"}"
+    else:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def dumps_canonical(obj: Any) -> str:
     """Canonical JSON text of obj; a Tiles or Paths value prints as its list of rows."""
-    return _dumps(obj) + "\n"
+    return b"".join(_chunks(obj)).decode("ascii") + "\n"
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    """Write the canonical JSON of obj to path, atomically.
+
+    The chunks go to a new file beside path as they are made, which then
+    replaces path; on any failure the temporary file is removed and path is
+    left as it was. The file is not fsynced: the replace is atomic for
+    readers and against a failing writer, not against a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            for part in _chunks(obj):
+                fh.write(part)
+            fh.write(b"\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_json(path: str | Path) -> Any:

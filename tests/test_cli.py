@@ -156,6 +156,27 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {named} is not an [x, y] pair") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "tiling, named",
+        [
+            ({"kind": "interval", "length": 2, "gap_set": [[1, 1]], "tiles": [[0.7, 1.2]]}, "0.7"),
+            ({"kind": "interval", "length": 2, "gap_set": [[1, 1]], "tiles": [[False, True]]}, "False"),
+            (
+                {"kind": "rectangle", "width": 2, "height": 1, "step_type": [[[1, 0], 1]],
+                 "paths": [[[0.9, 0], [1.5, 0]]]},
+                "0.9",
+            ),
+        ],
+        ids=["fractional-tile", "boolean-tile", "fractional-path"],
+    )
+    def test_non_integer_points_are_parse_errors(self, tmp_path, capsys, tiling, named):
+        # truncated to [0, 1] or [[0, 0], [1, 0]], each of these would tile
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(tiling), encoding="utf-8")
+        assert run(["verify", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: value {named} is not an integer") and "Traceback" not in err
+
     def test_unparseable_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Golden bytes: the construction writes exactly the files it wrote before
-tilings were stored as CSR arrays, and the oracle finds exactly the witnesses
-it found before its DFS tested each node once (SHA-256 of each output)."""
+tilings were stored as CSR arrays and printed from them in chunks, and the
+oracle finds exactly the witnesses it found before its DFS tested each node
+once (SHA-256 of each output)."""
 
 import hashlib
 
@@ -33,6 +34,13 @@ def sha256(data: bytes) -> str:
             "915653a9fa56683d7f290ed61b580303439e9d64c85b7619a644f9a789d503bc",
             "81fdc295a33f937eee81e3ecaf01383ccbe52753dcd9c207af04e85191a93cb6",
             "58d8f35de61eeb799a02b6d2fc7722921a0f90bd8fb7a5220fb206324585f680",
+        ),
+        (  # the headline case: 1,201,156 points, printed in many chunks
+            "1:1,9:1,300289:1",
+            "2,1",
+            "07c929a3417eaacd0dff601a29e3d432d88354f811fd12505077ef86e142b7c9",
+            "9c33828b0c3c3bcdf1ed23dd6ca7e69cc134455d36813781903ee5d7014c309c",
+            "777bfac34f07b896f8b12526f1e440efefe8680d0e028e433076a62dcd777f53",
         ),
     ],
 )

@@ -114,6 +114,12 @@ class TestMinHeightRect:
         assert hit[1] == wit
 
 
+    def test_persistent_table_leaves_no_temporary_files(self, tmp_path):
+        table = HeightTable(tmp_path)
+        min_height_rect(1, 2, 3, table=table)
+        min_height_rect(2, 2, 3, table=table)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f_1_2_3.json", "f_2_2_3.json", "index.json"]
+
 class TestDiagonalStripes:
     def test_figure_instance(self):
         rect = diagonal_stripe_tiling(6, 2, 11)

@@ -16,6 +16,7 @@ from gaptiles.serialize import (
     interval_to_obj,
     rectangle_to_obj,
     tiling_from_obj,
+    write_json,
 )
 from gaptiles.types import Paths, Tiles
 
@@ -81,3 +82,20 @@ def test_canonical_dump_matches_json_dumps():
     obj = rectangle_to_obj(rect)
     plain = dict(obj, paths=[[list(pt) for pt in p.points] for p in rect.paths])
     assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_failed_write_leaves_earlier_file_and_no_temporary(tmp_path):
+    # write_json streams the rows before the keys after them; a value that
+    # cannot be printed, sorted after "tiles", fails once the tiles are out.
+    st = boundary_base(1, 9, 1, 1)
+    obj = interval_to_obj(st.tiling, st.gap_prefix)
+    path = tmp_path / "t.json"
+    write_json(path, obj)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, dict(obj, zz=object()))
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["t.json"]
+    write_json(tmp_path / "new.json", obj)  # a fresh target is created too
+    assert (tmp_path / "new.json").read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["new.json", "t.json"]
