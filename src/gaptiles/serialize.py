@@ -15,6 +15,14 @@ arrays, 65,536 points at a time: each number's digits come from a table of
 separator bytes. write_json streams those chunks into a temporary file in
 the target's directory and renames it over the target, so a failed write
 leaves the earlier file as it was and no temporary file behind.
+
+read_json reads that layout back from the bytes: the rows array is cut out
+of the file, checked byte by byte against the canonical grammar with a few
+array passes, and read into the CSR arrays by np.fromstring, while
+json.loads parses the small rest of the object. A file laid out any other
+way goes through json.loads whole, so it reads exactly as before. Either
+way a point or a header number that is not a JSON integer is a parse error
+(PreconditionError), never truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -171,15 +179,153 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON value in the file at path.
+
+    The "tiles" of an interval file or the "paths" of a rectangle file, if
+    laid out as write_json prints them, are read from the bytes straight
+    into a Tiles or Paths view, the CSR view that interval_to_obj and
+    rectangle_to_obj return too; only the rest of the object goes through
+    json.loads. Any other file or layout is read by json.loads alone, so
+    every reader gets the value or the error json.loads gives.
+    """
+    data = Path(path).read_bytes()
+    obj = _read_tiling(data)
+    return _read_plain(data) if obj is None else obj
+
+
+def _read_plain(data: bytes) -> Any:
+    """data as json.loads reads it, for every file the byte pass declines."""
+    return json.loads(data.decode("utf-8"))
+
+
+# The key of the rows array of an interval and of a rectangle file, and how
+# deep its numbers sit in it.
+_ROW_ARRAYS = (("tiles", 2), ("paths", 3))
+# Digits and "-" stay, the punctuation ",[]" becomes the space np.fromstring
+# splits on, and every other byte becomes "*", which no canonical row holds.
+_ROW_BYTES = bytes(
+    c if chr(c) in "-0123456789" else ord(" ") if chr(c) in ",[]" else ord("*")
+    for c in range(256)
+)
+_TWO63 = np.frombuffer(str(2**63).encode("ascii"), dtype=np.uint8)  # 19 digits
+
+
+def _read_tiling(data: bytes) -> dict | None:
+    """The tiling file in data with its rows as a CSR view, or None unless
+    the rows are laid out as write_json prints them.
+
+    The rows array, from the key to the last "]]" ("]]]" for paths) in the
+    file, is cut out and "[]" put in its place. The cut is the top-level
+    value of the key: the quoted key occurs once in the file, the rest holds
+    no backslash (so no escaped spelling of the key either), and json.loads
+    finds the key in the top-level object of the rest. _rows_from_bytes
+    accepts the cut only as one complete array, so then the file parses as
+    JSON exactly when the rest does, with the same value everywhere else.
+    """
+    for key, depth in _ROW_ARRAYS:
+        name = f'"{key}"'.encode("ascii")
+        cut = data.find(name + b":[")
+        if cut < 0:
+            continue
+        a = cut + len(name) + 1  # the array's "["
+        end = a + 2 if data.startswith(b"[]", a) else data.rfind(b"]" * depth) + depth
+        if end < a + 2:
+            return None
+        head, tail = data[:a], data[end:]
+        if head.count(name) != 1 or name in tail or b"\\" in head or b"\\" in tail:
+            return None
+        try:
+            obj = json.loads((head + b"[]" + tail).decode("utf-8"))
+        except ValueError:
+            return None
+        if not isinstance(obj, dict) or key not in obj:
+            return None
+        rows = _rows_from_bytes(data, a, end, depth)
+        if rows is None:
+            return None
+        obj[key] = rows
+        return obj
+    return None
+
+
+def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths | None:
+    """The rows array data[a:end] as a Tiles (depth 2) or Paths (depth 3)
+    view, or None if it is anything but canonical rows of int64 values that
+    make a valid view.
+
+    Canonical rows hold numbers -?(0|[1-9][0-9]*) split by "," within a
+    point (paths), "," or "],[" between points, and "]],[[" between paths.
+    So every bracket inside the array sits next to a comma, the commas give
+    the bounds of every number, and np.fromstring reads the values.
+    """
+    per_point = depth - 1  # numbers per point
+    if end - a == 2:  # "[]"
+        return (Tiles if depth == 2 else Paths).from_rows([])
+    text = data[a + depth : end - depth].translate(_ROW_BYTES)
+    if not data.startswith(b"[" * depth, a) or not text or b"*" in text:
+        return None
+    u = np.frombuffer(data, dtype=np.uint8, count=end - a, offset=a)
+    commas = np.flatnonzero(u == ord(","))
+    # "]" closed just before and "[" opened just after each comma
+    shut = np.zeros(commas.size, dtype=np.int8)
+    opened = np.zeros(commas.size, dtype=np.int8)
+    run_shut = np.ones(commas.size, dtype=bool)
+    run_open = np.ones(commas.size, dtype=bool)
+    for i in range(1, depth):
+        run_shut &= u[commas - i] == ord("]")
+        run_open &= u[commas + i] == ord("[")
+        shut += run_shut
+        opened += run_open
+    if (
+        not np.array_equal(shut, opened)
+        or np.count_nonzero(u > ord("9")) != 2 * (depth + int(shut.sum()))  # no other bracket
+        or (per_point == 2 and (commas.size % 2 == 0 or shut[::2].any() or not shut[1::2].all()))
+    ):
+        return None
+    starts = np.concatenate(([depth], commas + 1 + opened))
+    ends = np.concatenate((commas - shut, [u.size - depth]))
+    neg = u[starts] == ord("-")
+    lead = starts + neg
+    digits = ends - lead
+    if (
+        np.count_nonzero(neg) != np.count_nonzero(u == ord("-"))
+        or digits.min() < 1
+        or digits.max() > 19
+        or ((u[lead] == ord("0")) & (digits > 1)).any()
+    ):
+        return None
+    big = np.flatnonzero(digits == 19)
+    if big.size:
+        # each 19-digit magnitude against 2**63, which only a negative may reach
+        diff = u[lead[big, None] + np.arange(19)].astype(np.int16) - _TWO63
+        first = diff[np.arange(big.size), (diff != 0).argmax(axis=1)]
+        if ((first > 0) | ((first == 0) & ~neg[big])).any():
+            return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    breaks = (np.flatnonzero(shut == per_point) + 1) // per_point  # points before each later row
+    offsets = np.concatenate(([0], breaks, [values.size // per_point]))
+    try:
+        return Tiles(offsets, values) if depth == 2 else Paths(offsets, values[::2], values[1::2])
+    except PreconditionError:
+        return None
 
 
 def gap_set_to_obj(gs: GapSet) -> list[list[int]]:
     return [[d, k] for d, k in gs.entries]
 
 
+def _integer(value: Any, what: str) -> int:
+    """value, which must be an integer: a bool, float or string is a
+    PreconditionError, never rounded or read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PreconditionError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def gap_set_from_obj(obj: Any) -> GapSet:
-    return GapSet.from_pairs((int(d), int(k)) for d, k in obj)
+    return GapSet.from_pairs(
+        (_integer(d, "a gap distance"), _integer(k, "a gap multiplicity")) for d, k in obj
+    )
 
 
 def interval_to_obj(t: IntervalTiling, gap_set: GapSet) -> dict:
@@ -218,9 +364,10 @@ def _rows(view: type[Tiles] | type[Paths], rows: Any) -> Tiles | Paths:
 def tiling_from_obj(obj: Any) -> tuple[str, Any, GapSet | None]:
     """Parse a tiling file object. Returns (kind, tiling, gap_set or None).
 
-    Points go straight into the CSR arrays; a point beyond int64 or a
-    non-list where a list belongs is a PreconditionError like any other
-    malformed input.
+    Points go straight into the CSR arrays; a point beyond int64, a
+    non-list where a list belongs, or a header number (length, width,
+    height, window, a gap_set or step_type entry, an annotation) that is not
+    an integer is a PreconditionError like any other malformed input.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise PreconditionError("not a tiling file: missing 'kind'")
@@ -229,25 +376,32 @@ def tiling_from_obj(obj: Any) -> tuple[str, Any, GapSet | None]:
         if kind == "interval":
             gs = gap_set_from_obj(obj["gap_set"])
             ann_obj = obj.get("annotations") or {}
+            if not isinstance(ann_obj, dict):
+                raise PreconditionError(f"annotations must be an object, not {ann_obj!r}")
+            count = ann_obj.get("boundary_prefix_count")
             ann = TilingAnnotations(
-                boundary_prefix_count=ann_obj.get("boundary_prefix_count"),
+                boundary_prefix_count=None if count is None else _integer(count, "boundary_prefix_count"),
                 homogeneous_for=(
                     gap_set_from_obj(ann_obj["homogeneous_for"])
                     if ann_obj.get("homogeneous_for") is not None
                     else None
                 ),
             )
-            return kind, IntervalTiling(int(obj["length"]), _rows(Tiles, obj["tiles"]), ann), gs
+            length = _integer(obj["length"], "length")
+            return kind, IntervalTiling(length, _rows(Tiles, obj["tiles"]), ann), gs
         if kind == "rectangle":
             step_type = normalize_steps(
-                [((int(vec[0]), int(vec[1])), int(k)) for vec, k in obj["step_type"]]
+                [
+                    ((_integer(dx, "a step"), _integer(dy, "a step")), _integer(k, "a step multiplicity"))
+                    for (dx, dy), k in obj["step_type"]
+                ]
             )
             rect = RectangleTiling(
-                width=int(obj["width"]),
-                height=int(obj["height"]),
+                width=_integer(obj["width"], "width"),
+                height=_integer(obj["height"], "height"),
                 paths=_rows(Paths, obj["paths"]),
                 step_type=step_type,
-                window=int(obj["window"]) if obj.get("window") is not None else None,
+                window=_integer(obj["window"], "window") if obj.get("window") is not None else None,
             )
             return kind, rect, None
     except TypeError as exc:

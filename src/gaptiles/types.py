@@ -18,6 +18,7 @@ import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -180,15 +181,15 @@ def offsets_from_sizes(sizes: np.ndarray) -> np.ndarray:
 
 def as_int64(values) -> np.ndarray:
     """values as a new int64 array; PreconditionError if one is not an
-    integer or does not fit in a signed 64-bit integer.
+    integer (a bool is not) or does not fit in a signed 64-bit integer.
 
-    Well-formed input is judged by the dtype numpy infers for it, with no
-    pass per value; only a rejected input is searched for the value to name.
-    A bool among integers is read as 0 or 1, as numpy infers an integer
-    dtype for the mix.
+    An array is judged by its dtype alone. Numpy infers an integer dtype for
+    a mix of bools and integers, so the values of a list that infers one are
+    also tested for bools, one type lookup per value; only a rejected input
+    is searched for the value to name.
     """
     a = np.array(values)
-    if a.dtype.kind == "i" or a.size == 0:
+    if a.size == 0 or a.dtype.kind == "i" and not _holds_bool(values, a.ndim):
         return a.astype(np.int64, copy=False)
     for v in np.array(values, dtype=object).flat:
         if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
@@ -196,6 +197,16 @@ def as_int64(values) -> np.ndarray:
         if not -INT64_MAX - 1 <= v <= INT64_MAX:
             raise PreconditionError("a value does not fit in a signed 64-bit integer")
     return a.astype(np.int64)
+
+
+def _holds_bool(values, ndim: int) -> bool:
+    """Whether nested sequences of values, ndim levels deep, hold a bool."""
+    if isinstance(values, np.ndarray) or ndim == 0:
+        return False
+    for _ in range(ndim - 1):
+        values = chain.from_iterable(values)
+    types = set(map(type, values))
+    return bool in types or np.bool_ in types
 
 
 def _concat(rows: list[Sequence]) -> list:

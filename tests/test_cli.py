@@ -103,7 +103,7 @@ class TestVerifyCommand:
     def test_corrupted_file_exit_4(self, tmp_path):
         out = tmp_path / "t.json"
         run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)])
-        obj = read_json(out)
+        obj = json.loads(out.read_text(encoding="utf-8"))
         obj["tiles"][0][0] += 1  # shift one point
         write_json(out, obj)
         assert run(["verify", str(out)]) == 4
@@ -176,6 +176,66 @@ class TestVerifyCommand:
         assert run(["verify", str(f)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: value {named} is not an integer") and "Traceback" not in err
+
+    @pytest.mark.parametrize("separators", [(",", ":"), (", ", ": ")], ids=["compact", "spaced"])
+    @pytest.mark.parametrize(
+        "tiling, named",
+        [
+            ({"kind": "interval", "length": 4, "gap_set": [[1, 1]], "tiles": [[False, True], [2, 3]]}, "False"),
+            (
+                {"kind": "rectangle", "width": 2, "height": 1, "step_type": [[[1, 0], 1]],
+                 "paths": [[[0, False], [1, 0]]]},
+                "False",
+            ),
+        ],
+        ids=["tiles", "paths"],
+    )
+    def test_booleans_among_integer_points_are_parse_errors(self, tmp_path, capsys, tiling, named, separators):
+        # with the bools read as 0 and 1, each of these files would tile
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(tiling, separators=separators), encoding="utf-8")
+        assert run(["verify", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: value {named} is not an integer") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"length": 4.9, "gap_set": [[1.5, 1]]}, "a gap distance must be an integer, not 1.5"),
+            ({"length": 4.9}, "length must be an integer, not 4.9"),
+            ({"length": True, "tiles": [[0, 1]]}, "length must be an integer, not True"),
+            ({"gap_set": [[1, True]]}, "a gap multiplicity must be an integer, not True"),
+            ({"length": "4"}, "length must be an integer, not '4'"),
+            ({"annotations": {"boundary_prefix_count": "1"}}, "boundary_prefix_count must be an integer, not '1'"),
+            ({"annotations": {"boundary_prefix_count": 1.0}}, "boundary_prefix_count must be an integer, not 1.0"),
+            ({"annotations": {"homogeneous_for": [[1.0, 1]]}}, "a gap distance must be an integer, not 1.0"),
+            ({"annotations": [1]}, "annotations must be an object, not [1]"),
+            ({"kind": "rectangle", "width": 2.5}, "width must be an integer, not 2.5"),
+            ({"kind": "rectangle", "height": True}, "height must be an integer, not True"),
+            ({"kind": "rectangle", "window": "1"}, "window must be an integer, not '1'"),
+            ({"kind": "rectangle", "step_type": [[[1.0, 0], 1]]}, "a step must be an integer, not 1.0"),
+            ({"kind": "rectangle", "step_type": [[[1, 0], True]]}, "a step multiplicity must be an integer, not True"),
+            ({"kind": "rectangle", "step_type": [[[1, 0, 7], 1]]}, "too many values to unpack (expected 2)"),
+        ],
+        ids=[
+            "float-length-and-gap", "float-length", "bool-length", "bool-multiplicity", "string-length",
+            "string-boundary-count", "float-boundary-count", "float-homogeneous-gap", "list-annotations", "float-width",
+            "bool-height", "string-window", "float-step", "bool-step-multiplicity", "three-coordinate-step",
+        ],
+    )
+    def test_malformed_header_fields_are_parse_errors(self, tmp_path, capsys, fields, named):
+        # read loosely (a number truncated, a bool taken as 1, a step's third
+        # coordinate dropped), most of these files would tile
+        if fields.get("kind") == "rectangle":
+            tiling = {"kind": "rectangle", "width": 2, "height": 1, "step_type": [[[1, 0], 1]],
+                      "paths": [[[0, 0], [1, 0]]]}
+        else:
+            tiling = {"kind": "interval", "length": 4, "gap_set": [[1, 1]], "tiles": [[0, 1], [2, 3]]}
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({**tiling, **fields}, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+        assert run(["verify", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"parse error: {named}\n"
 
     def test_unparseable_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
