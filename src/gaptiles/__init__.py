@@ -2,8 +2,8 @@
 
 Given a gap multiset whose distances grow fast enough (and whose smallest and
 largest multiplicities carry enough budget), the pipeline builds an explicit
-tiling of a finite interval, verifies every intermediate object, and reports
-the per-stage distance thresholds. An independent exact-cover oracle provides
+tiling of a finite interval, verifies every stage's output, and reports the
+per-stage distance thresholds. An independent exact-cover oracle provides
 ground truth at small scale.
 """
 
@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     SearchExhausted,
     TilingError,
+    VerificationFailed,
 )
 from .grid import (
     ColumnTiling,

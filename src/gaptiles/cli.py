@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     SearchExhausted,
     TilingError,
+    VerificationFailed,
 )
 from .grid import HeightTable, min_height_rect
 from .oracle import SearchConfig, SearchStatus, min_interval, solve_interval
@@ -125,6 +126,10 @@ def cmd_construct(args) -> int:
             break
         except _HYPOTHESIS_ERRORS as exc:
             errors.append(f"split (s={sp.s},p={sp.p}): {exc}")
+        except VerificationFailed as exc:
+            print("verification: FAILED")
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
     if result is None:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
@@ -133,10 +138,10 @@ def cmd_construct(args) -> int:
     write_json(out, interval_to_obj(result.tiling, gaps))
     write_json(out.with_suffix(".trace.json"), list(result.trace))
     write_json(out.with_suffix(".thresholds.json"), result.thresholds.to_obj())
-    rep = verify_interval_tiling(result.tiling, gaps)
     print(f"tiled interval of length {result.tiling.length} with {len(result.tiling.tiles)} tiles")
-    print(f"verification: {'ok' if rep.ok else 'FAILED'}")
-    return 0 if rep.ok else 4
+    # construct() raises VerificationFailed unless every stage's output passed its check.
+    print("verification: ok")
+    return 0
 
 
 def cmd_solve(args) -> int:

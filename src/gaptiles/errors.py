@@ -47,3 +47,7 @@ class NoFeasibleSplit(TilingError):
 
 class ConstructionError(TilingError):
     """Internal invariant broke: a constructed object failed its own verifier."""
+
+
+class VerificationFailed(ConstructionError):
+    """A stage's output failed the check that certifies it."""

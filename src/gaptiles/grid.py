@@ -442,18 +442,37 @@ def residue_interleave(
 def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     """Map (x, y) -> x + y*width, turning each path into a tile.
 
-    Monotone steps flatten to strictly increasing points, so each path's point
-    order is preserved. Tiles are emitted stably sorted by their first point.
+    Every point must lie in [0, width) x [0, height); PreconditionError names
+    the first one that does not. Within those bounds the map is one-to-one
+    onto [0, width*height), so the tiles partition that interval exactly when
+    the paths partition the rectangle, and no point outside can alias one
+    inside. Monotone steps flatten to strictly increasing points, so each
+    path's point order is preserved. Tiles are emitted stably sorted by their
+    first point.
     """
     if width != r.width:
         raise PreconditionError(f"width {width} does not match the rectangle width {r.width}")
     p = r.paths
-    values = p.xs + p.ys * width
+    xs, ys = p.xs, p.ys
+    if xs.size and (xs.min() < 0 or xs.max() >= width or ys.min() < 0 or ys.max() >= r.height):
+        i = int(np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= r.height))[0])
+        path = int(np.searchsorted(p.offsets, i, side="right")) - 1
+        raise PreconditionError(
+            f"point ({xs[i]}, {ys[i]}) of path {path} lies outside [0, {width}) x [0, {r.height})"
+        )
+    # Arrays are built in place and dropped once spent: flatten sets the peak
+    # memory of a large construct.
+    values = ys * width
+    values += xs
     order = np.argsort(values[p.offsets[:-1]], kind="stable")
     sizes = p.sizes()[order]
     offsets = offsets_from_sizes(sizes)
-    source = np.repeat(p.offsets[:-1][order] - offsets[:-1], sizes) + np.arange(values.size)
-    return IntervalTiling(width * r.height, Tiles(offsets, values[source]))
+    source = np.repeat(p.offsets[:-1][order] - offsets[:-1], sizes)
+    del order, sizes
+    source += np.arange(values.size)
+    values = values[source]
+    del source
+    return IntervalTiling(width * r.height, Tiles(offsets, values))
 
 
 def unflatten(t: IntervalTiling, width: int) -> list[list[tuple[int, int]]]:

@@ -8,8 +8,10 @@ Two stage families feed a final assembly:
 * homogeneous stages build tilings by sequences in which every window of
   size()+1 consecutive points is a tile for the stage's gap set.
 
-Every stage verifies its own intermediate rectangle and its output before
-returning, so a constructed tiling is never trusted without verification.
+Every stage verifies its output once before returning, so a constructed
+tiling is never trusted without verification. A stage that assembles a
+rectangle flattens it with a bounds check and verifies the flattened tiling;
+the rectangle itself is checked only to say where a failed output went wrong.
 Thresholds are operational: each stage's lower bound on the next distance is
 computed from the actual dimensions (L, h) of the preceding stage.
 """
@@ -31,6 +33,7 @@ from .errors import (
     NoFeasibleSplit,
     NoRepresentation,
     PreconditionError,
+    VerificationFailed,
 )
 from .grid import (
     HeightTable,
@@ -51,6 +54,7 @@ from .types import (
     GapSet,
     IntervalTiling,
     Paths,
+    RectangleTiling,
     SplitSpec,
     StepType,
     Tiles,
@@ -119,7 +123,52 @@ class StageState:
 def _require_ok(report: VerificationReport, what: str) -> None:
     if not report.ok:
         first = report.violations[0] if report.violations else None
-        raise ConstructionError(f"{what} failed verification: {first}")
+        raise VerificationFailed(f"{what} failed verification: {first}")
+
+
+def _checked_output(
+    rect: RectangleTiling,
+    d: int,
+    stage: str,
+    gaps: GapSet,
+    homogeneous: bool = False,
+    boundary: tuple[int, int] | None = None,
+) -> IntervalTiling:
+    """Flatten a stage's rectangle by width d and verify the tiling once.
+
+    The check is verify_homogeneous for gaps when `homogeneous` (the tiling
+    is then annotated homogeneous for gaps), else verify_interval_tiling;
+    `boundary` = (d1, count) adds verify_boundary_prefix and the count's
+    annotation. Flatten is bounds-checked and maps [0, d) x [0, h)
+    one-to-one onto [0, d*h), so a clean output shows the rectangle is tiled
+    exactly too. Pass the rectangle as a temporary: this call then holds its
+    only reference and frees it before the check. Only after a failure is
+    the rectangle rebuilt from the tiling and verified, to locate the fault.
+    Any failure raises VerificationFailed.
+    """
+    height, step_type, window = rect.height, rect.step_type, rect.window
+    try:
+        tiling = flatten(rect, d)
+    except PreconditionError as exc:
+        raise VerificationFailed(f"{stage} rectangle does not flatten: {exc}") from None
+    del rect
+    if homogeneous:
+        tiling = tiling.with_annotations(homogeneous_for=gaps)
+        report = verify_homogeneous(tiling.tiles, tiling.length, gaps)
+    else:
+        report = verify_interval_tiling(tiling, gaps)
+    if boundary is not None:
+        d1, count = boundary
+        tiling = tiling.with_annotations(boundary_prefix_count=count)
+        if report.ok:
+            report = verify_boundary_prefix(tiling, d1, count)
+    if not report.ok:
+        ys, xs = np.divmod(tiling.tiles.values, d)
+        rebuilt = RectangleTiling(d, height, Paths(tiling.tiles.offsets, xs, ys), step_type, window)
+        output = f"{stage} output failed verification: {report.violations[0]}; its rectangle"
+        _require_ok(verify_rectangle_tiling(rebuilt), output)
+        _require_ok(report, f"{stage} output")
+    return tiling
 
 
 def _lifted_type(gaps: GapSet, k: int) -> StepType:
@@ -198,18 +247,22 @@ def boundary_base(
     h = lcm(k2 + 1, f)
     first = stack_to_height(f_wit, h)
     second = stack_to_height(stair_tiling(k1, k2), h)
+
     # Narrow blocks left, wide (staircase) blocks right: the top-right corner
     # path of the rightmost staircase carries the boundary-prefix property.
-    col_b = dilate_x(concat_columns([first] * c1 + [second] * b1), d1, 0)
-    col_a = dilate_x(concat_columns([first] * c2 + [second] * b2), d1, 0)
-    rect = residue_interleave(col_a, col_b, d1, dec.t)
-    _require_ok(verify_rectangle_tiling(rect), "base rectangle")
+    def column(narrow: int, wide: int):
+        return dilate_x(concat_columns([first] * narrow + [second] * wide), d1, 0)
+
     gap_set = GapSet.from_pairs([(d1, k1), (d2, k2)])
-    tiling = flatten(rect, d2).with_annotations(boundary_prefix_count=k1)
-    _require_ok(verify_interval_tiling(tiling, gap_set), "base interval tiling")
-    _require_ok(verify_boundary_prefix(tiling, d1, k1), "base boundary prefix")
+    tiling = _checked_output(
+        residue_interleave(column(c2, b2), column(c1, b1), d1, dec.t),
+        d2,
+        stage,
+        gap_set,
+        boundary=(d1, k1),
+    )
     trace = {
-        "stage": "stage-2 boundary-base",
+        "stage": stage,
         "L_in": None,
         "L_out": h * d2 - 1,
         "h": h,
@@ -316,12 +369,14 @@ def boundary_step(
     )  # width L + k*d1 + 1
 
     b, c = represent_two_coins(d - (L + k * d1 + 1), L + 1, L + 2, False)
-    rect = concat_columns([rect_narrow] * c + [rect_widened] * b + [rect_extended])
-    _require_ok(verify_rectangle_tiling(rect), "step rectangle")
     new_gaps = prev.gap_prefix.with_entry(d, k)
-    tiling = flatten(rect, d).with_annotations(boundary_prefix_count=budget - k)
-    _require_ok(verify_interval_tiling(tiling, new_gaps), "step interval tiling")
-    _require_ok(verify_boundary_prefix(tiling, d1, budget - k), "step boundary prefix")
+    tiling = _checked_output(
+        concat_columns([rect_narrow] * c + [rect_widened] * b + [rect_extended]),
+        d,
+        stage,
+        new_gaps,
+        boundary=(d1, budget - k),
+    )
     trace = {
         "stage": stage,
         "L_in": L,
@@ -439,6 +494,14 @@ def _stripe_bases(
     return bases
 
 
+def _assemble(build_block, tiles: Tiles, tiles_removed: Tiles, b: int, c_cnt: int) -> RectangleTiling:
+    """c_cnt blocks over the sequences with the last point removed (width L),
+    then b blocks over all sequences (width L+1), left to right."""
+    block_full = build_block(tiles)
+    removed = [build_block(tiles_removed)] * c_cnt if c_cnt > 0 else []
+    return concat_columns(removed + [block_full] * b)
+
+
 def homogeneous_step(
     prev: StageState, d: int, k: int, table: HeightTable | None = None
 ) -> StageState:
@@ -485,23 +548,15 @@ def homogeneous_step(
     def build_block(seqs: Tiles):
         cols = []
         for i, card in enumerate(seqs.sizes().tolist()):
-            period, base = bases[card]
+            base = bases[card][1]
             cols.append(
                 stack_to_height(lift_over_points(base, seqs.row(i), step_type, window), total_h)
             )
         return as_rectangle(merge_ragged(cols))
 
-    block_full = build_block(tiles)  # width L+1
-    blocks = []
-    if c_cnt > 0:
-        blocks += [build_block(tiles_removed)] * c_cnt  # width L
-    blocks += [block_full] * b
-    rect = concat_columns(blocks)
-    _require_ok(verify_rectangle_tiling(rect), "homogeneous step rectangle")
     new_gaps = prev.gap_prefix.with_entry(d, k)
-    tiling = flatten(rect, d).with_annotations(homogeneous_for=new_gaps)
-    _require_ok(
-        verify_homogeneous(tiling.tiles, tiling.length, new_gaps), "homogeneous step tiling"
+    tiling = _checked_output(
+        _assemble(build_block, tiles, tiles_removed, b, c_cnt), d, stage, new_gaps, homogeneous=True
     )
     n_new = new_gaps.size()
     new_L = d * total_h - 1
@@ -544,7 +599,8 @@ def homogeneous_step(
 
 def _final_stage_impl(
     prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> tuple[IntervalTiling, dict]:
+) -> tuple[IntervalTiling, GapSet, dict]:
+    """The final stage's tiling, the gap set it was verified against, and its trace."""
     stage = f"stage-{len(prev.gap_prefix.entries) + 1} final"
     if prev.kind != "homogeneous":
         raise PreconditionError("previous stage must be a homogeneous stage")
@@ -580,16 +636,10 @@ def _final_stage_impl(
         ]
         return as_rectangle(merge_ragged(cols))
 
-    block_full = build_block(tiles)
-    blocks = []
-    if c_cnt > 0:
-        blocks += [build_block(tiles_removed)] * c_cnt
-    blocks += [block_full] * b
-    rect = concat_columns(blocks)
-    _require_ok(verify_rectangle_tiling(rect), "final rectangle")
     full_gaps = prev.gap_prefix.with_entry(d, k)
-    tiling = flatten(rect, d)
-    _require_ok(verify_interval_tiling(tiling, full_gaps), "final interval tiling")
+    tiling = _checked_output(
+        _assemble(build_block, tiles, tiles_removed, b, c_cnt), d, stage, full_gaps
+    )
     trace = {
         "stage": stage,
         "L_in": L,
@@ -603,7 +653,7 @@ def _final_stage_impl(
             "removed_blocks": c_cnt,
         },
     }
-    return tiling, trace
+    return tiling, full_gaps, trace
 
 
 def final_stage(
@@ -681,22 +731,31 @@ def construct(
         )
     if p == 0:
         trace.append({"stage": "result", "mode": "boundary-only"})
-        return ConstructResult(state.tiling, gap_set, ThresholdReport(tuple(rows)), tuple(trace))
-    state = homogeneous_base(state)
-    trace.append(state.stage_trace)
-    for j in range(1, p):
-        state = homogeneous_step(state, ds[s + j - 1], ks[s + j - 1], table)
+        tiling, verified_for = state.tiling, state.gap_prefix
+    else:
+        state = homogeneous_base(state)
         trace.append(state.stage_trace)
-        rows.append(
-            ThresholdRow(
-                state.stage_trace["stage"], state.stage_trace["threshold_required"], ds[s + j - 1]
+        for j in range(1, p):
+            state = homogeneous_step(state, ds[s + j - 1], ks[s + j - 1], table)
+            trace.append(state.stage_trace)
+            rows.append(
+                ThresholdRow(
+                    state.stage_trace["stage"], state.stage_trace["threshold_required"], ds[s + j - 1]
+                )
             )
+        tiling, verified_for, final_trace = _final_stage_impl(
+            state, ds[s + p - 1], ks[s + p - 1], table
         )
-    tiling, final_trace = _final_stage_impl(state, ds[s + p - 1], ks[s + p - 1], table)
-    trace.append(final_trace)
-    rows.append(
-        ThresholdRow(final_trace["stage"], final_trace["threshold_required"], ds[s + p - 1])
-    )
+        trace.append(final_trace)
+        rows.append(
+            ThresholdRow(final_trace["stage"], final_trace["threshold_required"], ds[s + p - 1])
+        )
+    # The stages verify against the gap set they rebuild; the result must be
+    # certified for the one asked for.
+    if verified_for != gap_set:
+        raise VerificationFailed(
+            f"the last stage verified its tiling for {verified_for}, not for the requested {gap_set}"
+        )
     return ConstructResult(tiling, gap_set, ThresholdReport(tuple(rows)), tuple(trace))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gaptiles
-from gaptiles import stair_tiling, verify_interval_tiling
+from gaptiles import Paths, RectangleTiling, pipeline, stair_tiling, verify_interval_tiling
 from gaptiles.catalog import enumerate_gap_sets
 from gaptiles.cli import main, parse_gaps
 from gaptiles.serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
@@ -62,6 +62,32 @@ class TestConstructCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and token in err
         assert "Traceback" not in err
+
+    def test_stage_verification_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        real = pipeline.concat_columns
+
+        def concat_moving_one_point(blocks):
+            rect = real(blocks)
+            if rect.width != 2970:  # corrupt the final stage's rectangle only
+                return rect
+            # Path 0 turns somewhere: put its point there on the other side of
+            # the turn, which keeps the path's steps and leaves one point twice.
+            p = rect.paths
+            xs, ys = p.xs.copy(), p.ys.copy()
+            j = next(j for j in range(p.offsets[1] - 2) if (xs[j + 1] - xs[j], ys[j + 1] - ys[j])
+                     != (xs[j + 2] - xs[j + 1], ys[j + 2] - ys[j + 1]))
+            xs[j + 1], ys[j + 1] = xs[j] + xs[j + 2] - xs[j + 1], ys[j] + ys[j + 2] - ys[j + 1]
+            paths = Paths(p.offsets, xs, ys)
+            return RectangleTiling(rect.width, rect.height, paths, rect.step_type, rect.window)
+
+        monkeypatch.setattr(pipeline, "concat_columns", concat_moving_one_point)
+        out = tmp_path / "t.json"
+        assert run(["construct", "--gaps", "1:1,9:1,2970:1", "--split", "2,1", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "verification: FAILED" in captured.out
+        assert captured.err.startswith("error: stage-3 final") and captured.err.count("\n") == 1
+        assert "Overlap" in captured.err and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_auto_split(self, tmp_path):
         out = tmp_path / "t.json"

@@ -1,5 +1,6 @@
 import pytest
 
+from gaptiles import pipeline
 from gaptiles import (
     GapSet,
     SearchStatus,
@@ -28,6 +29,7 @@ from gaptiles.errors import (
     NoFeasibleSplit,
     NoRepresentation,
     PreconditionError,
+    VerificationFailed,
 )
 
 
@@ -287,6 +289,22 @@ class TestConstruct:
         rows = construct(gs((1, 1), (9, 1), (2970, 1)), SplitSpec(2, 1)).thresholds.rows
         ds = [r.achieved for r in rows]
         assert ds == sorted(ds)
+
+    @pytest.mark.parametrize(
+        "stage, split",
+        [("boundary_base", SplitSpec(2, 0)), ("_final_stage_impl", SplitSpec(2, 1))],
+    )
+    def test_last_stage_must_verify_the_requested_gap_set(self, monkeypatch, stage, split):
+        # The last stage builds and verifies a tiling for a neighbouring
+        # distance; construct must not hand it out as one for the gap set asked.
+        real = getattr(pipeline, stage)
+        if stage == "boundary_base":
+            monkeypatch.setattr(pipeline, stage, lambda d1, d2, k1, k2, t: real(d1, d2 + 1, k1, k2, t))
+        else:
+            monkeypatch.setattr(pipeline, stage, lambda prev, d, k, t: real(prev, d + 1, k, t))
+        gaps = gs((1, 1), (9, 1), (2970, 1))
+        with pytest.raises(VerificationFailed, match="not for the requested"):
+            construct(GapSet(gaps.entries[: split.s + split.p]), split)
 
     def test_small_outputs_cross_checked_by_search(self):
         res = construct(gs((1, 1), (9, 1)), SplitSpec(2, 0))

@@ -5,6 +5,8 @@ import pytest
 from gaptiles import (
     ColumnTiling,
     GapSet,
+    Paths,
+    RectangleTiling,
     as_rectangle,
     concat_columns,
     diagonal_stripe_tiling,
@@ -272,6 +274,16 @@ class TestTransforms:
         assert verify_interval_tiling(t, GapSet.from_gaps([1, 3])).ok
         with pytest.raises(PreconditionError):
             flatten(rect, 4)
+
+    def test_flatten_rejects_a_point_outside_the_rectangle(self):
+        # (2, 0) in a 2 x 2 rectangle flattens to 2, the value of (0, 1): without
+        # the bounds check this invalid rectangle became a valid tiling of [0, 4).
+        rect = RectangleTiling(
+            2, 2, Paths.from_rows([[(0, 0), (2, 0)], [(1, 0), (1, 1)]]), normalize_steps({(0, 1): 1})
+        )
+        assert not verify_rectangle_tiling(rect).ok
+        with pytest.raises(PreconditionError, match=r"\(2, 0\) of path 0 lies outside"):
+            flatten(rect, 2)
 
     def test_flatten_unflatten_round_trip(self):
         rect = stair_tiling(2, 3)
