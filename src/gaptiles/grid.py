@@ -287,13 +287,13 @@ def diagonal_stripe_tiling(n: int, kv: int, m: int) -> RectangleTiling:
 # Transforms
 
 
-def _repeat(paths: Paths, copies: int, dx: int, dy: int, x0: int = 0) -> Paths:
-    """`copies` copies of the paths, one after another; copy j is shifted by
-    (x0 + j*dx, j*dy)."""
+def _repeat(paths: Paths, copies: int, dy: int) -> Paths:
+    """`copies` copies of the paths, one after another; copy j is shifted up
+    by j*dy."""
     j = np.arange(copies)[:, None]
     n = paths.xs.size
     offsets = np.append((paths.offsets[:-1] + n * j).ravel(), copies * n)
-    return Paths(offsets, (paths.xs + (x0 + dx * j)).ravel(), (paths.ys + dy * j).ravel())
+    return Paths(offsets, np.tile(paths.xs, copies), (paths.ys + dy * j).ravel())
 
 
 def _concat(parts: Sequence[Paths]) -> Paths:
@@ -363,7 +363,7 @@ def stack_to_height(
     period = r.height
     if height % period != 0:
         raise PreconditionError(f"height {height} is not a multiple of the period {period}")
-    paths = _repeat(r.paths, height // period, 0, period)
+    paths = _repeat(r.paths, height // period, period)
     if isinstance(r, RaggedTiling):
         return RaggedTiling(r.support, height, paths, r.step_type, r.window)
     return replace(r, height=height, paths=paths)
@@ -372,7 +372,8 @@ def stack_to_height(
 def concat_columns(blocks: Sequence[RectangleTiling]) -> RectangleTiling:
     """Concatenate rectangle blocks left to right with cumulative x-offsets.
 
-    A run of the same block object repeated is laid out by one broadcast.
+    A run of the same block object repeated is written by one broadcast
+    straight into the result's arrays.
     """
     if not blocks:
         raise PreconditionError("need at least one block")
@@ -383,14 +384,29 @@ def concat_columns(blocks: Sequence[RectangleTiling]) -> RectangleTiling:
             raise PreconditionError("blocks must share a height")
         if b.step_type != st or b.window != win:
             raise PreconditionError("blocks must share a declared step type")
-    parts = []
-    offset = 0
+    runs = []
     for _, run in groupby(blocks, key=id):
         run = list(run)
-        b = run[0]
-        parts.append(_repeat(b.paths, len(run), b.width, 0, offset))
-        offset += b.width * len(run)
-    return RectangleTiling(offset, h, _concat(parts), st, win)
+        runs.append((run[0], len(run)))
+    n_points = sum(b.paths.xs.size * copies for b, copies in runs)
+    n_paths = sum(len(b.paths) * copies for b, copies in runs)
+    xs = np.empty(n_points, dtype=np.int64)
+    ys = np.empty(n_points, dtype=np.int64)
+    offsets = np.empty(n_paths + 1, dtype=np.int64)
+    point = path = x0 = 0
+    for b, copies in runs:
+        p = b.paths
+        n, k = p.xs.size, len(p)
+        j = np.arange(copies)[:, None]
+        # copy j of the run is shifted right by j block widths
+        np.add(p.xs, x0 + b.width * j, out=xs[point : point + copies * n].reshape(copies, n))
+        ys[point : point + copies * n].reshape(copies, n)[:] = p.ys
+        np.add(p.offsets[:-1], point + n * j, out=offsets[path : path + copies * k].reshape(copies, k))
+        point += copies * n
+        path += copies * k
+        x0 += b.width * copies
+    offsets[-1] = point
+    return RectangleTiling(x0, h, Paths(offsets, xs, ys), st, win)
 
 
 def merge_ragged(pieces: Sequence[RaggedTiling]) -> RaggedTiling:

@@ -36,6 +36,11 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Budgets of one search. ``max_nodes`` bounds the DFS states one
+    solve_interval or solve_rectangle call enters; min_interval gives the
+    same bound to its frontier sweep, which counts settled states, and to the
+    search at the length the sweep finds."""
+
     max_nodes: int = 10_000_000
     max_solutions: int = 1
     parallel_width: int = 0
@@ -270,25 +275,83 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
     return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), nodes)
 
 
+def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | None:
+    """Least length <= n_max that the gaps tile, or None, by one shortest-path
+    sweep over frontier states (Newman's finite-state view of tilings of Z).
+
+    A state is ``rest = occupied >> c`` at the leftmost free point ``c``, as
+    in _interval_dfs; what can follow depends on ``rest`` alone, so each rest
+    is settled once, at the least ``c`` that reaches it, with one bucket per
+    ``c`` (Dial's algorithm). A tile placed at ``c`` covers ``c + span``, the
+    highest point of the next state, so the next state's position is ``c``
+    plus a constant of that state: the first time a rest is reached, from the
+    least ``c``, is at its least position. A placement that leaves nothing
+    occupied ahead completes length ``c + span + 1``, so the first one found
+    is the least length. No tile placed at ``c >= n_max - span`` fits.
+    Settled states count against ``max_nodes``; when it runs out,
+    SearchExhausted names the least admissible length not yet decided.
+    """
+    span = sum(gaps)
+    _, runs = _gap_orders(gaps)
+    limit = n_max - span
+    buckets: list[list[int]] = [[] for _ in range(max(limit, 0))]
+    if buckets:
+        buckets[0].append(0)
+    # rest -> position. A dict, not a set: on the catalog's largest sweep
+    # (20k rests) a set peaked at 3.3 MB, this dict at 1.3 MB.
+    reached = {0: 0}
+    settled = 0
+    for c, bucket in enumerate(buckets):
+        for rest in bucket:
+            settled += 1
+            if settled > max_nodes:
+                ppt = len(gaps) + 1
+                n = -(-(c + span + 1) // ppt) * ppt
+                raise SearchExhausted(
+                    f"interval search budget exceeded at length {n} for {{{GapSet.from_gaps(gaps)}}}"
+                )
+            for bit, orders in runs:
+                if rest & bit:
+                    continue
+                for _, mask in orders:
+                    if rest & mask:
+                        continue
+                    occ = rest | mask
+                    step = (~occ & (occ + 1)).bit_length() - 1
+                    nxt = occ >> step
+                    if not nxt:
+                        return c + step
+                    if c + step < limit and nxt not in reached:
+                        reached[nxt] = c + step
+                        buckets[c + step].append(nxt)
+        bucket.clear()
+    return None
+
+
 def min_interval(
     gap_set: GapSet, n_max: int, cfg: SearchConfig | None = None
 ) -> tuple[int, IntervalTiling] | None:
     """Least length <= n_max that the gap set tiles, with a witness; None if
-    every admissible length was exhausted without one.
+    no length up to n_max tiles.
 
-    Raises SearchExhausted, naming the length, when the budget runs out
-    first: a longer tilable length would not be the least one.
+    One frontier sweep (_least_length) finds the least length and proves
+    every shorter one untilable; solve_interval then searches that length
+    alone, so the witness is the first one its DFS finds. Both searches get
+    ``cfg.max_nodes``: the sweep counts settled frontier states, the DFS the
+    states it enters. Either one running out raises SearchExhausted, naming
+    the least length not yet decided: a longer tilable length would not be
+    the least one.
     """
-    ppt = gap_set.points_per_tile()
-    for n in range(ppt, n_max + 1, ppt):
-        outcome = solve_interval(gap_set, n, cfg)
-        if outcome.status is SearchStatus.FOUND:
-            return n, outcome.witnesses[0]
-        if outcome.status is SearchStatus.BUDGET_EXCEEDED:
-            raise SearchExhausted(
-                f"interval search budget exceeded at length {n} for {{{gap_set}}}"
-            )
-    return None
+    cfg = cfg or SearchConfig()
+    n = _least_length(gap_set.expand(), n_max, cfg.max_nodes)
+    if n is None:
+        return None
+    outcome = solve_interval(gap_set, n, cfg)
+    if outcome.status is SearchStatus.BUDGET_EXCEEDED:
+        raise SearchExhausted(f"interval search budget exceeded at length {n} for {{{gap_set}}}")
+    if outcome.status is not SearchStatus.FOUND:
+        raise ConstructionError(f"the frontier sweep tiles length {n} but the search found no tiling")
+    return n, outcome.witnesses[0]
 
 
 @lru_cache(maxsize=256)

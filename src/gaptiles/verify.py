@@ -7,11 +7,13 @@ number of points whatever length the tiling declares.
 
 Violations come in a fixed order: OutOfRange below 0, Overlap, Hole,
 OutOfRange above the range, then the per-tile or per-path mismatches by index.
+Interval checks locate a point by its value; lattice-path checks locate it by
+its (x, y) cell, with Overlap and Hole in row-major order.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,8 +50,16 @@ def _first_holes(present: np.ndarray, n: int, limit: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _cover(points: np.ndarray, n: int, rep: ReportBuilder) -> None:
+def _cover(
+    points: np.ndarray,
+    n: int,
+    rep: ReportBuilder,
+    locate: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> None:
     """Report every way the points fail to partition {0..n-1}.
+
+    ``locate`` maps the points of Overlap and Hole to the locations reported
+    for them; by default a point is its own location.
 
     Points are range-checked first. The in-range ones are counted over
     [0, n) when n is at most their number; otherwise overlaps come from the
@@ -77,6 +87,8 @@ def _cover(points: np.ndarray, n: int, rep: ReportBuilder) -> None:
         over_counts = counts[counts > 1]
         holes = _first_holes(present, n, rep.cap)
         n_holes = n - present.size
+    if locate is not None:
+        over, holes = locate(over), locate(holes)
     rep.add_all("Overlap", over, lambda i: f"point covered {int(over_counts[i])} times")
     rep.add_all("Hole", holes, "point not covered by any block", n_holes)
     if above.any():
@@ -207,9 +219,10 @@ def verify_lattice_paths(
     step_type is given, match it.
 
     The columns are 0..width-1 when support is None, else the sorted x values
-    in support (of length width), ranked 0..width-1. Uniform mode (window
-    None) compares each path's full step multiset; windowed mode compares
-    every window of `window` consecutive steps.
+    in support (of length width), ranked 0..width-1. Every violation of the
+    cover is located at its (x, y) cell, x being the support value. Uniform
+    mode (window None) compares each path's full step multiset; windowed mode
+    compares every window of `window` consecutive steps.
     """
     rep = ReportBuilder(max_violations)
     xs, ys = paths.xs, paths.ys
@@ -224,7 +237,12 @@ def verify_lattice_paths(
     inside &= (ys >= 0) & (ys < height)
     out = np.flatnonzero(~inside)
     rep.add_all("OutOfRange", np.column_stack((xs[out], ys[out])), f"path point outside the {where}")
-    _cover(cols[inside] + ys[inside] * width, width * height, rep)
+
+    def cell(p: np.ndarray) -> np.ndarray:
+        x = p % width
+        return np.column_stack((x if support is None else support[x], p // width))
+
+    _cover(cols[inside] + ys[inside] * width, width * height, rep, cell)
     if step_type is None:
         return rep.build()
     codes, expected = _step_codes(paths, step_type)

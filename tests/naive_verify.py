@@ -52,7 +52,9 @@ def rectangle_violations(paths, width, height, steps, window):
                 flat.append(x + y * width)
             else:
                 out.append(("OutOfRange", (x, y), "path point outside the rectangle"))
-    out += cover_violations(flat, width * height)
+    # cover faults are located at the (x, y) cell, in row-major order
+    for kind, (p,), detail in cover_violations(flat, width * height):
+        out.append((kind, (p % width, p // width), detail))
     want = sorted(steps)
     for i, path in enumerate(paths):
         s = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(path, path[1:])]

@@ -65,6 +65,7 @@ class TestConstructCommand:
 
     def test_stage_verification_failure_exit_4(self, tmp_path, capsys, monkeypatch):
         real = pipeline.concat_columns
+        moved = []
 
         def concat_moving_one_point(blocks):
             rect = real(blocks)
@@ -77,6 +78,7 @@ class TestConstructCommand:
             j = next(j for j in range(p.offsets[1] - 2) if (xs[j + 1] - xs[j], ys[j + 1] - ys[j])
                      != (xs[j + 2] - xs[j + 1], ys[j + 2] - ys[j + 1]))
             xs[j + 1], ys[j + 1] = xs[j] + xs[j + 2] - xs[j + 1], ys[j] + ys[j + 2] - ys[j + 1]
+            moved.append((int(xs[j + 1]), int(ys[j + 1])))
             paths = Paths(p.offsets, xs, ys)
             return RectangleTiling(rect.width, rect.height, paths, rect.step_type, rect.window)
 
@@ -87,6 +89,10 @@ class TestConstructCommand:
         assert "verification: FAILED" in captured.out
         assert captured.err.startswith("error: stage-3 final") and captured.err.count("\n") == 1
         assert "Overlap" in captured.err and "Traceback" not in captured.err
+        # the output check names the flat point, the rectangle check its cell
+        (x, y), = moved
+        assert f"location=({x + y * 2970},)" in captured.err
+        assert f"its rectangle failed verification: Violation(kind='Overlap', location=({x}, {y})," in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_auto_split(self, tmp_path):
@@ -103,6 +109,22 @@ class TestSolveCommands:
         assert capsys.readouterr().out.strip() == "6"
         kind, tiling, gaps = tiling_from_obj(read_json(out))
         assert verify_interval_tiling(tiling, gaps).ok
+
+    @pytest.mark.parametrize("gaps, n", [("2:1,3:1,4:1", "32"), ("1:1,2:1,4:1,5:1", "20")])
+    def test_minlen_parallel_matches_serial(self, tmp_path, capsys, gaps, n):
+        # each set has one tiling at its least length, so which worker
+        # finds it first cannot change the witness
+        outs = []
+        for extra in ([], ["--parallel", "2"]):
+            out = tmp_path / f"w{len(extra)}.json"
+            assert run(["minlen", "--gaps", gaps, "--max", "120", "--out", str(out), *extra]) == 0
+            assert capsys.readouterr().out.strip() == n
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_minlen_not_found_exit_3(self, capsys):
+        assert run(["minlen", "--gaps", "5:1,6:3", "--max", "120"]) == 3
+        assert capsys.readouterr().out.strip() == "not found within 120"
 
     def test_solve_found(self, tmp_path, capsys):
         assert run(["solve", "--gaps", "1:1", "--len", "2"]) == 0

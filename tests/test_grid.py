@@ -190,6 +190,12 @@ class TestTransforms:
         else:
             assert [v.detail for v in rep.violations] == ["path has fewer than 6 steps"] * 3
 
+    def test_ragged_cover_faults_name_the_support_value(self):
+        # Column 3 of support (0, 1, 3, 7) covered twice, column 7 not at all.
+        paths = Paths.from_rows([[(0, 0), (1, 0)], [(3, 0)], [(3, 0)]])
+        rep = verify_ragged_tiling(RaggedTiling((0, 1, 3, 7), 1, paths))
+        assert [(v.kind, v.location) for v in rep.violations] == [("Overlap", (3, 0)), ("Hole", (7, 0))]
+
     def test_lift_width_mismatch(self):
         with pytest.raises(PreconditionError):
             lift_over_points(stair_tiling(1, 1), (0, 1))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from naive_oracle import naive_tilable
@@ -104,6 +105,23 @@ class TestMinInterval:
         assert min_interval(T(3, 4, 5, 5), 120)[0] == 70
         with pytest.raises(SearchExhausted, match=r"budget exceeded at length \d+ for \{3:1,4:1,5:2\}"):
             min_interval(T(3, 4, 5, 5), 120, SearchConfig(max_nodes=100))
+
+    def test_sweep_budget_names_an_undecided_length(self):
+        # the sweep settles about 5,000 frontiers before it reaches 70; a
+        # budget that stops it first names the least admissible length it
+        # has not yet decided
+        with pytest.raises(SearchExhausted) as exc:
+            min_interval(T(3, 4, 5, 5), 120, SearchConfig(max_nodes=1000))
+        n = int(re.search(r"budget exceeded at length (\d+) ", str(exc.value)).group(1))
+        assert n % 5 == 0 and n <= 70
+
+    def test_search_budget_names_the_least_length(self):
+        # {1,4,5,6} first tiles at length 20: the sweep settles 252 frontiers
+        # to prove it, the search at 20 enters 504 states to find a witness
+        gs = T(1, 4, 5, 6)
+        assert min_interval(gs, 120)[0] == 20
+        with pytest.raises(SearchExhausted, match=r"budget exceeded at length 20 for \{1:1,4:1,5:1,6:1\}"):
+            min_interval(gs, 120, SearchConfig(max_nodes=300))
 
 
 class TestNaiveAgreement:

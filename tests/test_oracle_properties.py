@@ -1,6 +1,7 @@
 """Property tests: the exact-cover search agrees with naive_oracle.py on
 tilability, and its exhaustive solution lists hold every tiling exactly once
-(counted here by a set-based cover over all placements)."""
+(counted here by a set-based cover over all placements). min_interval's
+frontier sweep finds the length that searching every length in turn finds."""
 
 import itertools
 
@@ -13,6 +14,7 @@ from gaptiles import (
     GapSet,
     SearchConfig,
     SearchStatus,
+    min_interval,
     solve_interval,
     solve_rectangle,
     verify_interval_tiling,
@@ -70,6 +72,29 @@ def test_interval_status_agrees_with_naive(case):
     out = solve_interval(GapSet.from_gaps(gaps), n)
     assert out.status is not SearchStatus.BUDGET_EXCEEDED
     assert (out.status is SearchStatus.FOUND) == naive_tilable(gaps, n)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 40))
+def test_min_interval_matches_a_search_at_every_length(gaps, n_max):
+    gaps = tuple(sorted(gaps))
+    gs = GapSet.from_gaps(gaps)
+    lengths = range(len(gaps) + 1, n_max + 1, len(gaps) + 1)
+    want = None
+    for n in lengths:
+        out = solve_interval(gs, n)
+        assert out.status is not SearchStatus.BUDGET_EXCEEDED
+        if out.status is SearchStatus.FOUND:
+            want = (n, out.witnesses[0])
+            break
+    assert min_interval(gs, n_max) == want
+    least = next((n for n in lengths if naive_tilable(gaps, n)), None)
+    assert (want and want[0]) == least
+
+
+@pytest.mark.parametrize("gaps", [(5, 6, 6, 6), (5, 5, 5, 6)])
+def test_min_interval_finds_no_length_for_catalog_untilable_sets(gaps):
+    assert min_interval(GapSet.from_gaps(gaps), 120) is None
 
 
 @SETTINGS

@@ -140,7 +140,7 @@ class TestRectangle:
         )
         rep = verify_rectangle_tiling(rect)
         assert not rep.ok
-        assert (1,) in kinds_at(rep, "Hole")
+        assert (1, 0) in kinds_at(rep, "Hole")
         assert (0,) in kinds_at(rep, "TypeMismatch")
 
     def test_out_of_rectangle_point(self):
