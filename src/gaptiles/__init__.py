@@ -38,7 +38,6 @@ from .errors import (
     VerificationFailed,
 )
 from .grid import (
-    ColumnTiling,
     HeightTable,
     RaggedTiling,
     as_rectangle,
@@ -52,8 +51,6 @@ from .grid import (
     residue_interleave,
     stack_to_height,
     stair_tiling,
-    unflatten,
-    verify_ragged_tiling,
 )
 from .oracle import (
     SearchConfig,
@@ -76,7 +73,6 @@ from .types import (
     TilingAnnotations,
     VerificationReport,
     Violation,
-    gap_multiset,
 )
 from .verify import (
     verify_boundary_prefix,

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 I/O or parse failure, 2 hypothesis violation,
-3 not-found-within-bounds or search budget exceeded, 4 verification failure.
+Exit codes: 0 ok, 1 I/O or parse failure, a distance out of range or out of
+memory, 2 hypothesis violation, 3 not-found-within-bounds or search budget
+exceeded, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -73,10 +75,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise PreconditionError(f"{what}: {token!r} is not an integer") from None
+    """The token as an integer. Only ASCII -?[0-9]+ is one: not the
+    underscores, plus signs, padding or non-ASCII digits int() accepts."""
+    if re.fullmatch(r"-?[0-9]+", token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise PreconditionError(f"{what}: {token!r} is not an integer")
 
 
 def _int_pair(text: str, what: str) -> tuple[int, int]:
@@ -363,6 +369,9 @@ def main(argv=None) -> int:
         return 1
     except TilingError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

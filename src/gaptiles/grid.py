@@ -31,7 +31,7 @@ from .types import (
     normalize_steps,
     offsets_from_sizes,
 )
-from .verify import verify_lattice_paths, verify_rectangle_tiling
+from .verify import verify_rectangle_tiling
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,6 @@ class RaggedTiling:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class ColumnTiling:
-    """A rectangle block meant to repeat vertically with period = its height."""
-
-    base: RectangleTiling
-    period: int
-
-    def __post_init__(self):
-        if self.period != self.base.height:
-            raise PreconditionError("period must equal the base height")
-
-
 def as_ragged(r: RectangleTiling | RaggedTiling) -> RaggedTiling:
     if isinstance(r, RaggedTiling):
         return r
@@ -89,13 +77,6 @@ def as_rectangle(r: RaggedTiling | RectangleTiling) -> RectangleTiling:
     if r.step_type is None:
         raise PreconditionError("rectangle tilings need a declared step type")
     return RectangleTiling(len(r.support), r.height, r.paths, r.step_type, r.window)
-
-
-def verify_ragged_tiling(r: RaggedTiling, max_violations: int = 32):
-    """Partition + type check over the ragged point set support x [0,height-1]."""
-    return verify_lattice_paths(
-        r.paths, as_int64(r.support), len(r.support), r.height, r.step_type, r.window, max_violations
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +335,8 @@ def translate_x(r: RaggedTiling, delta: int) -> RaggedTiling:
     return lift_over_points(r, xs, r.step_type, r.window)
 
 
-def stack_to_height(
-    r: RectangleTiling | RaggedTiling | ColumnTiling, height: int
-):
+def stack_to_height(r: RectangleTiling | RaggedTiling, height: int):
     """Repeat a block vertically to the requested height (a multiple of the period)."""
-    if isinstance(r, ColumnTiling):
-        r = r.base
     period = r.height
     if height % period != 0:
         raise PreconditionError(f"height {height} is not a multiple of the period {period}")
@@ -489,8 +466,3 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     values = values[source]
     del source
     return IntervalTiling(width * r.height, Tiles(offsets, values))
-
-
-def unflatten(t: IntervalTiling, width: int) -> list[list[tuple[int, int]]]:
-    """Inverse of flatten on point lists: p -> (p mod width, p div width)."""
-    return [[(p % width, p // width) for p in tile.points] for tile in t.tiles]

@@ -8,18 +8,28 @@ Two stage families feed a final assembly:
 * homogeneous stages build tilings by sequences in which every window of
   size()+1 consecutive points is a tile for the stage's gap set.
 
-Every stage verifies its output once before returning, so a constructed
-tiling is never trusted without verification. A stage that assembles a
-rectangle flattens it with a bounds check and verifies the flattened tiling;
-the rectangle itself is checked only to say where a failed output went wrong.
-Thresholds are operational: each stage's lower bound on the next distance is
+Each stage is a plan, then a build checked against that plan. A plan is a
+StageState without a tiling, computed from the previous stage's shape and
+the new distance and multiplicity alone: it checks the stage's growth,
+multiplicity and cardinality hypotheses and fixes the output length, height,
+block counts and cardinality histogram. Each bound on the next distance is
 computed from the actual dimensions (L, h) of the preceding stage.
+``thresholds`` folds the plans alone, so a dry run reports the bounds and
+raises the errors ``construct`` would.
+
+A build assembles what its plan says and verifies its output once before
+returning, so a constructed tiling is never trusted without verification. A
+stage that assembles a rectangle flattens it with a bounds check and
+verifies the flattened tiling; the rectangle itself is checked only to say
+where a failed output went wrong. The built tiling's cardinality histogram
+must equal the plan's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -51,6 +61,7 @@ from .grid import (
     stair_tiling,
 )
 from .types import (
+    INT64_MAX,
     GapSet,
     IntervalTiling,
     Paths,
@@ -104,11 +115,15 @@ class StageState:
 
     endpoint_index maps each of the interval's trailing anchor points to the
     index of the tile/sequence ending there (the last d1 points for boundary
-    stages, the last point for homogeneous stages).
+    stages, the last point for the others). A plan is a StageState with
+    tiling None and no endpoints; every other field is the built stage's.
+    card_counts is the sorted cardinality histogram of the sequences and
+    last_card the cardinality of the one ending at the last point (None for
+    boundary stages).
     """
 
-    kind: str  # "boundary" | "homogeneous"
-    tiling: IntervalTiling
+    kind: str  # "boundary" | "homogeneous" | "final"
+    tiling: IntervalTiling | None
     L: int
     gap_prefix: GapSet
     d1: int
@@ -126,49 +141,44 @@ def _require_ok(report: VerificationReport, what: str) -> None:
         raise VerificationFailed(f"{what} failed verification: {first}")
 
 
-def _checked_output(
-    rect: RectangleTiling,
-    d: int,
-    stage: str,
-    gaps: GapSet,
-    homogeneous: bool = False,
-    boundary: tuple[int, int] | None = None,
-) -> IntervalTiling:
-    """Flatten a stage's rectangle by width d and verify the tiling once.
+def _checked_output(rect: RectangleTiling, plan: StageState) -> StageState:
+    """Flatten a stage's rectangle by the stage's distance d, verify the
+    tiling once, and return the plan built with it (see _built).
 
-    The check is verify_homogeneous for gaps when `homogeneous` (the tiling
-    is then annotated homogeneous for gaps), else verify_interval_tiling;
-    `boundary` = (d1, count) adds verify_boundary_prefix and the count's
-    annotation. Flatten is bounds-checked and maps [0, d) x [0, h)
-    one-to-one onto [0, d*h), so a clean output shows the rectangle is tiled
-    exactly too. Pass the rectangle as a temporary: this call then holds its
-    only reference and frees it before the check. Only after a failure is
-    the rectangle rebuilt from the tiling and verified, to locate the fault.
-    Any failure raises VerificationFailed.
+    The check is verify_homogeneous for the plan's gap set on homogeneous
+    stages (the tiling is then annotated homogeneous for it), else
+    verify_interval_tiling; boundary stages add verify_boundary_prefix and
+    the count's annotation. Flatten is bounds-checked and maps [0, d) x
+    [0, h) one-to-one onto [0, d*h), so a clean output shows the rectangle is
+    tiled exactly too. Pass the rectangle as a temporary: this call then
+    holds its only reference and frees it before the check. Only after a
+    failure is the rectangle rebuilt from the tiling and verified, to locate
+    the fault. Any failure raises VerificationFailed.
     """
+    d, stage, gaps = plan.stage_trace["d_used"], plan.stage_trace["stage"], plan.gap_prefix
     height, step_type, window = rect.height, rect.step_type, rect.window
     try:
         tiling = flatten(rect, d)
     except PreconditionError as exc:
         raise VerificationFailed(f"{stage} rectangle does not flatten: {exc}") from None
     del rect
-    if homogeneous:
+    if plan.kind == "homogeneous":
         tiling = tiling.with_annotations(homogeneous_for=gaps)
         report = verify_homogeneous(tiling.tiles, tiling.length, gaps)
     else:
         report = verify_interval_tiling(tiling, gaps)
-    if boundary is not None:
-        d1, count = boundary
+    if plan.kind == "boundary":
+        count = plan.boundary_prefix_count
         tiling = tiling.with_annotations(boundary_prefix_count=count)
         if report.ok:
-            report = verify_boundary_prefix(tiling, d1, count)
+            report = verify_boundary_prefix(tiling, plan.d1, count)
     if not report.ok:
         ys, xs = np.divmod(tiling.tiles.values, d)
         rebuilt = RectangleTiling(d, height, Paths(tiling.tiles.offsets, xs, ys), step_type, window)
         output = f"{stage} output failed verification: {report.violations[0]}; its rectangle"
         _require_ok(verify_rectangle_tiling(rebuilt), output)
         _require_ok(report, f"{stage} output")
-    return tiling
+    return _built(plan, tiling)
 
 
 def _lifted_type(gaps: GapSet, k: int) -> StepType:
@@ -186,6 +196,72 @@ def _endpoints(tiling: IntervalTiling, span: int) -> tuple[tuple[int, int], ...]
     if len(found) != span:
         raise ConstructionError("each trailing anchor point must end a tile")
     return tuple(sorted(found.items()))
+
+
+def _buildable(plan: StageState, prev: StageState | None = None) -> None:
+    """Refuse to build over a plan, or an interval whose points int64 cannot hold."""
+    if prev is not None and prev.tiling is None:
+        raise PreconditionError("the previous stage is a plan; build it first")
+    if plan.L + 1 > INT64_MAX:
+        raise PreconditionError(
+            f"{plan.stage_trace['stage']}: interval length {plan.L + 1} exceeds "
+            f"the signed 64-bit point range (at most {INT64_MAX})"
+        )
+
+
+def _built(plan: StageState, tiling: IntervalTiling) -> StageState:
+    """The plan with its verified tiling and its endpoints filled in.
+
+    Raises ConstructionError when the tiling's cardinality histogram, or the
+    cardinality of the sequence ending at its last point, is not the plan's.
+    """
+    endpoint_index = _endpoints(tiling, plan.d1 if plan.kind == "boundary" else 1)
+    if plan.card_counts is not None:
+        sizes = tiling.tiles.sizes()
+        per_card = np.bincount(sizes)
+        cards = np.flatnonzero(per_card)
+        counts = tuple(zip(cards.tolist(), per_card[cards].tolist()))
+        last = int(sizes[endpoint_index[-1][1]])
+        if counts != plan.card_counts or last != plan.last_card:
+            raise ConstructionError(
+                f"{plan.stage_trace['stage']}: built cardinalities {counts} (last {last}) "
+                f"differ from the plan's {plan.card_counts} (last {plan.last_card})"
+            )
+    return replace(plan, tiling=tiling, endpoint_index=endpoint_index)
+
+
+def _stage_name(prev: StageState, kind: str, k: int = 1) -> str:
+    """The name of the stage `kind` after prev; checks that it may follow prev
+    and that its multiplicity k is positive."""
+    after = "boundary" if kind == "boundary-step" else "homogeneous"
+    if prev.kind != after:
+        raise PreconditionError(f"previous stage must be a {after} stage")
+    if k < 1:
+        raise PreconditionError("multiplicity must be >= 1")
+    return f"stage-{len(prev.gap_prefix.entries) + 1} {kind}"
+
+
+def _next_bound(prev: StageState, kind: str, k: int = 1) -> int:
+    """The least distance a stage of `kind` accepts after prev, with multiplicity k."""
+    L = prev.L
+    if kind == "boundary-step":
+        return (L + 1) * (L + 2) + (L + k * prev.d1 + 1)
+    if kind == "homogeneous-step":
+        return (L + 1) ** 2
+    return L * (L + 1)
+
+
+def _trace(stage: str, L_in: int | None, L_out: int, h: int, required, d, blocks: dict) -> dict:
+    """A stage's trace entry; required and d are None for the homogeneous base."""
+    return {
+        "stage": stage,
+        "L_in": L_in,
+        "L_out": L_out,
+        "h": h,
+        "threshold_required": required,
+        "d_used": d,
+        "blocks": blocks,
+    }
 
 
 def represent_two_coins(
@@ -227,68 +303,62 @@ def base_decomposition(d1: int, d2: int, k1: int, k2: int) -> BaseDecomposition:
 # Boundary stages
 
 
-def boundary_base(
+def plan_boundary_base(
     d1: int, d2: int, k1: int, k2: int, table: HeightTable | None = None
 ) -> StageState:
-    """First stage: tile [0, h*d2 - 1] for the gap set {d1^(k1), d2^(k2)} with
-    boundary prefix count k1. Requires d2 >= d1*(k1+k2+1)^2.
-    """
+    """The plan of boundary_base: checks d2 >= d1*(k1+k2+1)^2."""
     stage = "stage-2 boundary-base"
     if min(d1, d2, k1, k2) < 1:
         raise PreconditionError("all arguments must be >= 1")
     required = d1 * (k1 + k2 + 1) ** 2
     if d2 < required:
         raise GrowthViolation(stage, required, d2)
-    w = k1 + k2
     dec = base_decomposition(d1, d2, k1, k2)
-    b1, c1 = dec.rep_a
-    b2, c2 = dec.rep_a_plus_1
-    f, f_wit = min_height_rect(k1, k2, w, table=table)
+    f, _ = min_height_rect(k1, k2, k1 + k2, table=table)
     h = lcm(k2 + 1, f)
-    first = stack_to_height(f_wit, h)
-    second = stack_to_height(stair_tiling(k1, k2), h)
+    blocks = {
+        "a": dec.a,
+        "t": dec.t,
+        "rep_a": list(dec.rep_a),
+        "rep_a_plus_1": list(dec.rep_a_plus_1),
+        "f": f,
+    }
+    return StageState(
+        kind="boundary",
+        tiling=None,
+        L=h * d2 - 1,
+        gap_prefix=GapSet.from_pairs([(d1, k1), (d2, k2)]),
+        d1=d1,
+        boundary_prefix_count=k1,
+        endpoint_index=(),
+        h=h,
+        card_counts=None,
+        last_card=None,
+        stage_trace=_trace(stage, None, h * d2 - 1, h, required, d2, blocks),
+    )
+
+
+def boundary_base(
+    d1: int, d2: int, k1: int, k2: int, table: HeightTable | None = None
+) -> StageState:
+    """First stage: tile [0, h*d2 - 1] for the gap set {d1^(k1), d2^(k2)} with
+    boundary prefix count k1. Requires d2 >= d1*(k1+k2+1)^2.
+    """
+    plan = plan_boundary_base(d1, d2, k1, k2, table)
+    _buildable(plan)
+    blocks = plan.stage_trace["blocks"]
+    b1, c1 = blocks["rep_a"]
+    b2, c2 = blocks["rep_a_plus_1"]
+    _, f_wit = min_height_rect(k1, k2, k1 + k2, table=table)
+    first = stack_to_height(f_wit, plan.h)
+    second = stack_to_height(stair_tiling(k1, k2), plan.h)
 
     # Narrow blocks left, wide (staircase) blocks right: the top-right corner
     # path of the rightmost staircase carries the boundary-prefix property.
     def column(narrow: int, wide: int):
         return dilate_x(concat_columns([first] * narrow + [second] * wide), d1, 0)
 
-    gap_set = GapSet.from_pairs([(d1, k1), (d2, k2)])
-    tiling = _checked_output(
-        residue_interleave(column(c2, b2), column(c1, b1), d1, dec.t),
-        d2,
-        stage,
-        gap_set,
-        boundary=(d1, k1),
-    )
-    trace = {
-        "stage": stage,
-        "L_in": None,
-        "L_out": h * d2 - 1,
-        "h": h,
-        "threshold_required": required,
-        "d_used": d2,
-        "blocks": {
-            "a": dec.a,
-            "t": dec.t,
-            "rep_a": list(dec.rep_a),
-            "rep_a_plus_1": list(dec.rep_a_plus_1),
-            "f": f,
-        },
-    }
-    return StageState(
-        kind="boundary",
-        tiling=tiling,
-        L=h * d2 - 1,
-        gap_prefix=gap_set,
-        d1=d1,
-        boundary_prefix_count=k1,
-        endpoint_index=_endpoints(tiling, d1),
-        h=h,
-        card_counts=None,
-        last_card=None,
-        stage_trace=trace,
-    )
+    return _checked_output(residue_interleave(column(c2, b2), column(c1, b1), d1, blocks["t"]), plan)
 
 
 def _extension_block(
@@ -312,6 +382,44 @@ def _extension_block(
     return RaggedTiling(tuple(ext), k + 1, Paths.from_rows(paths), step_type, None)
 
 
+def plan_boundary_step(
+    prev: StageState, d: int, k: int, table: HeightTable | None = None
+) -> StageState:
+    """The plan of boundary_step: checks k <= budget - 1 and the growth bound."""
+    stage = _stage_name(prev, "boundary-step", k)
+    budget = prev.boundary_prefix_count or 0
+    if k >= budget:
+        raise MultiplicityViolation(
+            stage, f"multiplicity {k} exceeds boundary budget (needs k <= {budget - 1})"
+        )
+    required = _next_bound(prev, "boundary-step", k)
+    if d < required:
+        raise GrowthViolation(stage, required, d)
+    L, n = prev.L, prev.gap_prefix.size()
+    f1, _ = min_height_rect(n, k, n + 1, table=table)
+    f2, _ = min_height_rect(n, k, n + 2, table=table)
+    h = lcm(k + 1, f1, f2)
+    extended = L + k * prev.d1 + 1
+    b, c = represent_two_coins(d - extended, L + 1, L + 2, False)
+    blocks = {
+        "f_narrow": f1,
+        "f_widened": f2,
+        "narrow_blocks": c,
+        "widened_blocks": b,
+        "extended_width": extended,
+    }
+    return replace(
+        prev,
+        tiling=None,
+        L=d * h - 1,
+        gap_prefix=prev.gap_prefix.with_entry(d, k),
+        boundary_prefix_count=budget - k,
+        endpoint_index=(),
+        h=h,
+        stage_trace=_trace(stage, L, d * h - 1, h, required, d, blocks),
+    )
+
+
 def boundary_step(
     prev: StageState, d: int, k: int, table: HeightTable | None = None
 ) -> StageState:
@@ -320,90 +428,41 @@ def boundary_step(
     Requires k <= boundary budget - 1 and
     d >= (L+1)(L+2) + (L + k*d1 + 1), computed from the previous stage.
     """
-    stage = f"stage-{len(prev.gap_prefix.entries) + 1} boundary-step"
-    if prev.kind != "boundary":
-        raise PreconditionError("previous stage must be a boundary stage")
-    if k < 1:
-        raise PreconditionError("multiplicity must be >= 1")
-    budget = prev.boundary_prefix_count or 0
-    if k >= budget:
-        raise MultiplicityViolation(
-            stage, f"multiplicity {k} exceeds boundary budget (needs k <= {budget - 1})"
-        )
-    L, d1 = prev.L, prev.d1
-    required = (L + 1) * (L + 2) + (L + k * d1 + 1)
-    if d < required:
-        raise GrowthViolation(stage, required, d)
+    plan = plan_boundary_step(prev, d, k, table)
+    _buildable(plan, prev)
+    L, d1, h = prev.L, prev.d1, plan.h
     n = prev.gap_prefix.size()
-    f1, wit1 = min_height_rect(n, k, n + 1, table=table)
-    f2, wit2 = min_height_rect(n, k, n + 2, table=table)
-    h = lcm(k + 1, f1, f2)
+    _, wit1 = min_height_rect(n, k, n + 1, table=table)
+    _, wit2 = min_height_rect(n, k, n + 2, table=table)
     step_type = _lifted_type(prev.gap_prefix, k)
     tiles = prev.tiling.tiles
     ends = dict(prev.endpoint_index)
 
-    plain_cols = [
-        stack_to_height(lift_over_points(wit1, tiles.row(i), step_type), h)
-        for i in range(len(tiles))
-    ]
+    def column(base: RectangleTiling, points) -> RaggedTiling:
+        return stack_to_height(lift_over_points(base, points, step_type), h)
+
+    plain_cols = [column(wit1, tiles.row(i)) for i in range(len(tiles))]
     rect_narrow = as_rectangle(merge_ragged(plain_cols))  # width L+1
 
-    widened_idx = ends[L - d1 + 1]
-    widened_col = stack_to_height(
-        lift_over_points(wit2, np.append(tiles.row(widened_idx), L + 1), step_type), h
-    )
-    rect_widened = as_rectangle(
-        merge_ragged(
-            [widened_col if i == widened_idx else plain_cols[i] for i in range(len(tiles))]
-        )
-    )  # width L+2
+    widened_cols = list(plain_cols)
+    i = ends[L - d1 + 1]
+    widened_cols[i] = column(wit2, np.append(tiles.row(i), L + 1))
+    rect_widened = as_rectangle(merge_ragged(widened_cols))  # width L+2
 
-    ext_cols = {
-        ends[L - t]: stack_to_height(
-            _extension_block(tiles.row(ends[L - t]), d1, k, step_type), h
-        )
-        for t in range(d1)
-    }
-    rect_extended = as_rectangle(
-        merge_ragged([ext_cols.get(i, plain_cols[i]) for i in range(len(tiles))])
-    )  # width L + k*d1 + 1
+    ext_cols = list(plain_cols)
+    for t in range(d1):
+        i = ends[L - t]
+        ext_cols[i] = stack_to_height(_extension_block(tiles.row(i), d1, k, step_type), h)
+    rect_extended = as_rectangle(merge_ragged(ext_cols))  # width L + k*d1 + 1
 
-    b, c = represent_two_coins(d - (L + k * d1 + 1), L + 1, L + 2, False)
-    new_gaps = prev.gap_prefix.with_entry(d, k)
-    tiling = _checked_output(
-        concat_columns([rect_narrow] * c + [rect_widened] * b + [rect_extended]),
-        d,
-        stage,
-        new_gaps,
-        boundary=(d1, budget - k),
-    )
-    trace = {
-        "stage": stage,
-        "L_in": L,
-        "L_out": d * h - 1,
-        "h": h,
-        "threshold_required": required,
-        "d_used": d,
-        "blocks": {
-            "f_narrow": f1,
-            "f_widened": f2,
-            "narrow_blocks": c,
-            "widened_blocks": b,
-            "extended_width": L + k * d1 + 1,
-        },
-    }
-    return StageState(
-        kind="boundary",
-        tiling=tiling,
-        L=d * h - 1,
-        gap_prefix=new_gaps,
-        d1=d1,
-        boundary_prefix_count=budget - k,
-        endpoint_index=_endpoints(tiling, d1),
-        h=h,
-        card_counts=None,
-        last_card=None,
-        stage_trace=trace,
+    blocks = plan.stage_trace["blocks"]
+    return _checked_output(
+        concat_columns(
+            [rect_narrow] * blocks["narrow_blocks"]
+            + [rect_widened] * blocks["widened_blocks"]
+            + [rect_extended]
+        ),
+        plan,
     )
 
 
@@ -411,9 +470,26 @@ def boundary_step(
 # Homogeneous stages
 
 
-def _card_counter(tiles: Tiles) -> tuple[tuple[int, int], ...]:
-    cards, counts = np.unique(tiles.sizes(), return_counts=True)
-    return tuple(zip(cards.tolist(), counts.tolist()))
+def plan_homogeneous_base(prev: StageState) -> StageState:
+    """The plan of homogeneous_base: prev's tiles of n+1 points, one of them
+    extended to n+2; the index of that one is known only once built."""
+    if prev.kind != "boundary":
+        raise PreconditionError("previous stage must be a boundary stage")
+    if (prev.boundary_prefix_count or 0) < 1:
+        raise PreconditionError("boundary prefix count must be >= 1")
+    n = prev.gap_prefix.size()
+    tiles = (prev.L + 1) // (n + 1)
+    return replace(
+        prev,
+        kind="homogeneous",
+        tiling=None,
+        L=prev.L + 1,
+        boundary_prefix_count=None,
+        endpoint_index=(),
+        card_counts=((n + 1, tiles - 1), (n + 2, 1)),
+        last_card=n + 2,
+        stage_trace=_trace("homogeneous-base", prev.L, prev.L + 1, prev.h, None, None, {}),
+    )
 
 
 def homogeneous_base(prev: StageState) -> StageState:
@@ -423,13 +499,10 @@ def homogeneous_base(prev: StageState) -> StageState:
     point L+1; the result is one sequence of size()+2 points among unchanged
     tiles, and the sequence ending at the last point is the extended one.
     """
-    if prev.kind != "boundary":
-        raise PreconditionError("previous stage must be a boundary stage")
-    if (prev.boundary_prefix_count or 0) < 1:
-        raise PreconditionError("boundary prefix count must be >= 1")
+    plan = plan_homogeneous_base(prev)
+    _buildable(plan, prev)
     L, d1 = prev.L, prev.d1
-    ends = dict(prev.endpoint_index)
-    idx = ends[L - d1 + 1]
+    idx = dict(prev.endpoint_index)[L - d1 + 1]
     seq = prev.tiling.tiles[idx]
     if seq.gaps()[0] != d1:
         raise ConstructionError("anchor tile does not start with a d1 gap")
@@ -437,87 +510,62 @@ def homogeneous_base(prev: StageState) -> StageState:
     gaps = prev.gap_prefix
     tiling = IntervalTiling(L + 2, tiles, TilingAnnotations(homogeneous_for=gaps))
     _require_ok(verify_homogeneous(tiling.tiles, L + 2, gaps), "homogeneous base tiling")
-    n = gaps.size()
-    trace = {
-        "stage": "homogeneous-base",
-        "L_in": L,
-        "L_out": L + 1,
-        "h": prev.h,
-        "threshold_required": None,
-        "d_used": None,
-        "blocks": {"extended_sequence": idx},
-    }
-    return StageState(
-        kind="homogeneous",
-        tiling=tiling,
-        L=L + 1,
-        gap_prefix=gaps,
-        d1=d1,
-        boundary_prefix_count=None,
-        endpoint_index=((L + 1, idx),),
-        h=prev.h,
-        card_counts=_card_counter(tiles),
-        last_card=n + 2,
-        stage_trace=trace,
-    )
+    trace = {**plan.stage_trace, "blocks": {"extended_sequence": idx}}
+    return _built(replace(plan, stage_trace=trace), tiling)
 
 
-def _remove_last_point(tiles: Tiles, ends: Mapping[int, int], L: int, n: int) -> Tiles:
-    """Drop the interval's last point from the sequence ending there.
+def _without_last_point(prev: StageState) -> Counter:
+    """prev's cardinality histogram once the last point leaves the sequence ending there.
 
     Sound because that sequence has more than n+1 points, so it stays
     homogeneous and keeps at least one full window.
     """
-    idx = ends[L]
-    seq = tiles[idx]
-    if len(seq.points) <= n + 1:
+    last = prev.last_card or 0
+    if last <= prev.gap_prefix.size() + 1:
         raise ConstructionError("last sequence too short for the remove-point step")
-    return tiles.with_row(idx, seq.points[:-1])
+    cards = Counter(dict(prev.card_counts or ()))
+    cards[last] -= 1
+    cards[last - 1] += 1
+    return +cards  # without cardinalities left with no sequence
 
 
-def _stripe_bases(
-    n: int, k: int, cards: Sequence[int], table: HeightTable | None
-) -> dict[int, tuple[int, object]]:
-    """Per-cardinality column bases: (vertical period, base tiling).
+def block_counter(
+    card_counts: Mapping[int, int], n: int, k: int, f1: int, height: int, blocks: int
+) -> Counter:
+    """Cardinality histogram of `blocks` homogeneous-step blocks of the given height.
 
-    Cardinality n+1 sequences use the minimal-height rectangle witness; longer
-    sequences use the diagonal stripe tiling of their own width.
+    card_counts is the histogram of the sequences the block lifts over. A
+    sequence of n+1 points carries the f1-high minimal-height witness, whose
+    (n+1)*f1 points lie on paths of n+k+1 points each; a sequence of m+1 > n+1
+    points carries the (m+k+1)-high diagonal stripe tiling of width m+1.
     """
-    f1, wit1 = min_height_rect(n, k, n + 1, table=table)
-    bases: dict[int, tuple[int, object]] = {}
-    for c in sorted(set(cards)):
-        m = c - 1
-        if m == n:
-            bases[c] = (f1, wit1)
+    out: Counter = Counter()
+    for c, count in card_counts.items():
+        if c - 1 == n:
+            out[n + k + 1] += blocks * count * (height // f1) * ((n + 1) * f1 // (n + k + 1))
         else:
-            bases[c] = (m + k + 1, diagonal_stripe_tiling(n, k, m))
-    return bases
+            sizes = diagonal_stripe_tiling(n, k, c - 1).paths.sizes().tolist()
+            for size, paths in Counter(sizes).items():
+                out[size] += blocks * count * (height // (c + k)) * paths
+    return out
 
 
-def _assemble(build_block, tiles: Tiles, tiles_removed: Tiles, b: int, c_cnt: int) -> RectangleTiling:
-    """c_cnt blocks over the sequences with the last point removed (width L),
-    then b blocks over all sequences (width L+1), left to right."""
-    block_full = build_block(tiles)
-    removed = [build_block(tiles_removed)] * c_cnt if c_cnt > 0 else []
-    return concat_columns(removed + [block_full] * b)
+def _stripe_corner_card(n: int, k: int, m: int) -> int:
+    """Points on the stripe path that ends at the top-right corner (m, m+k)."""
+    paths = diagonal_stripe_tiling(n, k, m).paths
+    xs, ys = paths.ends()
+    # the corner has no successor inside the rectangle, so the path through it ends there
+    return int(paths.sizes()[np.flatnonzero((xs == m) & (ys == m + k))[0]])
 
 
-def homogeneous_step(
+def plan_homogeneous_step(
     prev: StageState, d: int, k: int, table: HeightTable | None = None
 ) -> StageState:
-    """Extend a homogeneous stage by a new distance d with multiplicity k.
-
-    Requires d >= (L+1)^2 and every sequence of m+1 > n+1 points to satisfy
-    m < 2n (which the multiplicity hypotheses guarantee along the pipeline).
-    """
-    stage = f"stage-{len(prev.gap_prefix.entries) + 1} homogeneous-step"
-    if prev.kind != "homogeneous":
-        raise PreconditionError("previous stage must be a homogeneous stage")
-    if k < 1:
-        raise PreconditionError("multiplicity must be >= 1")
-    L = prev.L
-    n = prev.gap_prefix.size()
-    required = (L + 1) ** 2
+    """The plan of homogeneous_step: checks d >= (L+1)^2 and every sequence
+    of m+1 points for n <= m and (m = n or m < 2n)."""
+    stage = _stage_name(prev, "homogeneous-step", k)
+    L, n = prev.L, prev.gap_prefix.size()
+    required = _next_bound(prev, "homogeneous-step")
     if d < required:
         raise GrowthViolation(stage, required, d)
     cards = dict(prev.card_counts or ())
@@ -529,131 +577,142 @@ def homogeneous_step(
             raise CardinalityViolation(
                 f"{stage}: sequence of {c} points too long for stripes (needs {c - 1} < {2 * n})"
             )
+    cards_removed = _without_last_point(prev)
     f1, _ = min_height_rect(n, k, n + 1, table=table)
-    tiles = prev.tiling.tiles
-    ends = dict(prev.endpoint_index)
-    tiles_removed = _remove_last_point(tiles, ends, L, n)
-
-    all_cards = tiles.sizes().tolist() + tiles_removed.sizes().tolist()
-    bases = _stripe_bases(n, k, all_cards, table)
-    h = lcm(f1, *[c - 1 + k + 1 for c in sorted(cards) if c - 1 > n])
-    cards_removed = set(tiles_removed.sizes().tolist())
-    h_removed = lcm(f1, *[c - 1 + k + 1 for c in sorted(cards_removed) if c - 1 > n])
+    # a sequence of c > n+1 points carries a stripe of period m+k+1 = c+k
+    h = lcm(f1, *[c + k for c in sorted(cards) if c - 1 > n])
+    h_removed = lcm(f1, *[c + k for c in sorted(cards_removed) if c - 1 > n])
     b, c_cnt = represent_two_coins(d, L, L + 1, True)
     total_h = lcm(h, h_removed) if c_cnt > 0 else h
+    counts = block_counter(cards, n, k, f1, total_h, b)
+    if c_cnt > 0:
+        counts.update(block_counter(cards_removed, n, k, f1, total_h, c_cnt))
+    last_card = _stripe_corner_card(n, k, prev.last_card - 1)
+    if last_card <= n + k + 1:
+        raise ConstructionError("last sequence lost the long-sequence property")
+    if max(counts) > max(cards) - 1 + 2 * k + 1:
+        raise ConstructionError("a sequence exceeds the stripe length bound")
+    blocks = {"h_full": h, "h_removed": h_removed, "full_blocks": b, "removed_blocks": c_cnt}
+    return replace(
+        prev,
+        tiling=None,
+        L=d * total_h - 1,
+        gap_prefix=prev.gap_prefix.with_entry(d, k),
+        endpoint_index=(),
+        h=total_h,
+        card_counts=tuple(sorted(counts.items())),
+        last_card=last_card,
+        stage_trace=_trace(stage, L, d * total_h - 1, total_h, required, d, blocks),
+    )
 
+
+def _lifted_blocks(
+    prev: StageState, plan: StageState, k: int, base, window: int | None
+) -> RectangleTiling:
+    """The rectangle of a homogeneous step or final stage.
+
+    `removed_blocks` blocks over prev's sequences with the last point removed
+    (width L), then `full_blocks` blocks over all of them (width L+1), left
+    to right. In each block, a sequence of c points carries base(c) lifted
+    over its points with the window given and stacked to the plan's height.
+    """
     step_type = _lifted_type(prev.gap_prefix, k)
-    window = n + k
+    base = cache(base)
 
-    def build_block(seqs: Tiles):
-        cols = []
-        for i, card in enumerate(seqs.sizes().tolist()):
-            base = bases[card][1]
-            cols.append(
-                stack_to_height(lift_over_points(base, seqs.row(i), step_type, window), total_h)
-            )
+    def block(seqs: Tiles) -> RectangleTiling:
+        cols = [
+            stack_to_height(lift_over_points(base(card), seqs.row(i), step_type, window), plan.h)
+            for i, card in enumerate(seqs.sizes().tolist())
+        ]
         return as_rectangle(merge_ragged(cols))
 
-    new_gaps = prev.gap_prefix.with_entry(d, k)
-    tiling = _checked_output(
-        _assemble(build_block, tiles, tiles_removed, b, c_cnt), d, stage, new_gaps, homogeneous=True
-    )
-    n_new = new_gaps.size()
-    new_L = d * total_h - 1
-    sizes = tiling.tiles.sizes()
-    last_idx = int(np.flatnonzero(tiling.tiles.ends() == new_L)[0])
-    last_card = int(sizes[last_idx])
-    if last_card <= n_new + 1:
-        raise ConstructionError("last sequence lost the long-sequence property")
-    max_card = int(sizes.max())
-    if max_card > max(cards) - 1 + 2 * k + 1:
-        raise ConstructionError("a sequence exceeds the stripe length bound")
-    trace = {
-        "stage": stage,
-        "L_in": L,
-        "L_out": new_L,
-        "h": total_h,
-        "threshold_required": required,
-        "d_used": d,
-        "blocks": {
-            "h_full": h,
-            "h_removed": h_removed,
-            "full_blocks": b,
-            "removed_blocks": c_cnt,
-        },
-    }
-    return StageState(
-        kind="homogeneous",
-        tiling=tiling,
-        L=new_L,
-        gap_prefix=new_gaps,
-        d1=prev.d1,
-        boundary_prefix_count=None,
-        endpoint_index=((new_L, last_idx),),
-        h=total_h,
-        card_counts=_card_counter(tiling.tiles),
-        last_card=last_card,
-        stage_trace=trace,
-    )
+    blocks = plan.stage_trace["blocks"]
+    c = blocks["removed_blocks"]
+    tiles = prev.tiling.tiles
+    full = block(tiles)
+    removed = []
+    if c > 0:
+        idx = dict(prev.endpoint_index)[prev.L]
+        removed = [block(tiles.with_row(idx, tiles[idx].points[:-1]))] * c
+    return concat_columns(removed + [full] * blocks["full_blocks"])
 
 
-def _final_stage_impl(
+def homogeneous_step(
     prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> tuple[IntervalTiling, GapSet, dict]:
-    """The final stage's tiling, the gap set it was verified against, and its trace."""
-    stage = f"stage-{len(prev.gap_prefix.entries) + 1} final"
-    if prev.kind != "homogeneous":
-        raise PreconditionError("previous stage must be a homogeneous stage")
-    if k < 1:
-        raise PreconditionError("multiplicity must be >= 1")
-    L = prev.L
+) -> StageState:
+    """Extend a homogeneous stage by a new distance d with multiplicity k.
+
+    Requires d >= (L+1)^2 and every sequence of m+1 > n+1 points to satisfy
+    m < 2n (which the multiplicity hypotheses guarantee along the pipeline).
+    """
+    plan = plan_homogeneous_step(prev, d, k, table)
+    _buildable(plan, prev)
     n = prev.gap_prefix.size()
+    _, wit1 = min_height_rect(n, k, n + 1, table=table)
+
+    def base(card: int) -> RectangleTiling:
+        # n+1 points: the minimal-height witness; longer: the diagonal stripes
+        return wit1 if card - 1 == n else diagonal_stripe_tiling(n, k, card - 1)
+
+    return _checked_output(_lifted_blocks(prev, plan, k, base, n + k), plan)
+
+
+def plan_final(
+    prev: StageState, d: int, k: int, table: HeightTable | None = None
+) -> StageState:
+    """The plan of final_stage: checks every sequence cardinality within
+    [n+1, n+k+1] and d >= L(L+1)."""
+    stage = _stage_name(prev, "final", k)
+    L, n = prev.L, prev.gap_prefix.size()
     cards = dict(prev.card_counts or ())
     for c in sorted(cards):
         if not (n + 1 <= c <= n + k + 1):
             raise CardinalityViolation(
                 f"{stage}: sequence of {c} points outside [{n + 1}, {n + k + 1}]"
             )
-    required = L * (L + 1)
+    required = _next_bound(prev, "final")
     if d < required:
         raise GrowthViolation(stage, required, d)
-    tiles = prev.tiling.tiles
-    ends = dict(prev.endpoint_index)
-    tiles_removed = _remove_last_point(tiles, ends, L, n)
-    all_cards = sorted(set(tiles.sizes().tolist()) | set(tiles_removed.sizes().tolist()))
-    fs = {c: min_height_rect(n, k, c, table=table) for c in all_cards}
-    h = lcm(*[fs[c][0] for c in sorted(cards)])
-    cards_removed = set(tiles_removed.sizes().tolist())
-    h_removed = lcm(*[fs[c][0] for c in sorted(cards_removed)])
+    cards_removed = _without_last_point(prev)
+    fs = {c: min_height_rect(n, k, c, table=table)[0] for c in sorted({*cards, *cards_removed})}
+    h = lcm(*[fs[c] for c in cards])
+    h_removed = lcm(*[fs[c] for c in cards_removed])
     b, c_cnt = represent_two_coins(d, L, L + 1, True)
     total_h = lcm(h, h_removed) if c_cnt > 0 else h
-    step_type = _lifted_type(prev.gap_prefix, k)
-
-    def build_block(seqs: Tiles):
-        cols = [
-            stack_to_height(lift_over_points(fs[card][1], seqs.row(i), step_type), total_h)
-            for i, card in enumerate(seqs.sizes().tolist())
-        ]
-        return as_rectangle(merge_ragged(cols))
-
-    full_gaps = prev.gap_prefix.with_entry(d, k)
-    tiling = _checked_output(
-        _assemble(build_block, tiles, tiles_removed, b, c_cnt), d, stage, full_gaps
-    )
-    trace = {
-        "stage": stage,
-        "L_in": L,
-        "L_out": d * total_h - 1,
-        "h": total_h,
-        "threshold_required": required,
-        "d_used": d,
-        "blocks": {
-            "heights": {str(c): fs[c][0] for c in all_cards},
-            "full_blocks": b,
-            "removed_blocks": c_cnt,
-        },
+    # every path of every witness has n+k+1 points
+    tiles = d * total_h // (n + k + 1)
+    blocks = {
+        "heights": {str(c): f for c, f in fs.items()},
+        "full_blocks": b,
+        "removed_blocks": c_cnt,
     }
-    return tiling, full_gaps, trace
+    return replace(
+        prev,
+        kind="final",
+        tiling=None,
+        L=d * total_h - 1,
+        gap_prefix=prev.gap_prefix.with_entry(d, k),
+        endpoint_index=(),
+        h=total_h,
+        card_counts=((n + k + 1, tiles),),
+        last_card=n + k + 1,
+        stage_trace=_trace(stage, L, d * total_h - 1, total_h, required, d, blocks),
+    )
+
+
+def _final_stage_impl(
+    prev: StageState, d: int, k: int, table: HeightTable | None = None
+) -> StageState:
+    """The built final stage: its tiling, the gap set it was verified against
+    (gap_prefix), and its trace."""
+    plan = plan_final(prev, d, k, table)
+    _buildable(plan, prev)
+    n = prev.gap_prefix.size()
+
+    def base(card: int) -> RectangleTiling:
+        return min_height_rect(n, k, card, table=table)[1]
+
+    return _checked_output(_lifted_blocks(prev, plan, k, base, None), plan)
 
 
 def final_stage(
@@ -663,7 +722,7 @@ def final_stage(
     sequence and assemble the tiling of the full gap set. Requires d >= L(L+1)
     and every sequence cardinality within [n+1, n+k+1].
     """
-    return _final_stage_impl(prev, d, k, table)[0]
+    return _final_stage_impl(prev, d, k, table).tiling
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +755,26 @@ def _check_hypotheses(ks: Sequence[int], s: int, p: int) -> None:
             )
 
 
+def _schedule(s: int, p: int) -> list[tuple[str, int | None]]:
+    """The stages after the boundary base under the split (s, p), each with the
+    index of the distance it consumes (None for the homogeneous base)."""
+    out: list[tuple[str, int | None]] = [("boundary-step", i) for i in range(2, s)]
+    if p >= 1:
+        out.append(("homogeneous-base", None))
+        out += [("homogeneous-step", i) for i in range(s, s + p - 1)]
+        out.append(("final", s + p - 1))
+    return out
+
+
+def _rows(trace: Sequence[dict]) -> list[ThresholdRow]:
+    """One row for each stage that consumed a distance."""
+    return [
+        ThresholdRow(t["stage"], t["threshold_required"], t["d_used"])
+        for t in trace
+        if t.get("d_used") is not None
+    ]
+
+
 def construct(
     gap_set: GapSet, split: SplitSpec, table: HeightTable | None = None
 ) -> ConstructResult:
@@ -714,49 +793,27 @@ def construct(
             f"split (s={s}, p={p}) does not cover {len(ds)} distinct distances"
         )
     _check_hypotheses(ks, s, p)
-    for a, b in zip(ds, ds[1:]):
-        if b <= a:
-            raise ConstructionError("distances must grow monotonically")
-
-    trace: list[dict] = []
-    rows: list[ThresholdRow] = []
+    # Looked up at call time, so a patched module global is the one run.
+    stages = {
+        "boundary-step": boundary_step,
+        "homogeneous-step": homogeneous_step,
+        "final": _final_stage_impl,
+    }
     state = boundary_base(ds[0], ds[1], ks[0], ks[1], table)
-    trace.append(state.stage_trace)
-    rows.append(ThresholdRow(state.stage_trace["stage"], state.stage_trace["threshold_required"], ds[1]))
-    for i in range(2, s):
-        state = boundary_step(state, ds[i], ks[i], table)
+    trace = [state.stage_trace]
+    for kind, i in _schedule(s, p):
+        state = homogeneous_base(state) if i is None else stages[kind](state, ds[i], ks[i], table)
         trace.append(state.stage_trace)
-        rows.append(
-            ThresholdRow(state.stage_trace["stage"], state.stage_trace["threshold_required"], ds[i])
-        )
     if p == 0:
         trace.append({"stage": "result", "mode": "boundary-only"})
-        tiling, verified_for = state.tiling, state.gap_prefix
-    else:
-        state = homogeneous_base(state)
-        trace.append(state.stage_trace)
-        for j in range(1, p):
-            state = homogeneous_step(state, ds[s + j - 1], ks[s + j - 1], table)
-            trace.append(state.stage_trace)
-            rows.append(
-                ThresholdRow(
-                    state.stage_trace["stage"], state.stage_trace["threshold_required"], ds[s + j - 1]
-                )
-            )
-        tiling, verified_for, final_trace = _final_stage_impl(
-            state, ds[s + p - 1], ks[s + p - 1], table
-        )
-        trace.append(final_trace)
-        rows.append(
-            ThresholdRow(final_trace["stage"], final_trace["threshold_required"], ds[s + p - 1])
-        )
     # The stages verify against the gap set they rebuild; the result must be
     # certified for the one asked for.
-    if verified_for != gap_set:
+    if state.gap_prefix != gap_set:
         raise VerificationFailed(
-            f"the last stage verified its tiling for {verified_for}, not for the requested {gap_set}"
+            f"the last stage verified its tiling for {state.gap_prefix}, not for the requested {gap_set}"
         )
-    return ConstructResult(tiling, gap_set, ThresholdReport(tuple(rows)), tuple(trace))
+    report = ThresholdReport(tuple(_rows(trace)))
+    return ConstructResult(state.tiling, gap_set, report, tuple(trace))
 
 
 def auto_split(gap_set: GapSet) -> list[SplitSpec]:
@@ -777,43 +834,20 @@ def auto_split(gap_set: GapSet) -> list[SplitSpec]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Structural dry-run (thresholds without materializing)
-
-
-@dataclass
-class _Summary:
-    L: int
-    n: int
-    bpc: int
-    cards: Counter | None = None
-    last_card: int | None = None
-
-
-def _stripe_card_counter(n: int, k: int, m: int) -> Counter:
-    return Counter(diagonal_stripe_tiling(n, k, m).paths.sizes().tolist())
-
-
-def _stripe_corner_card(n: int, k: int, m: int) -> int:
-    paths = diagonal_stripe_tiling(n, k, m).paths
-    xs, ys = paths.ends()
-    hit = np.flatnonzero((xs == m) & (ys == m + k))
-    if not hit.size:
-        raise ConstructionError("no stripe path ends at the top-right corner")
-    return int(paths.sizes()[hit[0]])
-
-
 def thresholds(
     prefix: GapSet,
     split: SplitSpec | None = None,
     table: HeightTable | None = None,
 ) -> ThresholdReport:
     """Report each stage's required and achieved distance for a (possibly
-    partial) gap set, without materializing the tilings.
+    partial) gap set by folding the stage plans, without materializing the
+    tilings. A prefix that covers the whole split is checked against the
+    multiplicity hypotheses first, as construct checks it.
 
     When the prefix ends before the pipeline does, one extra row carries the
     requirement for the next distance (achieved None); a boundary-track
     requirement depends on the next multiplicity and is reported for k=1.
+    Without a split the prefix runs the boundary track alone.
     """
     ds = prefix.distances()
     ks = prefix.multiplicities()
@@ -822,130 +856,23 @@ def thresholds(
         raise PreconditionError("prefix needs at least two distances")
     if split is not None and split.s + split.p < j:
         raise PreconditionError("prefix has more distances than the split covers")
-    rows: list[ThresholdRow] = []
-
-    d1, k1, k2 = ds[0], ks[0], ks[1]
-    req = d1 * (k1 + k2 + 1) ** 2
-    rows.append(ThresholdRow("stage-2 boundary-base", req, ds[1]))
-    if ds[1] < req:
-        raise GrowthViolation("stage-2 boundary-base", req, ds[1])
-    f, _ = min_height_rect(k1, k2, k1 + k2, table=table)
-    h = lcm(k2 + 1, f)
-    state = _Summary(L=ds[1] * h - 1, n=k1 + k2, bpc=k1)
-
-    s = split.s if split is not None else j
-    p = split.p if split is not None else 0
-    open_ended = split is None
-
-    i = 2
-    while i < s:
-        stage = f"stage-{i + 1} boundary-step"
-        if i >= j:
-            req = (state.L + 1) * (state.L + 2) + (state.L + 1 * d1 + 1)
-            rows.append(ThresholdRow(f"{stage} (k=1 assumed)", req, None))
-            return ThresholdReport(tuple(rows))
-        k = ks[i]
-        if k >= state.bpc:
-            raise MultiplicityViolation(
-                stage, f"multiplicity {k} exceeds boundary budget (needs k <= {state.bpc - 1})"
-            )
-        req = (state.L + 1) * (state.L + 2) + (state.L + k * d1 + 1)
-        rows.append(ThresholdRow(stage, req, ds[i]))
-        if ds[i] < req:
-            raise GrowthViolation(stage, req, ds[i])
-        f1, _ = min_height_rect(state.n, k, state.n + 1, table=table)
-        f2, _ = min_height_rect(state.n, k, state.n + 2, table=table)
-        h = lcm(k + 1, f1, f2)
-        state = _Summary(L=ds[i] * h - 1, n=state.n + k, bpc=state.bpc - k)
-        i += 1
-    if open_ended or p == 0:
-        if open_ended:
-            req = (state.L + 1) * (state.L + 2) + (state.L + 1 * d1 + 1)
-            rows.append(
-                ThresholdRow(f"stage-{j + 1} boundary-step (k=1 assumed)", req, None)
-            )
-        return ThresholdReport(tuple(rows))
-
-    # homogeneous base: consumes no distance
-    if state.bpc < 1:
-        raise MultiplicityViolation("homogeneous-base", "boundary budget exhausted")
-    n = state.n
-    tile_count = (state.L + 1) // (n + 1)
-    state.cards = Counter({n + 1: tile_count - 1, n + 2: 1})
-    state.last_card = n + 2
-    state.L += 1
-
-    for step in range(1, p):
-        di = s + step - 1
-        stage = f"stage-{s + step} homogeneous-step"
-        req = (state.L + 1) ** 2
-        if di >= j:
-            rows.append(ThresholdRow(stage, req, None))
-            return ThresholdReport(tuple(rows))
-        k = ks[di]
-        rows.append(ThresholdRow(stage, req, ds[di]))
-        if ds[di] < req:
-            raise GrowthViolation(stage, req, ds[di])
-        cards = state.cards
-        assert cards is not None and state.last_card is not None
-        for c in sorted(cards):
-            m = c - 1
-            if m > n and m >= 2 * n:
-                raise CardinalityViolation(
-                    f"{stage}: sequence of {c} points too long for stripes"
-                )
-        f1, _ = min_height_rect(n, k, n + 1, table=table)
-        h = lcm(f1, *[c - 1 + k + 1 for c in sorted(cards) if c - 1 > n])
-        cards_removed = Counter(cards)
-        cards_removed[state.last_card] -= 1
-        if cards_removed[state.last_card] == 0:
-            del cards_removed[state.last_card]
-        cards_removed[state.last_card - 1] += 1
-        h_removed = lcm(f1, *[c - 1 + k + 1 for c in sorted(cards_removed) if c - 1 > n])
-        b, c_cnt = represent_two_coins(ds[di], state.L, state.L + 1, True)
-        total_h = lcm(h, h_removed) if c_cnt > 0 else h
-
-        def block_counter(card_counts: Counter) -> Counter:
-            out: Counter = Counter()
-            for c, cnt in sorted(card_counts.items()):
-                m = c - 1
-                if m == n:
-                    paths = (n + 1) * f1 // (n + k + 1)
-                    out[n + k + 1] += cnt * (total_h // f1) * paths
-                else:
-                    per = _stripe_card_counter(n, k, m)
-                    copies = total_h // (m + k + 1)
-                    for length, pcount in per.items():
-                        out[length] += cnt * copies * pcount
-            return out
-
-        new_cards: Counter = Counter()
-        full = block_counter(cards)
-        for length, cnt in full.items():
-            new_cards[length] += b * cnt
-        if c_cnt > 0:
-            removed = block_counter(cards_removed)
-            for length, cnt in removed.items():
-                new_cards[length] += c_cnt * cnt
-        state.last_card = _stripe_corner_card(n, k, state.last_card - 1)
-        state.cards = new_cards
-        state.L = ds[di] * total_h - 1
-        n += k
-
-    stage = f"stage-{s + p} final"
-    req = state.L * (state.L + 1)
-    if s + p - 1 >= j:
-        rows.append(ThresholdRow(stage, req, None))
-        return ThresholdReport(tuple(rows))
-    k = ks[s + p - 1]
-    cards = state.cards
-    assert cards is not None
-    for c in sorted(cards):
-        if not (n + 1 <= c <= n + k + 1):
-            raise CardinalityViolation(
-                f"{stage}: sequence of {c} points outside [{n + 1}, {n + k + 1}]"
-            )
-    rows.append(ThresholdRow(stage, req, ds[s + p - 1]))
-    if ds[s + p - 1] < req:
-        raise GrowthViolation(stage, req, ds[s + p - 1])
+    s, p = (split.s, split.p) if split is not None else (j + 1, 0)
+    if s + p == j:
+        _check_hypotheses(ks, s, p)
+    plans = {
+        "boundary-step": plan_boundary_step,
+        "homogeneous-step": plan_homogeneous_step,
+        "final": plan_final,
+    }
+    state = plan_boundary_base(ds[0], ds[1], ks[0], ks[1], table)
+    rows = _rows([state.stage_trace])
+    for kind, i in _schedule(s, p):
+        if i is not None and i >= j:
+            stage = _stage_name(state, kind)
+            if kind == "boundary-step":
+                stage += " (k=1 assumed)"
+            rows.append(ThresholdRow(stage, _next_bound(state, kind), None))
+            break
+        state = plan_homogeneous_base(state) if i is None else plans[kind](state, ds[i], ks[i], table)
+        rows += _rows([state.stage_trace])
     return ThresholdReport(tuple(rows))

@@ -142,11 +142,6 @@ class Tile:
         return tuple(b - a for a, b in zip(pts, pts[1:]))
 
 
-def gap_multiset(tile: Tile) -> GapSet:
-    """The multiset of consecutive differences of a tile, normalized."""
-    return GapSet.from_gaps(tile.gaps())
-
-
 @dataclass(frozen=True)
 class LatticePath:
     """A sequence of 2D integer points with coordinatewise nondecreasing steps."""

@@ -206,46 +206,28 @@ def verify_homogeneous(
     return rep.build()
 
 
-def verify_lattice_paths(
-    paths: Paths,
-    support: np.ndarray | None,
-    width: int,
-    height: int,
-    step_type: StepType | None,
-    window: int | None,
+def verify_rectangle_tiling(
+    rect: RectangleTiling,
     max_violations: int = DEFAULT_VIOLATION_CAP,
 ) -> VerificationReport:
-    """ok iff the paths partition the columns times [0, height-1] and, when
-    step_type is given, match it.
+    """ok iff the paths partition the rectangle's points and match the declared type.
 
-    The columns are 0..width-1 when support is None, else the sorted x values
-    in support (of length width), ranked 0..width-1. Every violation of the
-    cover is located at its (x, y) cell, x being the support value. Uniform
-    mode (window None) compares each path's full step multiset; windowed mode
+    Every violation of the cover is located at its (x, y) cell. Uniform mode
+    (window None) compares each path's full step multiset; windowed mode
     compares every window of `window` consecutive steps.
     """
     rep = ReportBuilder(max_violations)
+    paths, width, height, window = rect.paths, rect.width, rect.height, rect.window
     xs, ys = paths.xs, paths.ys
-    if support is None:
-        cols = xs
-        inside = (xs >= 0) & (xs < width)
-        where = "rectangle"
-    else:
-        cols = np.searchsorted(support, xs)
-        inside = support[np.minimum(cols, width - 1)] == xs
-        where = "ragged block"
-    inside &= (ys >= 0) & (ys < height)
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
     out = np.flatnonzero(~inside)
-    rep.add_all("OutOfRange", np.column_stack((xs[out], ys[out])), f"path point outside the {where}")
+    rep.add_all("OutOfRange", np.column_stack((xs[out], ys[out])), "path point outside the rectangle")
 
     def cell(p: np.ndarray) -> np.ndarray:
-        x = p % width
-        return np.column_stack((x if support is None else support[x], p // width))
+        return np.column_stack((p % width, p // width))
 
-    _cover(cols[inside] + ys[inside] * width, width * height, rep, cell)
-    if step_type is None:
-        return rep.build()
-    codes, expected = _step_codes(paths, step_type)
+    _cover(xs[inside] + ys[inside] * width, width * height, rep, cell)
+    codes, expected = _step_codes(paths, rect.step_type)
     if window is None:
         bad = _row_mismatches(paths.offsets, codes, expected)
         rep.add_all("TypeMismatch", bad, "path step multiset differs from declared type")
@@ -266,17 +248,3 @@ def verify_lattice_paths(
         ),
     )
     return rep.build()
-
-
-def verify_rectangle_tiling(
-    rect: RectangleTiling,
-    max_violations: int = DEFAULT_VIOLATION_CAP,
-) -> VerificationReport:
-    """ok iff the paths partition the rectangle's points and match the declared type.
-
-    Uniform mode (window None) compares each path's full step multiset; windowed
-    mode compares every window of `window` consecutive steps.
-    """
-    return verify_lattice_paths(
-        rect.paths, None, rect.width, rect.height, rect.step_type, rect.window, max_violations
-    )

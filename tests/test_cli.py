@@ -1,15 +1,19 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaptiles
-from gaptiles import Paths, RectangleTiling, pipeline, stair_tiling, verify_interval_tiling
+from gaptiles import GapSet, Paths, RectangleTiling, cli, pipeline, stair_tiling, verify_interval_tiling
 from gaptiles.catalog import enumerate_gap_sets
 from gaptiles.cli import main, parse_gaps
+from gaptiles.errors import PreconditionError
 from gaptiles.serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
 
 
@@ -20,6 +24,30 @@ def run(args):
 def test_parse_gaps_normalizes():
     assert parse_gaps("9:1,1:1").entries == ((1, 1), (9, 1))
     assert parse_gaps("2,2,5:3").entries == ((2, 2), (5, 3))
+
+
+def strict_gaps(text: str) -> GapSet | None:
+    """The --gaps grammar: comma-separated d or d:k, each integer ASCII -?[0-9]+."""
+    pairs = []
+    try:
+        for item in text.split(","):
+            m = re.fullmatch(r"(-?[0-9]+)(?::(-?[0-9]+))?", item)
+            if m is None:
+                return None
+            pairs.append((int(m[1]), 1 if m[2] is None else int(m[2])))
+        return GapSet.from_pairs(pairs)
+    except (ValueError, PreconditionError):  # more digits than int() reads; not a gap set
+        return None
+
+
+@settings(max_examples=250, deadline=None)
+@given(text=st.one_of(st.text(), st.text(alphabet="0123456789-:,+_ \t\n\u0661\u0669\uff11")))
+def test_parse_gaps_accepts_exactly_the_strict_grammar(text):
+    expected = strict_gaps(text)
+    try:
+        assert parse_gaps(text) == expected
+    except PreconditionError:
+        assert expected is None
 
 
 class TestConstructCommand:
@@ -55,6 +83,10 @@ class TestConstructCommand:
             (["--gaps", "1:"], "''"),
             (["--gaps", "1:1,9:1", "--split", "2"], "'2'"),
             (["--gaps", "1:1,9:1", "--split", "2,y"], "'y'"),
+            (["--gaps", "\u0661:\u0661,\u0669:\u0661"], "'\u0661'"),
+            (["--gaps", "1:1,9_0:1"], "'9_0'"),
+            (["--gaps", "1:1,9:1", "--split", "+2,0"], "'+2'"),
+            (["--gaps", "1:1,9:1", "--split", "2, 0"], "' 0'"),
         ],
     )
     def test_malformed_gaps_or_split_exit_1(self, tmp_path, capsys, args, token):
@@ -93,6 +125,25 @@ class TestConstructCommand:
         (x, y), = moved
         assert f"location=({x + y * 2970},)" in captured.err
         assert f"its rectangle failed verification: Violation(kind='Overlap', location=({x}, {y})," in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_distance_beyond_int64_exits_1_without_a_file(self, tmp_path, capsys):
+        gaps = ["--gaps", "1:1,9:1,100000000000000000000:1", "--split", "2,1"]
+        assert run(["construct", *gaps, "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage-3 final: interval length ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        assert run(["construct", *gaps, "--thresholds-only"]) == 0
+        assert "stage-3 final: required >= 2970, achieved 100000000000000000000" in capsys.readouterr().out
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "construct", exhausted)
+        out = tmp_path / "t.json"
+        assert run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_auto_split(self, tmp_path):
@@ -147,6 +198,7 @@ class TestVerifyCommand:
         out = tmp_path / "t.json"
         run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)])
         assert run(["verify", str(out), "--boundary", "1,1"]) == 0
+        assert run(["verify", str(out), "--boundary", "1,+1"]) == 1
 
     def test_corrupted_file_exit_4(self, tmp_path):
         out = tmp_path / "t.json"

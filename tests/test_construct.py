@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gaptiles import pipeline
@@ -24,6 +26,7 @@ from gaptiles import (
 from gaptiles.pipeline import StageState
 from gaptiles.errors import (
     CardinalityViolation,
+    ConstructionError,
     GrowthViolation,
     MultiplicityViolation,
     NoFeasibleSplit,
@@ -197,6 +200,14 @@ class TestHomogeneousStep:
         t1 = gs((1, 1), (9, 1), (3025, 2))
         assert verify_homogeneous(st.tiling.tiles, st.tiling.length, t1).ok
         assert st.last_card > t1.size() + 1
+
+    def test_built_histogram_must_match_the_plan(self):
+        # The plan reads the histogram prev declares; this one claims two long
+        # sequences where the tiling has one, so the built step differs from it.
+        prev = homogeneous_base(boundary_base(1, 9, 1, 1))
+        bad = replace(prev, card_counts=((3, 16), (4, 2)))
+        with pytest.raises(ConstructionError, match="stage-3 homogeneous-step: built cardinalities"):
+            homogeneous_step(bad, 3025, 1)
 
     def test_step_uses_remove_point_blocks(self):
         # a representation with width-L blocks materializes the remove-point

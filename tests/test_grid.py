@@ -3,7 +3,6 @@ from math import gcd
 import pytest
 
 from gaptiles import (
-    ColumnTiling,
     GapSet,
     Paths,
     RectangleTiling,
@@ -19,13 +18,11 @@ from gaptiles import (
     solve_rectangle,
     stack_to_height,
     stair_tiling,
-    unflatten,
     verify_interval_tiling,
-    verify_ragged_tiling,
     verify_rectangle_tiling,
 )
 from gaptiles.errors import PreconditionError
-from gaptiles.grid import HeightTable, RaggedTiling
+from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
 from gaptiles.types import normalize_steps
 
@@ -176,25 +173,9 @@ class TestTransforms:
             # a path's x-projection is a run of consecutive support entries
             i = (0, 1, 3, 7).index(xs[0])
             assert tuple(xs) == (0, 1, 3, 7)[i : i + len(xs)]
-        assert verify_ragged_tiling(lifted).ok
-
-    @pytest.mark.parametrize("window", [4, 6])
-    def test_ragged_window_other_than_step_total_mismatches(self, window):
-        # stair_tiling(3, 2): three paths of 5 steps each.
-        rect = stair_tiling(3, 2)
-        ragged = RaggedTiling(tuple(range(rect.width)), rect.height, rect.paths, rect.step_type, window)
-        rep = verify_ragged_tiling(ragged)
-        assert not rep.ok
-        if window == 4:
-            assert [v.location for v in rep.violations] == [(i, o) for i in range(3) for o in range(2)]
-        else:
-            assert [v.detail for v in rep.violations] == ["path has fewer than 6 steps"] * 3
-
-    def test_ragged_cover_faults_name_the_support_value(self):
-        # Column 3 of support (0, 1, 3, 7) covered twice, column 7 not at all.
-        paths = Paths.from_rows([[(0, 0), (1, 0)], [(3, 0)], [(3, 0)]])
-        rep = verify_ragged_tiling(RaggedTiling((0, 1, 3, 7), 1, paths))
-        assert [(v.kind, v.location) for v in rep.violations] == [("Overlap", (3, 0)), ("Hole", (7, 0))]
+        # the lifted paths cover support x [0, f) exactly once
+        points = sorted(pt for p in lifted.paths for pt in p.points)
+        assert points == sorted((x, y) for x in (0, 1, 3, 7) for y in range(f))
 
     def test_lift_width_mismatch(self):
         with pytest.raises(PreconditionError):
@@ -226,13 +207,6 @@ class TestTransforms:
         assert verify_rectangle_tiling(doubled).ok
         with pytest.raises(PreconditionError):
             stack_to_height(rect, 4)
-
-    def test_column_tiling_wrapper(self):
-        rect = stair_tiling(1, 2)
-        col = ColumnTiling(rect, rect.height)
-        assert stack_to_height(col, 6) == stack_to_height(rect, 6)
-        with pytest.raises(PreconditionError):
-            ColumnTiling(rect, rect.height + 1)
 
     def test_concat(self):
         a = stair_tiling(1, 1)
@@ -294,7 +268,7 @@ class TestTransforms:
     def test_flatten_unflatten_round_trip(self):
         rect = stair_tiling(2, 3)
         t = flatten(rect, rect.width)
-        back = unflatten(t, rect.width)
+        back = [[(p % rect.width, p // rect.width) for p in tile.points] for tile in t.tiles]
         original = sorted(tuple(p.points) for p in rect.paths)
         assert sorted(tuple(pts) for pts in back) == original
 

@@ -1,23 +1,26 @@
 import pytest
 
-from gaptiles import GapSet, LatticePath, SplitSpec, Tile, gap_multiset
+from gaptiles import GapSet, LatticePath, SplitSpec, Tile
 from gaptiles.errors import PreconditionError
 
 
+# A tile's gap multiset is GapSet.from_gaps of its consecutive differences.
+
+
 def test_gap_multiset_direct_differences():
-    assert gap_multiset(Tile((0, 1, 3))).entries == ((1, 1), (2, 1))
-    assert gap_multiset(Tile((0, 2, 3, 5))).entries == ((1, 1), (2, 2))
+    assert GapSet.from_gaps(Tile((0, 1, 3)).gaps()).entries == ((1, 1), (2, 1))
+    assert GapSet.from_gaps(Tile((0, 2, 3, 5)).gaps()).entries == ((1, 1), (2, 2))
 
 
 def test_gap_multiset_three_distinct():
     # x-projection tile of a homogeneous sequence with gaps 1, 2, 4
-    assert gap_multiset(Tile((0, 1, 3, 7))).entries == ((1, 1), (2, 1), (4, 1))
+    assert GapSet.from_gaps(Tile((0, 1, 3, 7)).gaps()).entries == ((1, 1), (2, 1), (4, 1))
 
 
 def test_gap_multiset_total_multiplicity_is_points_minus_one():
     for pts in [(0, 1), (0, 5, 6, 11), (3, 4, 8, 9, 17)]:
         t = Tile(pts)
-        assert gap_multiset(t).size() == len(pts) - 1
+        assert GapSet.from_gaps(t.gaps()).size() == len(pts) - 1
 
 
 def test_gap_set_normalization_merges_duplicates():
