@@ -8,7 +8,6 @@ exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .errors import (
     TilingError,
     VerificationFailed,
 )
-from .grid import HeightTable, min_height_rect
+from .grid import min_height_rect
 from .oracle import SearchConfig, SearchStatus, min_interval, solve_interval
 from .render import (
     RenderSpec,
@@ -63,6 +62,10 @@ _HYPOTHESIS_ERRORS = (
 
 
 _MAX_NODES_HELP = "search budget: DFS states entered per searched length (default %(default)s)"
+_PARALLEL_HELP = (
+    "worker processes that search the first tile's gap orders side by side; "
+    "the result is the serial search's (default %(default)s: serial)"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,18 +107,12 @@ def parse_split(text: str) -> SplitSpec:
     return SplitSpec(*_int_pair(text, "--split"))
 
 
-def _table() -> HeightTable | None:
-    cache = os.environ.get("GAPTILES_CACHE")
-    return HeightTable(cache) if cache else None
-
-
 def cmd_construct(args) -> int:
     gaps = parse_gaps(args.gaps)
     split = parse_split(args.split) if args.split else None
-    table = _table()
     if args.thresholds_only:
         try:
-            report = thresholds(gaps, split, table)
+            report = thresholds(gaps, split)
         except _HYPOTHESIS_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -128,7 +125,7 @@ def cmd_construct(args) -> int:
     errors = []
     for sp in splits:
         try:
-            result = construct(gaps, sp, table)
+            result = construct(gaps, sp)
             break
         except _HYPOTHESIS_ERRORS as exc:
             errors.append(f"split (s={sp.s},p={sp.p}): {exc}")
@@ -262,7 +259,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_fvalue(args) -> int:
     try:
-        f, witness = min_height_rect(args.k, args.l, args.m, table=_table())
+        f, witness = min_height_rect(args.k, args.l, args.m)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True)
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
-    p.add_argument("--parallel", type=int, default=0)
+    p.add_argument("--parallel", type=int, default=0, help=_PARALLEL_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
-    p.add_argument("--parallel", type=int, default=0)
+    p.add_argument("--parallel", type=int, default=0, help=_PARALLEL_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_minlen)
 

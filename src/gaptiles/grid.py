@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, PreconditionError, SearchExhausted
-from .oracle import SearchConfig, SearchStatus, solve_rectangle
+from .oracle import SearchStatus, solve_rectangle
 from .serialize import dumps_canonical  # noqa: F401  benchmarks/tracing.py patches it here
 from .serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
 from .types import (
@@ -162,17 +162,18 @@ class HeightTable:
                 write_json(self._index_path(), index)
 
 
-_default_table: HeightTable | None = None
-_default_table_lock = threading.Lock()
+_default_tables: dict[str | None, HeightTable] = {}
+_default_tables_lock = threading.Lock()
 
 
 def default_height_table() -> HeightTable:
-    """Process-wide table; persists under $GAPTILES_CACHE when set."""
-    global _default_table
-    with _default_table_lock:
-        if _default_table is None:
-            _default_table = HeightTable(os.environ.get("GAPTILES_CACHE") or None)
-        return _default_table
+    """The process-wide table for the current $GAPTILES_CACHE: persisted in
+    that directory when it is set, in memory only when not."""
+    cache = os.environ.get("GAPTILES_CACHE") or None
+    with _default_tables_lock:
+        if cache not in _default_tables:
+            _default_tables[cache] = HeightTable(cache)
+        return _default_tables[cache]
 
 
 def min_height_rect(
@@ -180,8 +181,6 @@ def min_height_rect(
     l: int,
     m: int,
     table: HeightTable | None = None,
-    max_height: int | None = None,
-    cfg: SearchConfig | None = None,
 ) -> tuple[int, RectangleTiling]:
     """Least height f such that [0,m-1] x [0,f-1] is tiled by paths with k
     unit-right and l unit-up steps, plus a witness.
@@ -204,9 +203,9 @@ def min_height_rect(
     ppp = k + l + 1
     step = ppp // gcd(m, ppp)
     f = ((l + 1 + step - 1) // step) * step
-    bound = max_height if max_height is not None else max(64, 8 * ppp * ppp)
+    bound = max(64, 8 * ppp * ppp)
     while f <= bound:
-        outcome = solve_rectangle({(1, 0): k, (0, 1): l}, m, f, cfg)
+        outcome = solve_rectangle({(1, 0): k, (0, 1): l}, m, f)
         if outcome.status is SearchStatus.FOUND:
             witness = outcome.witnesses[0]
             table.put(k, l, m, f, witness)

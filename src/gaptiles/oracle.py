@@ -11,7 +11,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .errors import ConstructionError, SearchExhausted
@@ -127,11 +127,8 @@ def _interval_dfs(
     solutions: list[tuple[tuple[int, int], ...]],
     max_solutions: int,
     dead: set[int],
-    forced_first: int | None = None,
-    stop=None,
 ) -> bool:
-    """Returns True when the search should stop (budget hit, enough solutions,
-    or another worker signalled the shared stop flag).
+    """Returns True when the search should stop (budget hit or enough solutions).
 
     ``span`` is the sum of the gaps, the reach of every order. ``dead`` holds
     the frontiers whose subtrees were exhausted without a solution. Below a
@@ -142,8 +139,6 @@ def _interval_dfs(
     budget[0] += 1
     if budget[0] > budget[1]:
         budget[2] = 1
-        return True
-    if stop is not None and (budget[0] & 1023) == 0 and stop.is_set():
         return True
     full = (1 << length) - 1
     if occupied == full:
@@ -162,17 +157,16 @@ def _interval_dfs(
         if rest & bit:
             continue
         for oi, mask in orders:
-            if rest & mask or (forced_first is not None and oi != forced_first):
+            if rest & mask:
                 continue
             placements.append((c, oi))
             if _interval_dfs(
                 length, span, runs, occupied | mask << c, placements, budget, solutions,
-                max_solutions, dead, stop=stop,
+                max_solutions, dead,
             ):
                 return True
             placements.pop()
-    if len(solutions) == found and forced_first is None:
-        # a forced root tried one order only, so its frontier is not proven dead
+    if len(solutions) == found:
         dead.add(key)
     return False
 
@@ -186,33 +180,17 @@ def _build_interval_witness(length: int, offsets, placements) -> IntervalTiling:
     return IntervalTiling(length, tuple(tiles))
 
 
-_WORKER_STOP = None
-
-
-def _worker_init(event):
-    global _WORKER_STOP
-    _WORKER_STOP = event
-
-
-def _solve_interval_worker(args):
-    gaps, length, roots, max_nodes, max_solutions, signal_on_found = args
-    _, runs = _gap_orders(gaps)
+def _solve_root(gaps: tuple[int, ...], length: int, cfg: SearchConfig, root: int):
+    """The serial search below root order ``root`` placed at point 0, with its
+    own frontier memo and ``cfg.max_nodes`` budget: (solutions, nodes entered)."""
+    offsets, runs = _gap_orders(gaps)
     solutions: list = []
-    budget = [0, max_nodes, 0]
-    dead: set[int] = set()
-    stop = _WORKER_STOP
-    for root in roots:
-        if len(solutions) >= max_solutions or budget[2]:
-            break
-        if stop is not None and stop.is_set():
-            break
-        _interval_dfs(
-            length, sum(gaps), runs, 0, [], budget, solutions, max_solutions, dead,
-            forced_first=root, stop=stop,
-        )
-    if solutions and signal_on_found and stop is not None:
-        stop.set()
-    return solutions, budget[0], bool(budget[2])
+    budget = [0, cfg.max_nodes, 0]
+    mask = sum(1 << o for o in offsets[root])
+    _interval_dfs(
+        length, sum(gaps), runs, mask, [(0, root)], budget, solutions, cfg.max_solutions, set()
+    )
+    return solutions, budget[0]
 
 
 def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -227,43 +205,34 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
     gaps = gap_set.expand()
     offsets, runs = _gap_orders(gaps)
-
-    if cfg.parallel_width > 0 and len(offsets) > 1:
-        # Root branches split round-robin across workers. A shared stop flag
-        # lets the first witness end the race when one solution suffices; for
-        # exhaustive collection every worker runs its subset to completion and
-        # the merge is deterministic. A worker aborts only after the flag is
-        # set, so "no solution" still means every subtree was exhausted.
-        width = min(cfg.parallel_width, len(offsets))
-        buckets: list[list[int]] = [[] for _ in range(width)]
-        for i in range(len(offsets)):
-            buckets[i % width].append(i)
-        per_worker = max(1, cfg.max_nodes // width)
-        signal = cfg.max_solutions == 1
+    solutions: list = []
+    if cfg.parallel_width > 0 and len(offsets) > 1 and sum(gaps) < length:
+        # One task per root order (the gap order placed at point 0), taken
+        # in serial order: the first root with a solution runs to completion,
+        # so the witnesses are the serial search's. Leaving the pool
+        # terminates the roots still running. Where no order fits, the serial
+        # search below stops at its root.
+        nodes = 1  # the root state, as the serial search counts it
+        budget_hit = False
         ctx = multiprocessing.get_context("fork")
-        event = ctx.Event()
-        with ctx.Pool(width, initializer=_worker_init, initargs=(event,)) as pool:
-            results = pool.map(
-                _solve_interval_worker,
-                [
-                    (gaps, length, b, per_worker, cfg.max_solutions, signal)
-                    for b in buckets
-                ],
-            )
-        nodes = sum(r[1] for r in results)
-        budget_hit = any(r[2] for r in results)
-        all_placements = [p for r in results for p in r[0]]
-        all_placements.sort()
-        witnesses = tuple(
-            _build_interval_witness(length, offsets, p) for p in all_placements[: cfg.max_solutions]
-        )
+        with ctx.Pool(min(cfg.parallel_width, len(offsets))) as pool:
+            for found, entered in pool.imap(
+                partial(_solve_root, gaps, length, cfg), range(len(offsets))
+            ):
+                solutions += found
+                nodes += entered
+                if len(solutions) >= cfg.max_solutions:
+                    break
+                if nodes > cfg.max_nodes:
+                    budget_hit = True
+                    break
+        del solutions[cfg.max_solutions :]
     else:
-        solutions: list = []
         budget = [0, cfg.max_nodes, 0]
         _interval_dfs(length, sum(gaps), runs, 0, [], budget, solutions, cfg.max_solutions, set())
         nodes = budget[0]
         budget_hit = bool(budget[2])
-        witnesses = tuple(_build_interval_witness(length, offsets, p) for p in solutions)
+    witnesses = tuple(_build_interval_witness(length, offsets, p) for p in solutions)
 
     if witnesses:
         for wit in witnesses:

@@ -15,7 +15,8 @@ multiplicity and cardinality hypotheses and fixes the output length, height,
 block counts and cardinality histogram. Each bound on the next distance is
 computed from the actual dimensions (L, h) of the preceding stage.
 ``thresholds`` folds the plans alone, so a dry run reports the bounds and
-raises the errors ``construct`` would.
+raises the errors ``construct`` would. Of the final stage it runs only the
+checks (_check_final), not the minimal-height searches only the build needs.
 
 A build assembles what its plan says and verifies its output once before
 returning, so a constructed tiling is never trusted without verification. A
@@ -657,15 +658,13 @@ def homogeneous_step(
     return _checked_output(_lifted_blocks(prev, plan, k, base, n + k), plan)
 
 
-def plan_final(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
-    """The plan of final_stage: checks every sequence cardinality within
-    [n+1, n+k+1] and d >= L(L+1)."""
+def _check_final(prev: StageState, d: int, k: int) -> tuple[str, int, Counter]:
+    """The final stage's name, its bound on d and prev's histogram without
+    the last point; checks every sequence cardinality within [n+1, n+k+1],
+    d >= L(L+1) and that the last sequence can lose its last point."""
     stage = _stage_name(prev, "final", k)
-    L, n = prev.L, prev.gap_prefix.size()
-    cards = dict(prev.card_counts or ())
-    for c in sorted(cards):
+    n = prev.gap_prefix.size()
+    for c in sorted(dict(prev.card_counts or ())):
         if not (n + 1 <= c <= n + k + 1):
             raise CardinalityViolation(
                 f"{stage}: sequence of {c} points outside [{n + 1}, {n + k + 1}]"
@@ -673,7 +672,16 @@ def plan_final(
     required = _next_bound(prev, "final")
     if d < required:
         raise GrowthViolation(stage, required, d)
-    cards_removed = _without_last_point(prev)
+    return stage, required, _without_last_point(prev)
+
+
+def plan_final(
+    prev: StageState, d: int, k: int, table: HeightTable | None = None
+) -> StageState:
+    """The plan of final_stage: _check_final, then the minimal heights."""
+    stage, required, cards_removed = _check_final(prev, d, k)
+    L, n = prev.L, prev.gap_prefix.size()
+    cards = dict(prev.card_counts or ())
     fs = {c: min_height_rect(n, k, c, table=table)[0] for c in sorted({*cards, *cards_removed})}
     h = lcm(*[fs[c] for c in cards])
     h_removed = lcm(*[fs[c] for c in cards_removed])
@@ -841,8 +849,9 @@ def thresholds(
 ) -> ThresholdReport:
     """Report each stage's required and achieved distance for a (possibly
     partial) gap set by folding the stage plans, without materializing the
-    tilings. A prefix that covers the whole split is checked against the
-    multiplicity hypotheses first, as construct checks it.
+    tilings; the final stage is checked, not planned. A prefix that covers
+    the whole split is checked against the multiplicity hypotheses first, as
+    construct checks it.
 
     When the prefix ends before the pipeline does, one extra row carries the
     requirement for the next distance (achieved None); a boundary-track
@@ -859,11 +868,7 @@ def thresholds(
     s, p = (split.s, split.p) if split is not None else (j + 1, 0)
     if s + p == j:
         _check_hypotheses(ks, s, p)
-    plans = {
-        "boundary-step": plan_boundary_step,
-        "homogeneous-step": plan_homogeneous_step,
-        "final": plan_final,
-    }
+    plans = {"boundary-step": plan_boundary_step, "homogeneous-step": plan_homogeneous_step}
     state = plan_boundary_base(ds[0], ds[1], ks[0], ks[1], table)
     rows = _rows([state.stage_trace])
     for kind, i in _schedule(s, p):
@@ -872,6 +877,11 @@ def thresholds(
             if kind == "boundary-step":
                 stage += " (k=1 assumed)"
             rows.append(ThresholdRow(stage, _next_bound(state, kind), None))
+            break
+        if kind == "final":
+            # the last stage: only its build needs the minimal heights
+            stage, required, _ = _check_final(state, ds[i], ks[i])
+            rows.append(ThresholdRow(stage, required, ds[i]))
             break
         state = plan_homogeneous_base(state) if i is None else plans[kind](state, ds[i], ks[i], table)
         rows += _rows([state.stage_trace])

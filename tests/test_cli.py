@@ -163,8 +163,7 @@ class TestSolveCommands:
 
     @pytest.mark.parametrize("gaps, n", [("2:1,3:1,4:1", "32"), ("1:1,2:1,4:1,5:1", "20")])
     def test_minlen_parallel_matches_serial(self, tmp_path, capsys, gaps, n):
-        # each set has one tiling at its least length, so which worker
-        # finds it first cannot change the witness
+        # the least length found by the sweep, then searched in parallel
         outs = []
         for extra in ([], ["--parallel", "2"]):
             out = tmp_path / f"w{len(extra)}.json"
@@ -183,6 +182,15 @@ class TestSolveCommands:
 
     def test_solve_not_found_exit_3(self):
         assert run(["solve", "--gaps", "1:1,2:1", "--len", "4"]) == 3
+
+    def test_solve_parallel_writes_the_serial_witness(self, tmp_path):
+        # {1,2,2,3} tiles length 10 in several ways
+        outs = []
+        for extra in ([], ["--parallel", "2"]):
+            out = tmp_path / f"w{len(extra)}.json"
+            assert run(["solve", "--gaps", "1:1,2:2,3:1", "--len", "10", "--out", str(out), *extra]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_minlen_budget_exceeded_is_an_error_exit_3(self, capsys):
         # {3,4,5,5} tiles length 70; the budget runs out long before that

@@ -371,6 +371,22 @@ class TestThresholds:
         assert rows[-1].stage == "stage-4 final"
         assert rows[-1].required == st.L * (st.L + 1)
 
+    def test_final_stage_heights_are_not_searched(self, monkeypatch):
+        # the final stage lifts (8, 8, c) rectangles, and (8, 8, 10) alone
+        # takes seconds to search; a dry run reports the row without them
+        calls = []
+        real = pipeline.min_height_rect
+
+        def spy(k, l, m, table=None):
+            calls.append((k, l, m))
+            return real(k, l, m, table=table)
+
+        monkeypatch.setattr(pipeline, "min_height_rect", spy)
+        rows = thresholds(gs((1, 7), (225, 1), (10**9, 8)), SplitSpec(2, 1)).rows
+        assert [r.stage for r in rows] == ["stage-2 boundary-base", "stage-3 final"]
+        assert rows[-1].required == 16406550 and rows[-1].achieved == 10**9
+        assert calls == [(7, 1, 8)]
+
     def test_prefix_too_small(self):
         with pytest.raises(PreconditionError):
             thresholds(gs((1, 1),))

@@ -52,8 +52,9 @@ class TestSolveInterval:
         assert out.status is SearchStatus.EXHAUSTED_NO_SOLUTION
         assert not naive_tilable((1, 2), 3)
 
-    def test_budget_status(self):
-        out = solve_interval(T(2, 3, 7), 36, SearchConfig(max_nodes=2))
+    @pytest.mark.parametrize("width", [0, 2])
+    def test_budget_status(self, width):
+        out = solve_interval(T(2, 3, 7), 36, SearchConfig(max_nodes=2, parallel_width=width))
         assert out.status is SearchStatus.BUDGET_EXCEEDED
 
     def test_deterministic_sequential(self):
@@ -77,6 +78,13 @@ class TestSolveInterval:
         none_seq = solve_interval(T(2, 2), 12)
         none_par = solve_interval(T(2, 2), 12, SearchConfig(parallel_width=2))
         assert none_seq.status == none_par.status
+        # several tilings each, whose roots can finish out of order
+        for gaps, n in [((1, 1, 2, 3), 10), ((1, 2, 2, 3), 10), ((1, 1, 3, 6), 20), ((2, 3, 5, 6), 20)]:
+            seq = solve_interval(T(*gaps), n)
+            assert seq.status is SearchStatus.FOUND
+            for _ in range(8):
+                par = solve_interval(T(*gaps), n, SearchConfig(parallel_width=2))
+                assert par.witnesses == seq.witnesses, (gaps, n)
 
 
 class TestMinInterval:
