@@ -164,11 +164,7 @@ def cmd_solve(args) -> int:
 def cmd_minlen(args) -> int:
     gaps = parse_gaps(args.gaps)
     cfg = SearchConfig(max_nodes=args.max_nodes, parallel_width=args.parallel)
-    try:
-        found = min_interval(gaps, args.max, cfg)
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    found = min_interval(gaps, args.max, cfg)
     if found is None:
         print(f"not found within {args.max}")
         return 3
@@ -258,14 +254,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_fvalue(args) -> int:
-    try:
-        f, witness = min_height_rect(args.k, args.l, args.m)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    f, witness = min_height_rect(args.k, args.l, args.m)
     if args.out:
         write_json(args.out, rectangle_to_obj(witness))
     print(f"f({args.k},{args.l},{args.m}) = {f}")
@@ -361,6 +350,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SearchExhausted as exc:  # a search ran out of budget: minlen, fvalue, construct
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

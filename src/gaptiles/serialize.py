@@ -19,9 +19,12 @@ leaves the earlier file as it was and no temporary file behind.
 read_json reads that layout back from the bytes: the rows array is cut out
 of the file, checked byte by byte against the canonical grammar with a few
 array passes, and read into the CSR arrays by np.fromstring, while
-json.loads parses the small rest of the object. A file laid out any other
-way goes through json.loads whole, so it reads exactly as before. Either
-way a point or a header number that is not a JSON integer is a parse error
+json.loads parses the small rest of the object. The array is checked and
+read in pieces of about 1 MB, each cut just after a comma, so the scratch
+memory is bounded by the piece size, not by the file; the grammar is the
+same whatever the piece size. A file laid out any other way goes through
+json.loads whole, so it reads exactly as before. Either way a point or a
+header number that is not a JSON integer is a parse error
 (PreconditionError), never truncated or read as 0 or 1.
 """
 
@@ -208,6 +211,8 @@ _ROW_BYTES = bytes(
     for c in range(256)
 )
 _TWO63 = np.frombuffer(str(2**63).encode("ascii"), dtype=np.uint8)  # 19 digits
+# Bytes of the rows array checked and read at a time.
+_PIECE_BYTES = 1 << 20
 
 
 def _read_tiling(data: bytes) -> dict | None:
@@ -248,62 +253,99 @@ def _read_tiling(data: bytes) -> dict | None:
     return None
 
 
-def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths | None:
-    """The rows array data[a:end] as a Tiles (depth 2) or Paths (depth 3)
-    view, or None if it is anything but canonical rows of int64 values that
-    make a valid view.
+def _rows_from_bytes(
+    data: bytes, a: int, end: int, depth: int, piece: int = _PIECE_BYTES
+) -> Tiles | Paths | None:
+    """The rows array data[a:end], which ends in `depth` "]", as a Tiles
+    (depth 2) or Paths (depth 3) view, or None if it is anything but
+    canonical rows of int64 values that make a valid view.
 
     Canonical rows hold numbers -?(0|[1-9][0-9]*) split by "," within a
     point (paths), "," or "],[" between points, and "]],[[" between paths.
     So every bracket inside the array sits next to a comma, the commas give
     the bounds of every number, and np.fromstring reads the values.
+
+    The numbers are checked and read in pieces of about `piece` bytes, each
+    cut just after a comma, so the scratch arrays stay as small as a piece;
+    only the values, the row breaks and running totals outlive one. The
+    bracket runs beside a comma are read from the whole file, so a seam
+    changes nothing: every piece size gives the same view or the same None.
     """
     per_point = depth - 1  # numbers per point
     if end - a == 2:  # "[]"
         return (Tiles if depth == 2 else Paths).from_rows([])
-    text = data[a + depth : end - depth].translate(_ROW_BYTES)
-    if not data.startswith(b"[" * depth, a) or not text or b"*" in text:
+    first, last = a + depth, end - depth  # the numbers and their punctuation
+    if not data.startswith(b"[" * depth, a) or first >= last:
         return None
-    u = np.frombuffer(data, dtype=np.uint8, count=end - a, offset=a)
-    commas = np.flatnonzero(u == ord(","))
-    # "]" closed just before and "[" opened just after each comma
-    shut = np.zeros(commas.size, dtype=np.int8)
-    opened = np.zeros(commas.size, dtype=np.int8)
-    run_shut = np.ones(commas.size, dtype=bool)
-    run_open = np.ones(commas.size, dtype=bool)
-    for i in range(1, depth):
-        run_shut &= u[commas - i] == ord("]")
-        run_open &= u[commas + i] == ord("[")
-        shut += run_shut
-        opened += run_open
-    if (
-        not np.array_equal(shut, opened)
-        or np.count_nonzero(u > ord("9")) != 2 * (depth + int(shut.sum()))  # no other bracket
-        or (per_point == 2 and (commas.size % 2 == 0 or shut[::2].any() or not shut[1::2].all()))
-    ):
-        return None
-    starts = np.concatenate(([depth], commas + 1 + opened))
-    ends = np.concatenate((commas - shut, [u.size - depth]))
-    neg = u[starts] == ord("-")
-    lead = starts + neg
-    digits = ends - lead
-    if (
-        np.count_nonzero(neg) != np.count_nonzero(u == ord("-"))
-        or digits.min() < 1
-        or digits.max() > 19
-        or ((u[lead] == ord("0")) & (digits > 1)).any()
-    ):
-        return None
-    big = np.flatnonzero(digits == 19)
-    if big.size:
-        # each 19-digit magnitude against 2**63, which only a negative may reach
-        diff = u[lead[big, None] + np.arange(19)].astype(np.int16) - _TWO63
-        first = diff[np.arange(big.size), (diff != 0).argmax(axis=1)]
-        if ((first > 0) | ((first == 0) & ~neg[big])).any():
+    u = np.frombuffer(data, dtype=np.uint8)
+    values = np.empty(data.count(b",", first, last) + 1, dtype=np.int64)
+    breaks = []  # points before each later row, per piece
+    n_values = n_commas = 0
+    start = first  # where the next number starts
+    s = first
+    while s < last:
+        cut = data.find(b",", s + piece - 1, last)
+        e = last if cut < 0 else cut + 1
+        text = data[s:e].translate(_ROW_BYTES)
+        if b"*" in text:
             return None
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    breaks = (np.flatnonzero(shut == per_point) + 1) // per_point  # points before each later row
-    offsets = np.concatenate(([0], breaks, [values.size // per_point]))
+        w = u[s:e]
+        commas = np.flatnonzero(w == ord(",")) + s
+        # "]" closed just before and "[" opened just after each comma
+        shut = np.zeros(commas.size, dtype=np.int8)
+        opened = np.zeros(commas.size, dtype=np.int8)
+        run_shut = np.ones(commas.size, dtype=bool)
+        run_open = np.ones(commas.size, dtype=bool)
+        for i in range(1, depth):
+            run_shut &= u[commas - i] == ord("]")
+            run_open &= u[commas + i] == ord("[")
+            shut += run_shut
+            opened += run_open
+        if not np.array_equal(shut, opened):
+            return None
+        # within a point (an even comma overall) nothing closes, between points something does
+        within = n_commas % 2
+        if per_point == 2 and (shut[within::2].any() or not shut[1 - within :: 2].all()):
+            return None
+        starts = np.concatenate(([start], commas + 1 + opened))
+        ends = commas - shut
+        if e < last:
+            starts, after = starts[:-1], int(starts[-1])
+        else:
+            ends, after = np.append(ends, last), e
+        # no other bracket: the piece holds the runs beside its commas, less
+        # the "[" run after its last comma and plus the one it starts with
+        if np.count_nonzero(w > ord("9")) != 2 * int(shut.sum()) + (start - s) - (after - e):
+            return None
+        start = after
+        neg = u[starts] == ord("-")
+        lead = starts + neg
+        digits = ends - lead
+        if (
+            np.count_nonzero(neg) != np.count_nonzero(w == ord("-"))
+            or digits.min() < 1
+            or digits.max() > 19
+            or ((u[lead] == ord("0")) & (digits > 1)).any()
+        ):
+            return None
+        big = np.flatnonzero(digits == 19)
+        if big.size:
+            # each 19-digit magnitude against 2**63, which only a negative may reach
+            diff = u[lead[big, None] + np.arange(19)].astype(np.int16) - _TWO63
+            first_diff = diff[np.arange(big.size), (diff != 0).argmax(axis=1)]
+            if ((first_diff > 0) | ((first_diff == 0) & ~neg[big])).any():
+                return None
+        got = np.fromstring(text, dtype=np.int64, sep=" ")
+        if got.size != starts.size:
+            return None
+        values[n_values : n_values + got.size] = got
+        breaks.append((n_commas + np.flatnonzero(shut == per_point) + 1) // per_point)
+        n_values += got.size
+        n_commas += commas.size
+        s = e
+    if per_point == 2 and n_commas % 2 == 0:
+        return None
+    offsets = np.concatenate(([0], *breaks, [values.size // per_point]))
     try:
         return Tiles(offsets, values) if depth == 2 else Paths(offsets, values[::2], values[1::2])
     except PreconditionError:
@@ -375,8 +417,10 @@ def tiling_from_obj(obj: Any) -> tuple[str, Any, GapSet | None]:
     try:
         if kind == "interval":
             gs = gap_set_from_obj(obj["gap_set"])
-            ann_obj = obj.get("annotations") or {}
-            if not isinstance(ann_obj, dict):
+            ann_obj = obj.get("annotations")
+            if ann_obj is None:
+                ann_obj = {}
+            elif not isinstance(ann_obj, dict):
                 raise PreconditionError(f"annotations must be an object, not {ann_obj!r}")
             count = ann_obj.get("boundary_prefix_count")
             ann = TilingAnnotations(

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import PreconditionError
 from .types import (
     DEFAULT_VIOLATION_CAP,
     GapSet,
@@ -168,7 +169,7 @@ def verify_boundary_prefix(
     Assumes the tiling itself is valid (run verify_interval_tiling separately).
     """
     if d1 < 1 or count < 0:
-        raise ValueError("d1 must be >= 1 and count >= 0")
+        raise PreconditionError("d1 must be >= 1 and count >= 0")
     rep = ReportBuilder(max_violations)
     tiles = tiling.tiles
     for idx in np.flatnonzero(tiles.ends() >= tiling.length - d1).tolist():

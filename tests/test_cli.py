@@ -13,7 +13,7 @@ import gaptiles
 from gaptiles import GapSet, Paths, RectangleTiling, cli, pipeline, stair_tiling, verify_interval_tiling
 from gaptiles.catalog import enumerate_gap_sets
 from gaptiles.cli import main, parse_gaps
-from gaptiles.errors import PreconditionError
+from gaptiles.errors import PreconditionError, SearchExhausted
 from gaptiles.serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
 
 
@@ -146,6 +146,18 @@ class TestConstructCommand:
         assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=["build", "thresholds-only"])
+    def test_exhausted_height_search_exit_3(self, tmp_path, capsys, monkeypatch, dry_run):
+        def exhausted(k, l, m, table=None):
+            raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
+
+        monkeypatch.setattr(pipeline, "min_height_rect", exhausted)
+        args = ["--thresholds-only"] if dry_run else ["--out", str(tmp_path / "t.json")]
+        assert run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", *args]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: height search budget exceeded at f=1 for \(\d+,\d+,\d+\)\n", err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_auto_split(self, tmp_path):
         out = tmp_path / "t.json"
         assert run(["construct", "--gaps", "1:1,9:1,2970:1", "--out", str(out)]) == 0
@@ -207,6 +219,16 @@ class TestVerifyCommand:
         run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)])
         assert run(["verify", str(out), "--boundary", "1,1"]) == 0
         assert run(["verify", str(out), "--boundary", "1,+1"]) == 1
+
+    @pytest.mark.parametrize("boundary", ["1,-1", "0,1"])
+    def test_out_of_range_boundary_exit_1(self, tmp_path, capsys, boundary):
+        out = tmp_path / "t.json"
+        run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["verify", str(out), "--boundary", boundary]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: d1 must be >= 1 and count >= 0\n"
+        assert "Traceback" not in captured.err
 
     def test_corrupted_file_exit_4(self, tmp_path):
         out = tmp_path / "t.json"
@@ -318,6 +340,8 @@ class TestVerifyCommand:
             ({"annotations": {"boundary_prefix_count": 1.0}}, "boundary_prefix_count must be an integer, not 1.0"),
             ({"annotations": {"homogeneous_for": [[1.0, 1]]}}, "a gap distance must be an integer, not 1.0"),
             ({"annotations": [1]}, "annotations must be an object, not [1]"),
+            ({"annotations": []}, "annotations must be an object, not []"),
+            ({"annotations": False}, "annotations must be an object, not False"),
             ({"kind": "rectangle", "width": 2.5}, "width must be an integer, not 2.5"),
             ({"kind": "rectangle", "height": True}, "height must be an integer, not True"),
             ({"kind": "rectangle", "window": "1"}, "window must be an integer, not '1'"),
@@ -327,7 +351,8 @@ class TestVerifyCommand:
         ],
         ids=[
             "float-length-and-gap", "float-length", "bool-length", "bool-multiplicity", "string-length",
-            "string-boundary-count", "float-boundary-count", "float-homogeneous-gap", "list-annotations", "float-width",
+            "string-boundary-count", "float-boundary-count", "float-homogeneous-gap", "list-annotations",
+            "empty-list-annotations", "false-annotations", "float-width",
             "bool-height", "string-window", "float-step", "bool-step-multiplicity", "three-coordinate-step",
         ],
     )
@@ -512,6 +537,18 @@ def test_height_cache_env_round_trip(tmp_path, monkeypatch):
     assert (cache / "index.json").exists()
     # second run hits the persisted witness
     assert run(["fvalue", "--k", "1", "--l", "2", "--m", "3"]) == 0
+
+
+def test_fvalue_errors(capsys, monkeypatch):
+    assert run(["fvalue", "--k", "0", "--l", "1", "--m", "2"]) == 1
+    assert capsys.readouterr().err == "error: k and l must be >= 1\n"
+
+    def exhausted(k, l, m):
+        raise SearchExhausted(f"no admissible height <= 9 for ({k},{l},{m})")
+
+    monkeypatch.setattr(cli, "min_height_rect", exhausted)
+    assert run(["fvalue", "--k", "1", "--l", "2", "--m", "3"]) == 3
+    assert capsys.readouterr().err == "error: no admissible height <= 9 for (1,2,3)\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
-from test_serialize_properties import assert_paths_agree
+from test_serialize_properties import assert_paths_agree, read_in_pieces_of
 
 from gaptiles import (
     GapSet,
@@ -176,6 +178,8 @@ INTERVAL_FILES = {
     "bare-minus": tiles("[[0,1],[2,-,3]]"),
     "inner-minus": tiles("[[0,1],[2,3-4]]"),
     "double-minus": tiles("[[0,1],[2,--3]]"),
+    "minus-then-brackets": tiles("[[0,-]],[-2,3]]"),
+    "minus-then-closing-brackets": tiles("[[0,1],[2,-]]]"),
     "number-between-rows": tiles("[[0,1],2,[3,4]]"),
     "first-row-unopened": tiles("[0,1],[2,3]]"),
     "number-before-first-row": tiles("[5[0,1],[2,3]]"),
@@ -219,3 +223,33 @@ RECTANGLE_FILES = {
 @pytest.mark.parametrize("text", list(RECTANGLE_FILES.values()), ids=list(RECTANGLE_FILES))
 def test_rectangle_files_read_as_json_loads_reads_them(text):
     assert_paths_agree(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*INTERVAL_FILES.values(), *RECTANGLE_FILES.values()],
+    ids=[*(f"interval-{k}" for k in INTERVAL_FILES), *(f"rectangle-{k}" for k in RECTANGLE_FILES)],
+)
+def test_named_files_read_the_same_in_small_pieces(text):
+    # pieces of a few bytes put seams beside every "],[" and "]],[["
+    for piece in range(1, 9):
+        with read_in_pieces_of(piece):
+            assert_paths_agree(text.encode("utf-8"))
+
+
+def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
+    # 2**18 tiles of 4 points, 7-digit values: about 1M points in an 8 MB file
+    values = np.arange(1 << 20, dtype=np.int64) * 8 + 1_000_000
+    tiling = Tiles(np.arange(0, values.size + 1, 4), values)
+    path = tmp_path / "t.json"
+    write_json(path, {"kind": "interval", "length": 9_400_000, "gap_set": [[8, 3]], "tiles": tiling})
+    tracemalloc.start()
+    try:
+        back = read_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back["tiles"] == tiling
+    arrays = back["tiles"].values.nbytes + back["tiles"].offsets.nbytes
+    # reading the rows in one go took about 4.5 times the file's size on top
+    assert peak <= path.stat().st_size + arrays + (16 << 20)

@@ -1,10 +1,11 @@
 """Property tests: the canonical dump, printed from the CSR arrays chunk by
 chunk, is exactly json.dumps of the same rows as lists, for any int64
 values and wherever a chunk ends; read_json gives the arrays back by its
-byte pass; and any file, canonical or not, reads the same by the byte pass
-as by json.loads alone."""
+byte pass, whatever size the pieces it reads them in; and any file,
+canonical or not, reads the same by the byte pass as by json.loads alone."""
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -32,10 +33,10 @@ tiles = st.lists(tile, max_size=8)
 
 
 @st.composite
-def paths(draw):
+def paths(draw, coords=values):
     rows = []
     for _ in range(draw(st.integers(0, 6))):
-        x, y = draw(values), draw(values)
+        x, y = draw(coords), draw(coords)
         row = [[x, y]]
         for _ in range(draw(st.integers(0, 4))):
             dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (3, 11), (10_000, 0)]))
@@ -172,3 +173,69 @@ def spliced(draw):
 @given(spliced())
 def test_spliced_files_read_the_same_on_both_paths(text):
     assert_paths_agree(text)
+
+
+def rows_reads(text: bytes) -> list[tuple]:
+    """The arguments that read_json's byte pass gives _rows_from_bytes for
+    the file text: none if it declines the file before the rows."""
+    calls = []
+    real = serialize._rows_from_bytes
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(serialize, "_rows_from_bytes", spy):
+        serialize._read_tiling(text)
+    return calls
+
+
+def assert_pieces_agree(text: bytes, sizes=None) -> None:
+    """The rows of the file read to the same view, or the same None, in
+    pieces of every size (of each of `sizes`) as in one piece."""
+    for data, a, end, depth in rows_reads(text):
+        whole = serialize._rows_from_bytes(data, a, end, depth, end - a)
+        for piece in sizes or range(1, end - a + 2):
+            got = serialize._rows_from_bytes(data, a, end, depth, piece)
+            assert type(got) is type(whole) and got == whole, piece
+
+
+# magnitudes of 19 digits, the most an int64 has, of either sign
+nineteen = st.integers(10**18, INT64_MAX).flatmap(lambda m: st.sampled_from([m, -m]))
+wide = st.one_of(values, nineteen, st.sampled_from([INT64_MIN, INT64_MAX]))
+few_tiles = st.lists(st.lists(wide, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
+
+
+# bracket runs longer than the rows' depth, and after a bare minus sign
+BRACKET_RUNS = [b"]]]", b"[[[", b"]]],[[[", b"-]", b"-]]", b"-]]]", b"-]],[-", b"-]]],[[[-"]
+
+
+@st.composite
+def split_rows(draw):
+    """A canonical interval or rectangle file, its rows left whole or with
+    one of SPLICES or BRACKET_RUNS put somewhere inside them."""
+    if draw(st.booleans()):
+        key, view = b'"tiles":', Tiles.from_rows(draw(few_tiles))
+        obj = {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": view}
+    else:
+        key, view = b'"paths":', Paths.from_rows(draw(paths(wide).filter(lambda rows: len(rows) <= 3)))
+        obj = {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]], "paths": view}
+    rows = _rows_json(view).encode()
+    split = rows
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows)))
+        j = draw(st.integers(i, min(i + 3, len(rows))))
+        split = rows[:i] + draw(st.sampled_from(SPLICES + BRACKET_RUNS)) + rows[j:]
+    return dumps_canonical(obj).encode().replace(key + rows, key + split)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_rows())
+def test_every_piece_size_reads_the_rows_as_one_piece(text):
+    assert_pieces_agree(text)
+
+
+def read_in_pieces_of(piece: int):
+    """read_json with the rows read in pieces of `piece` bytes."""
+    real = serialize._rows_from_bytes
+    return mock.patch.object(serialize, "_rows_from_bytes", functools.partial(real, piece=piece))
