@@ -16,7 +16,7 @@ from contextlib import ExitStack
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .errors import SearchExhausted
+from .errors import PreconditionError, SearchExhausted
 from .oracle import SearchConfig, min_interval
 from .serialize import dumps_canonical, gap_set_to_obj, interval_to_obj, write_json
 from .types import GapSet
@@ -101,6 +101,9 @@ def run_catalog(
 ) -> dict:
     """Run (or resume) a catalog. Returns a summary dict; records are appended
     to `path` and witnesses written next to it."""
+    if workers < 0:
+        raise PreconditionError(f"workers must be >= 0, got {workers}")
+    SearchConfig(max_nodes=max_nodes)  # refuses a budget below 1 before a file is touched
     path = Path(path)
     gap_sets = enumerate_gap_sets(max_distance, max_multiplicity)
     chash = config_hash(max_distance, max_multiplicity, n_max, max_nodes)

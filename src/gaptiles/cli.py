@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SearchExhausted as exc:  # a search ran out of budget: minlen, fvalue, construct
+    except SearchExhausted as exc:  # a search ran out of budget: minlen, fvalue, construct, conditions
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pipeline import auto_split, thresholds
-from .errors import NoFeasibleSplit, TilingError
+from .errors import NoFeasibleSplit, SearchExhausted, TilingError
 from .types import GapSet, SplitSpec
 
 SATISFIED = "satisfied"
@@ -118,7 +118,9 @@ def check_two_value_representation(gap_set: GapSet) -> ConditionResult:
 
 def check_staged_growth(gap_set: GapSet, split: SplitSpec | None = None) -> list[ConditionResult]:
     """This package's own pipeline hypotheses: the multiplicity inequalities
-    plus every per-stage distance threshold, evaluated per feasible split."""
+    plus every per-stage distance threshold, evaluated per feasible split.
+    A height search that runs out of budget decides nothing, so its
+    SearchExhausted propagates."""
     if len(gap_set.entries) < 2:
         return [
             ConditionResult(
@@ -143,6 +145,8 @@ def check_staged_growth(gap_set: GapSet, split: SplitSpec | None = None) -> list
         name = f"staged-growth(s={sp.s},p={sp.p})"
         try:
             report = thresholds(gap_set, sp)
+        except SearchExhausted:
+            raise
         except TilingError as exc:
             results.append(ConditionResult(name, NOT_SATISFIED, {"reason": str(exc)}))
             continue

@@ -4,6 +4,9 @@ The branching rule is leftmost-point placement: the least uncovered point (in
 ascending order for intervals, row-major order for rectangles) must be the
 first point of the next placed tile or path. Monotonicity makes this sound,
 so a fully exhausted search is a proof that no tiling of that size exists.
+
+One search serves both shapes: an interval of length n is a width-n,
+height-1 rectangle whose paths take steps (g, 0), one per gap.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .errors import ConstructionError, SearchExhausted
+from .errors import ConstructionError, PreconditionError, SearchExhausted
 from .types import (
     GapSet,
     IntervalTiling,
@@ -37,24 +40,29 @@ class SearchStatus(Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets of one search. ``max_nodes`` bounds the DFS states one
-    solve_interval or solve_rectangle call enters; min_interval gives the
-    same bound to its frontier sweep, which counts settled states, and to the
-    search at the length the sweep finds."""
+    solve_interval or solve_rectangle call counts, as SearchOutcome counts
+    them; min_interval gives the same bound to its frontier sweep, which
+    counts settled states, and to the search at the length the sweep finds.
+    A value out of range raises PreconditionError."""
 
     max_nodes: int = 10_000_000
     max_solutions: int = 1
     parallel_width: int = 0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_solutions < 1 or self.parallel_width < 0:
-            raise ValueError("budgets must be positive and parallel_width >= 0")
+        for name, least in (("max_nodes", 1), ("max_solutions", 1), ("parallel_width", 0)):
+            if getattr(self, name) < least:
+                raise PreconditionError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of one search. ``nodes_explored`` counts the DFS states entered
-    (a placed-tile configuration, solution leaves included); ``max_nodes``
-    bounds the same count."""
+    """Result of one search. ``nodes_explored`` counts the DFS states (a
+    placed-tile configuration, solution leaves included): those the search
+    enters, plus each child its look-ahead skips, as one state, because no
+    tile starts at the child's leftmost free point. ``max_nodes`` bounds the
+    same count. Intervals and rectangles share the search; only intervals
+    keep its memo of dead frontiers."""
 
     status: SearchStatus
     witnesses: tuple
@@ -105,52 +113,51 @@ def _first_step_runs(masks: Sequence[int]) -> tuple[tuple[int, tuple[tuple[int, 
     return tuple((bit, tuple(orders)) for bit, orders in runs)
 
 
-@lru_cache(maxsize=256)
-def _gap_orders(gaps: tuple[int, ...]):
-    """Offsets (prefix sums from 0) per distinct gap order, and their first-step runs."""
+@lru_cache(maxsize=512)  # room for a catalog's gap sets and the height searches' shapes
+def _orders(steps: tuple[tuple[int, int], ...], width: int):
+    """Point offsets per distinct step order, flattened at row width, and
+    their first-step runs. An interval's orders lie on one row, where any
+    width serves."""
     offsets = []
-    for perm in multiset_permutations(gaps):
+    for perm in multiset_permutations(steps):
         offs = [0]
-        for g in perm:
-            offs.append(offs[-1] + g)
+        for dx, dy in perm:
+            offs.append(offs[-1] + dx + dy * width)
         offsets.append(tuple(offs))
     return tuple(offsets), _first_step_runs([sum(1 << o for o in offs) for offs in offsets])
 
 
-def _interval_dfs(
-    length: int,
-    span: int,
-    runs,
-    occupied: int,
-    placements: list[tuple[int, int]],
-    budget: list[int],
-    solutions: list[tuple[tuple[int, int], ...]],
-    max_solutions: int,
-    dead: set[int],
-) -> bool:
+def _interval_orders(gaps: tuple[int, ...], length: int):
+    """Offsets and runs of the gap orders as steps ``(g, 0)``, and the startable
+    table of ``length``: a tile starts at ``c`` when ``c + span < length``."""
+    offsets, runs = _orders(tuple((g, 0) for g in gaps), 1)
+    span = sum(gaps)
+    return offsets, runs, [c + span < length for c in range(length)] + [True]
+
+
+def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_solutions, dead) -> bool:
     """Returns True when the search should stop (budget hit or enough solutions).
 
-    ``span`` is the sum of the gaps, the reach of every order. ``dead`` holds
-    the frontiers whose subtrees were exhausted without a solution. Below a
-    node, the search depends only on ``occupied >> c`` and ``length - c``; the
-    tiles placed so far start before ``c``, so that rest is below
-    ``2**span`` and the pair packs into one int.
+    A state is the leftmost free point ``c`` and ``rest``, the occupied points
+    from ``c`` on, shifted down by ``c``; ``c == total`` is a full cover.
+    ``startable[c]`` says whether a tile fits at ``c`` with the points ahead
+    free, and ``startable[total]`` is true. ``dead``, one set of rests per
+    ``c`` or None, holds the states whose subtrees held no solution.
+
+    Look-ahead: a child whose leftmost free point is not startable is not
+    entered. It counts as one state against the budget, as it would if it
+    were entered and cut, so the cut on entry fires only where a search starts.
     """
     budget[0] += 1
     if budget[0] > budget[1]:
         budget[2] = 1
         return True
-    full = (1 << length) - 1
-    if occupied == full:
+    if c == total:
         solutions.append(tuple(placements))
         return len(solutions) >= max_solutions
-    free = ~occupied & full
-    c = (free & -free).bit_length() - 1
-    if c + span >= length:
+    if not startable[c]:  # only where a search starts; the look-ahead skips the rest
         return False
-    rest = occupied >> c
-    key = rest | (length - c) << span
-    if key in dead:
+    if dead is not None and rest in dead[c]:
         return False
     found = len(solutions)
     for bit, orders in runs:
@@ -159,38 +166,55 @@ def _interval_dfs(
         for oi, mask in orders:
             if rest & mask:
                 continue
+            occ = rest | mask
+            step = (~occ & (occ + 1)).bit_length() - 1
+            if not startable[c + step]:
+                budget[0] += 1
+                if budget[0] > budget[1]:
+                    budget[2] = 1
+                    return True
+                continue
             placements.append((c, oi))
-            if _interval_dfs(
-                length, span, runs, occupied | mask << c, placements, budget, solutions,
+            if _dfs(
+                total, startable, runs, occ >> step, c + step, placements, budget, solutions,
                 max_solutions, dead,
             ):
                 return True
             placements.pop()
-    if len(solutions) == found:
-        dead.add(key)
+    if dead is not None and len(solutions) == found:
+        dead[c].add(rest)
     return False
 
 
-def _build_interval_witness(length: int, offsets, placements) -> IntervalTiling:
-    tiles = []
-    for start, oi in placements:
-        offs = offsets[oi]
-        tiles.append(Tile(tuple(start + o for o in offs)))
-    tiles.sort(key=lambda t: t.points[0])
-    return IntervalTiling(length, tuple(tiles))
+def _search(startable, runs, occupied: int, placements: list, cfg: SearchConfig, memo: bool):
+    """The DFS from the state where ``placements`` cover ``occupied``, from
+    point 0 on: (solutions, states counted, whether the budget ran out)."""
+    total = len(startable) - 1
+    c = (~occupied & (occupied + 1)).bit_length() - 1
+    solutions: list = []
+    budget = [0, cfg.max_nodes, 0]
+    dead = [set() for _ in range(total)] if memo else None
+    _dfs(total, startable, runs, occupied >> c, c, placements, budget, solutions, cfg.max_solutions, dead)
+    return solutions, budget[0], bool(budget[2])
+
+
+def _outcome(witnesses: tuple, nodes: int, budget_hit: bool, verify) -> SearchOutcome:
+    """Checks every witness with ``verify`` and classifies the search."""
+    for wit in witnesses:
+        if not verify(wit).ok:
+            raise ConstructionError("search produced a witness that fails verification")
+    if witnesses:
+        return SearchOutcome(SearchStatus.FOUND, witnesses, nodes)
+    status = SearchStatus.BUDGET_EXCEEDED if budget_hit else SearchStatus.EXHAUSTED_NO_SOLUTION
+    return SearchOutcome(status, (), nodes)
 
 
 def _solve_root(gaps: tuple[int, ...], length: int, cfg: SearchConfig, root: int):
     """The serial search below root order ``root`` placed at point 0, with its
-    own frontier memo and ``cfg.max_nodes`` budget: (solutions, nodes entered)."""
-    offsets, runs = _gap_orders(gaps)
-    solutions: list = []
-    budget = [0, cfg.max_nodes, 0]
+    own frontier memo and ``cfg.max_nodes`` budget."""
+    offsets, runs, startable = _interval_orders(gaps, length)
     mask = sum(1 << o for o in offsets[root])
-    _interval_dfs(
-        length, sum(gaps), runs, mask, [(0, root)], budget, solutions, cfg.max_solutions, set()
-    )
-    return solutions, budget[0]
+    return _search(startable, runs, mask, [(0, root)], cfg, True)
 
 
 def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None) -> SearchOutcome:
@@ -204,19 +228,18 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
     if length < 1 or length % ppt != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
     gaps = gap_set.expand()
-    offsets, runs = _gap_orders(gaps)
-    solutions: list = []
-    if cfg.parallel_width > 0 and len(offsets) > 1 and sum(gaps) < length:
+    offsets, runs, startable = _interval_orders(gaps, length)
+    if cfg.parallel_width > 0 and len(offsets) > 1 and startable[0]:
         # One task per root order (the gap order placed at point 0), taken
         # in serial order: the first root with a solution runs to completion,
         # so the witnesses are the serial search's. Leaving the pool
         # terminates the roots still running. Where no order fits, the serial
         # search below stops at its root.
-        nodes = 1  # the root state, as the serial search counts it
-        budget_hit = False
+        # nodes starts at 1: the root state, as the serial search counts it
+        solutions, nodes, budget_hit = [], 1, False
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(cfg.parallel_width, len(offsets))) as pool:
-            for found, entered in pool.imap(
+            for found, entered, _ in pool.imap(
                 partial(_solve_root, gaps, length, cfg), range(len(offsets))
             ):
                 solutions += found
@@ -228,20 +251,13 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
                     break
         del solutions[cfg.max_solutions :]
     else:
-        budget = [0, cfg.max_nodes, 0]
-        _interval_dfs(length, sum(gaps), runs, 0, [], budget, solutions, cfg.max_solutions, set())
-        nodes = budget[0]
-        budget_hit = bool(budget[2])
-    witnesses = tuple(_build_interval_witness(length, offsets, p) for p in solutions)
-
-    if witnesses:
-        for wit in witnesses:
-            if not verify_interval_tiling(wit, gap_set).ok:
-                raise ConstructionError("search produced a witness that fails verification")
-        return SearchOutcome(SearchStatus.FOUND, witnesses, nodes)
-    if budget_hit:
-        return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, (), nodes)
-    return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), nodes)
+        solutions, nodes, budget_hit = _search(startable, runs, 0, [], cfg, True)
+    # placements come in order of their first points
+    witnesses = tuple(
+        IntervalTiling(length, tuple(Tile(tuple(c + o for o in offsets[oi])) for c, oi in p))
+        for p in solutions
+    )
+    return _outcome(witnesses, nodes, budget_hit, lambda wit: verify_interval_tiling(wit, gap_set))
 
 
 def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | None:
@@ -249,7 +265,7 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
     sweep over frontier states (Newman's finite-state view of tilings of Z).
 
     A state is ``rest = occupied >> c`` at the leftmost free point ``c``, as
-    in _interval_dfs; what can follow depends on ``rest`` alone, so each rest
+    in _dfs; what can follow depends on ``rest`` alone, so each rest
     is settled once, at the least ``c`` that reaches it, with one bucket per
     ``c`` (Dial's algorithm). A tile placed at ``c`` covers ``c + span``, the
     highest point of the next state, so the next state's position is ``c``
@@ -261,7 +277,7 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
     SearchExhausted names the least admissible length not yet decided.
     """
     span = sum(gaps)
-    _, runs = _gap_orders(gaps)
+    _, runs = _orders(tuple((g, 0) for g in gaps), 1)
     limit = n_max - span
     buckets: list[list[int]] = [[] for _ in range(max(limit, 0))]
     if buckets:
@@ -323,55 +339,6 @@ def min_interval(
     return n, outcome.witnesses[0]
 
 
-@lru_cache(maxsize=256)
-def _step_orders(steps: tuple[tuple[int, int], ...], width: int):
-    """Walks per distinct step order, and their first-step runs with masks
-    flattened at row width."""
-    walks = []
-    for perm in multiset_permutations(steps):
-        walk = [(0, 0)]
-        for dx, dy in perm:
-            px, py = walk[-1]
-            walk.append((px + dx, py + dy))
-        walks.append(tuple(walk))
-    masks = [sum(1 << (x + y * width) for x, y in walk) for walk in walks]
-    return tuple(walks), _first_step_runs(masks)
-
-
-def _rect_dfs(width, height, kmax, lmax, runs, occupied, placements, budget, solutions, max_solutions):
-    """As _interval_dfs, without the frontier memo. Steps are nonnegative, so
-    every path's last point lies kmax columns right of and lmax rows above its
-    first, and no point lies farther."""
-    budget[0] += 1
-    if budget[0] > budget[1]:
-        budget[2] = 1
-        return True
-    full = (1 << width * height) - 1
-    if occupied == full:
-        solutions.append(tuple(placements))
-        return len(solutions) >= max_solutions
-    free = ~occupied & full
-    c = (free & -free).bit_length() - 1
-    cy, cx = divmod(c, width)
-    if cx + kmax >= width or cy + lmax >= height:
-        return False
-    rest = occupied >> c
-    for bit, orders in runs:
-        if rest & bit:
-            continue
-        for oi, mask in orders:
-            if rest & mask:
-                continue
-            placements.append((c, oi))
-            if _rect_dfs(
-                width, height, kmax, lmax, runs, occupied | mask << c, placements, budget,
-                solutions, max_solutions,
-            ):
-                return True
-            placements.pop()
-    return False
-
-
 def solve_rectangle(
     step_type: StepType | dict,
     width: int,
@@ -386,25 +353,18 @@ def solve_rectangle(
     ppp = len(steps) + 1
     if width < 1 or height < 1 or (width * height) % ppp != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
-    walks, runs = _step_orders(steps, width)
+    offsets, runs = _orders(steps, width)
+    # Steps are nonnegative, so every path's last point lies kmax columns
+    # right of and lmax rows above its first, and no point lies farther.
     kmax = sum(dx for dx, _ in steps)
     lmax = sum(dy for _, dy in steps)
-    solutions: list = []
-    budget = [0, cfg.max_nodes, 0]
-    _rect_dfs(width, height, kmax, lmax, runs, 0, [], budget, solutions, cfg.max_solutions)
+    startable = [
+        c % width + kmax < width and c // width + lmax < height for c in range(width * height)
+    ] + [True]
+    # No memo: one on the rectangle states got no hits.
+    solutions, nodes, budget_hit = _search(startable, runs, 0, [], cfg, False)
     witnesses = []
-    for placements in solutions:
-        paths = []
-        for c, oi in placements:
-            cx, cy = c % width, c // width
-            walk = walks[oi]
-            paths.append(LatticePath(tuple((cx + x, cy + y) for x, y in walk)))
+    for p in solutions:
+        paths = (LatticePath(tuple(((c + o) % width, (c + o) // width) for o in offsets[oi])) for c, oi in p)
         witnesses.append(RectangleTiling(width, height, tuple(paths), st))
-    if witnesses:
-        for wit in witnesses:
-            if not verify_rectangle_tiling(wit).ok:
-                raise ConstructionError("search produced a witness that fails verification")
-        return SearchOutcome(SearchStatus.FOUND, tuple(witnesses), budget[0])
-    if budget[2]:
-        return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, (), budget[0])
-    return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), budget[0])
+    return _outcome(tuple(witnesses), nodes, budget_hit, verify_rectangle_tiling)

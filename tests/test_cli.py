@@ -158,6 +158,18 @@ class TestConstructCommand:
         assert re.fullmatch(r"error: height search budget exceeded at f=1 for \(\d+,\d+,\d+\)\n", err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_exhausted_height_search_in_conditions_exit_3(self, capsys, monkeypatch):
+        # an undecided height search is no evidence that staged growth fails
+        def exhausted(k, l, m, table=None):
+            raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
+
+        monkeypatch.setattr(pipeline, "min_height_rect", exhausted)
+        assert run(["conditions", "--gaps", "1:1,9:1", "--split", "2,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        pattern = r"error: height search budget exceeded at f=1 for \(\d+,\d+,\d+\)\n"
+        assert re.fullmatch(pattern, captured.err)
+
     def test_auto_split(self, tmp_path):
         out = tmp_path / "t.json"
         assert run(["construct", "--gaps", "1:1,9:1,2970:1", "--out", str(out)]) == 0
@@ -211,6 +223,21 @@ class TestSolveCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: interval search budget exceeded at length ")
+
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--len", "6", "--max-nodes", "0"], "max_nodes must be >= 1, got 0"),
+            (["minlen", "--max", "30", "--max-nodes", "-1"], "max_nodes must be >= 1, got -1"),
+            (["solve", "--len", "6", "--parallel", "-1"], "parallel_width must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_budget_exit_1(self, capsys, args, message):
+        assert run([*args, "--gaps", "1:1,2:1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestVerifyCommand:
@@ -520,6 +547,20 @@ class TestCatalog:
         err = capsys.readouterr().err
         assert "NOT FOUND" not in err
         assert err.count("BUDGET EXCEEDED: interval search budget exceeded at length ") == 2
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--workers", "-1", "workers must be >= 0, got -1"), ("--max-nodes", "0", "max_nodes must be >= 1, got 0")],
+    )
+    def test_out_of_range_option_exit_1_without_a_file(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "catalog.jsonl"
+        assert run(
+            ["catalog", "--max-distance", "1", "--max-multiplicity", "1", "--nmax", "12",
+             flag, value, "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err == f"catalog error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_conditions_command(capsys):

@@ -4,10 +4,19 @@ oracle finds exactly the witnesses it found before its DFS tested each node
 once (SHA-256 of each output)."""
 
 import hashlib
+import itertools
 
 import pytest
 
-from gaptiles import boundary_base, homogeneous_base, homogeneous_step
+from gaptiles import (
+    GapSet,
+    SearchConfig,
+    boundary_base,
+    homogeneous_base,
+    homogeneous_step,
+    solve_interval,
+    solve_rectangle,
+)
 from gaptiles.catalog import run_catalog
 from gaptiles.cli import main
 from gaptiles.grid import HeightTable, min_height_rect
@@ -81,3 +90,51 @@ def test_min_height_witnesses_are_byte_identical():
     assert sha256("".join(dumps).encode()) == (
         "13e5e355bc409113ca364f45767566cccbc778b4f92eaa2736f41408b74e571f"
     )
+
+
+def _search_digest() -> str:
+    """SHA-256 over the status, the states entered and the witness points of
+    about 3,000 small interval and rectangle searches, each under three configs:
+    the default, a budget that runs out on the larger ones, and several
+    solutions."""
+    h = hashlib.sha256()
+
+    def record(outcome, witness_points):
+        h.update(f"{outcome.status.value} {outcome.nodes_explored}\n".encode())
+        for wit in outcome.witnesses:
+            h.update(f"{witness_points(wit)}\n".encode())
+
+    step_types = [
+        {vec: mult for vec, mult in (((1, 0), k), ((0, 1), l)) if mult}
+        for k in range(6)
+        for l in range(6 - k)
+        if k + l
+    ]
+    step_types += [
+        {(1, 0): 1, (1, 1): 1},
+        {(2, 0): 1, (0, 1): 1},
+        {(1, 0): 2, (0, 2): 1},
+        {(1, 0): 1, (0, 1): 1, (1, 1): 1},
+    ]
+    configs = [SearchConfig(), SearchConfig(max_nodes=30), SearchConfig(max_solutions=3)]
+    for cfg in configs:
+        for size in range(1, 5):
+            for gaps in itertools.combinations_with_replacement(range(1, 7), size):
+                for n in range(size + 1, 41, size + 1):
+                    record(
+                        solve_interval(GapSet.from_gaps(gaps), n, cfg),
+                        lambda w: [t.points for t in w.tiles],
+                    )
+        for steps in step_types:
+            for width in range(1, 8):
+                for height in range(1, 9):
+                    record(
+                        solve_rectangle(steps, width, height, cfg),
+                        lambda w: [p.points for p in w.paths],
+                    )
+    return h.hexdigest()
+
+
+def test_search_node_counts_are_unchanged():
+    # pins nodes_explored, so every max_nodes outcome, as well as the witnesses
+    assert _search_digest() == "cc8615873e1fcd0fb5ce7bcd3c24692abbadc034b0dc109a46acead2d42618ce"

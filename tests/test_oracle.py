@@ -67,7 +67,7 @@ class TestSolveInterval:
         assert out.status is SearchStatus.FOUND
         for wit in out.witnesses:
             assert verify_interval_tiling(wit, T(1, 2)).ok
-        # canonicalized branching reaches each unordered tiling exactly once
+        # leftmost-point branching reaches each unordered tiling exactly once
         assert len(set(out.witnesses)) == len(out.witnesses)
 
     def test_parallel_agrees_with_sequential(self):

@@ -1,7 +1,9 @@
 """Property tests: the exact-cover search agrees with naive_oracle.py on
 tilability, and its exhaustive solution lists hold every tiling exactly once
 (counted here by a set-based cover over all placements). min_interval's
-frontier sweep finds the length that searching every length in turn finds."""
+frontier sweep finds the length that searching every length in turn finds.
+The interval search, with its memo, agrees with the memo-free rectangle
+search on the same interval as one row."""
 
 import itertools
 
@@ -117,6 +119,21 @@ def test_rectangle_solution_list_is_every_tiling_once(k, l, width, height):
     assert len(set(out.witnesses)) == len(out.witnesses) == expected
     assert (out.status is SearchStatus.FOUND) == (expected > 0)
     assert all(verify_rectangle_tiling(w).ok for w in out.witnesses)
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 30))
+def test_interval_memo_agrees_with_the_memo_free_rectangle_search(gaps, n):
+    # An interval is a one-row rectangle tiled by paths of steps (g, 0); only
+    # the interval search keeps a memo of dead frontiers, which may only prune.
+    gs = GapSet.from_gaps(gaps)
+    interval = solve_interval(gs, n)
+    rectangle = solve_rectangle({(d, 0): k for d, k in gs.entries}, n, 1)
+    assert interval.status is rectangle.status is not SearchStatus.BUDGET_EXCEEDED
+    assert [[t.points for t in w.tiles] for w in interval.witnesses] == [
+        [tuple(x for x, _ in p.points) for p in w.paths] for w in rectangle.witnesses
+    ]
+    assert interval.nodes_explored <= rectangle.nodes_explored
 
 
 @pytest.mark.parametrize("gaps, n", [((1, 1, 3), 24), ((1, 2, 3), 8)])
