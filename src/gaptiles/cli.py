@@ -8,6 +8,8 @@ exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 from pathlib import Path
@@ -120,14 +122,25 @@ def cmd_construct(args) -> int:
             achieved = "?" if row.achieved is None else str(row.achieved)
             print(f"{row.stage}: required >= {row.required}, achieved {achieved}")
         return 0
+    out = Path(args.out)
+    if not out.parent.is_dir():  # refuse before a long build, not at its write
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out))
     splits = [split] if split else auto_split(gaps)
     result = None
     errors = []
+    exhausted = False
     for sp in splits:
         try:
             result = construct(gaps, sp)
             break
         except _HYPOTHESIS_ERRORS as exc:
+            errors.append(f"split (s={sp.s},p={sp.p}): {exc}")
+        except SearchExhausted as exc:
+            if split:
+                raise
+            # undecided, not refuted: the next split may still build
+            exhausted = True
             errors.append(f"split (s={sp.s},p={sp.p}): {exc}")
         except VerificationFailed as exc:
             print("verification: FAILED")
@@ -136,8 +149,7 @@ def cmd_construct(args) -> int:
     if result is None:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
+        return 3 if exhausted else 2
     write_json(out, interval_to_obj(result.tiling, gaps))
     write_json(out.with_suffix(".trace.json"), list(result.trace))
     write_json(out.with_suffix(".thresholds.json"), result.thresholds.to_obj())

@@ -431,6 +431,11 @@ def residue_interleave(
     return as_rectangle(merged)
 
 
+# Tiles flattened per slice: each slice's gather index and point copies are
+# the only scratch arrays that grow with the output.
+_FLATTEN_TILES = 1 << 14
+
+
 def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     """Map (x, y) -> x + y*width, turning each path into a tile.
 
@@ -441,6 +446,10 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     inside. Monotone steps flatten to strictly increasing points, so each
     path's point order is preserved. Tiles are emitted stably sorted by their
     first point.
+
+    Besides the output, flatten holds a few arrays with one entry per tile
+    and the scratch of one slice of _FLATTEN_TILES tiles, never a second
+    array as long as the output.
     """
     if width != r.width:
         raise PreconditionError(f"width {width} does not match the rectangle width {r.width}")
@@ -452,16 +461,27 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
         raise PreconditionError(
             f"point ({xs[i]}, {ys[i]}) of path {path} lies outside [0, {width}) x [0, {r.height})"
         )
-    # Arrays are built in place and dropped once spent: flatten sets the peak
-    # memory of a large construct.
-    values = ys * width
-    values += xs
-    order = np.argsort(values[p.offsets[:-1]], kind="stable")
-    sizes = p.sizes()[order]
-    offsets = offsets_from_sizes(sizes)
-    source = np.repeat(p.offsets[:-1][order] - offsets[:-1], sizes)
-    del order, sizes
-    source += np.arange(values.size)
-    values = values[source]
-    del source
+    # flatten sets the peak memory of a large construct, so per-tile arrays
+    # are dropped once spent and the points are gathered a slice at a time.
+    starts = p.offsets[:-1]
+    firsts = ys[starts] * width
+    firsts += xs[starts]
+    order = np.argsort(firsts, kind="stable")
+    del firsts
+    offsets = offsets_from_sizes(p.sizes()[order])
+    # tile i of the output starts at path order[i]'s first point: its points
+    # are the input points k + shift[i] for k in [offsets[i], offsets[i+1])
+    shift = starts[order]
+    del order
+    shift -= offsets[:-1]
+    values = np.empty(xs.size, dtype=np.int64)
+    for a in range(0, len(shift), _FLATTEN_TILES):
+        b = min(a + _FLATTEN_TILES, len(shift))
+        lo, hi = offsets[a], offsets[b]
+        src = np.repeat(shift[a:b], np.diff(offsets[a : b + 1]))
+        src += np.arange(lo, hi)
+        out = values[lo:hi]
+        np.multiply(ys[src], width, out=out)
+        out += xs[src]
+    del shift
     return IntervalTiling(width * r.height, Tiles(offsets, values))

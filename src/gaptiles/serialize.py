@@ -165,20 +165,32 @@ def write_json(path: str | Path, obj: Any) -> None:
     The chunks go to a new file beside path as they are made, which then
     replaces path; on any failure the temporary file is removed and path is
     left as it was. The file is not fsynced: the replace is atomic for
-    readers and against a failing writer, not against a power loss.
+    readers and against a failing writer, not against a power loss. An
+    OSError about the temporary file is raised naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with fh:
             for part in _chunks(obj):
                 fh.write(part)
             fh.write(b"\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise _naming(exc, path) from None
         raise
+
+
+def _naming(exc: OSError, path: Path) -> OSError:
+    """exc, raised for the temporary file beside path, as raised for path:
+    the user asked for path and never sees the temporary file's name."""
+    return type(exc)(exc.errno, exc.strerror, str(path))
 
 
 def read_json(path: str | Path) -> Any:

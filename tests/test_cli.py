@@ -158,6 +158,65 @@ class TestConstructCommand:
         assert re.fullmatch(r"error: height search budget exceeded at f=1 for \(\d+,\d+,\d+\)\n", err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_exhausted_height_search_falls_through_to_the_next_split(self, tmp_path, capsys, monkeypatch):
+        # {1:2, 16:1, 5000:1} builds under (3, 0) and under (2, 1); the first
+        # height search, made under (3, 0), runs out
+        real = pipeline.min_height_rect
+        calls = []
+
+        def first_exhausted(k, l, m, table=None):
+            calls.append((k, l, m))
+            if len(calls) == 1:
+                raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
+            return real(k, l, m, table)
+
+        monkeypatch.setattr(pipeline, "min_height_rect", first_exhausted)
+        out = tmp_path / "t.json"
+        assert run(["construct", "--gaps", "1:2,16:1,5000:1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        kind, tiling, gaps = tiling_from_obj(read_json(out))
+        assert verify_interval_tiling(tiling, gaps).ok
+        # a (2, 1) build ends in the final stage, a (3, 0) build in a boundary step
+        assert read_json(out.with_suffix(".thresholds.json"))[-1]["stage"] == "stage-3 final"
+
+    @pytest.mark.parametrize(
+        "gaps, exhausted_searches, second",
+        [
+            ("1:2,16:1,5000:1", 1 << 30, "height search budget exceeded at f=1 for (2,1,3)"),
+            ("1:2,16:1,2970:1", 1, "stage-3 final: requires distance >= 4160, got 2970"),
+        ],
+        ids=["every-split-exhausted", "then-refuted"],
+    )
+    def test_exhausted_height_search_without_a_build_exit_3(
+        self, tmp_path, capsys, monkeypatch, gaps, exhausted_searches, second
+    ):
+        real = pipeline.min_height_rect
+        calls = []
+
+        def exhausted(k, l, m, table=None):
+            calls.append((k, l, m))
+            if len(calls) <= exhausted_searches:
+                raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
+            return real(k, l, m, table)
+
+        monkeypatch.setattr(pipeline, "min_height_rect", exhausted)
+        assert run(["construct", "--gaps", gaps, "--out", str(tmp_path / "t.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: split (s=3,p=0): height search budget exceeded at f=1 for (2,1,3)",
+            f"error: split (s=2,p=1): {second}",
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_a_missing_directory_exits_1_before_building(self, tmp_path, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("built before --out was checked")
+
+        monkeypatch.setattr(cli, "construct", build)
+        out = tmp_path / "missing" / "t.json"
+        assert run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_exhausted_height_search_in_conditions_exit_3(self, capsys, monkeypatch):
         # an undecided height search is no evidence that staged growth fails
         def exhausted(k, l, m, table=None):
@@ -184,6 +243,12 @@ class TestSolveCommands:
         assert capsys.readouterr().out.strip() == "6"
         kind, tiling, gaps = tiling_from_obj(read_json(out))
         assert verify_interval_tiling(tiling, gaps).ok
+
+    def test_minlen_out_in_a_missing_directory_names_the_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "w.json"
+        assert run(["minlen", "--gaps", "1:1,2:1", "--max", "30", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("gaps, n", [("2:1,3:1,4:1", "32"), ("1:1,2:1,4:1,5:1", "20")])
     def test_minlen_parallel_matches_serial(self, tmp_path, capsys, gaps, n):

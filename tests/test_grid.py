@@ -1,16 +1,24 @@
+import tracemalloc
 from math import gcd
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from gaptiles import (
     GapSet,
     Paths,
     RectangleTiling,
+    SplitSpec,
     as_rectangle,
+    boundary_base,
     concat_columns,
+    construct,
     diagonal_stripe_tiling,
     dilate_x,
     flatten,
+    homogeneous_base,
+    homogeneous_step,
     lift_over_points,
     merge_ragged,
     min_height_rect,
@@ -21,10 +29,11 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
+from gaptiles import grid, pipeline
 from gaptiles.errors import PreconditionError
 from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
-from gaptiles.types import normalize_steps
+from gaptiles.types import normalize_steps, offsets_from_sizes
 
 
 def expected_stair_paths(k, l):
@@ -279,3 +288,69 @@ class TestTransforms:
             assert len(t.tiles) == len(rect.paths)
             assert {len(tile.points) for tile in t.tiles} == {k + l + 1}
             assert t.tiles[-1].points[-1] == t.length - 1
+
+
+def flatten_by_argsort(rect, width):
+    """(offsets, values) of flatten's output by the one-pass formula it used
+    before it gathered a slice of tiles at a time."""
+    p = rect.paths
+    values = p.ys * width + p.xs
+    order = np.argsort(values[p.offsets[:-1]], kind="stable")
+    sizes = p.sizes()[order]
+    offsets = offsets_from_sizes(sizes)
+    source = np.repeat(p.offsets[:-1][order] - offsets[:-1], sizes) + np.arange(values.size)
+    return offsets, values[source]
+
+
+def stage_rectangles(run):
+    """The rectangles the pipeline flattens while run() builds."""
+    rects = []
+    real = pipeline.flatten
+
+    def capture(rect, width):
+        rects.append(rect)
+        return real(rect, width)
+
+    with mock.patch.object(pipeline, "flatten", capture):
+        run()
+    return rects
+
+
+@pytest.fixture(scope="module")
+def seam_rectangles(table):
+    """Every stage rectangle of a small construct, and the windowed rectangle
+    of a homogeneous step, whose paths differ in length."""
+    rects = stage_rectangles(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
+    step = stage_rectangles(
+        lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
+    )
+    return rects + step[-1:]
+
+
+class TestFlattenSlices:
+    @pytest.mark.parametrize("tiles", [1, 2, 3, 7, 1 << 30])
+    def test_every_slice_size_flattens_alike(self, seam_rectangles, monkeypatch, tiles):
+        ragged = seam_rectangles[-1]
+        assert ragged.window is not None and len(set(ragged.paths.sizes().tolist())) > 1
+        monkeypatch.setattr(grid, "_FLATTEN_TILES", tiles)
+        for rect in seam_rectangles:
+            t = flatten(rect, rect.width)
+            offsets, values = flatten_by_argsort(rect, rect.width)
+            assert t.length == rect.width * rect.height
+            assert np.array_equal(t.tiles.offsets, offsets)
+            assert np.array_equal(t.tiles.values, values)
+
+    def test_scratch_memory_is_bounded_by_the_slice(self, table, monkeypatch):
+        rects = stage_rectangles(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1), table))
+        rect = rects[-1]
+        assert rect.paths.xs.size >= 100_000
+        monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
+        tracemalloc.start()
+        try:
+            t = flatten(rect, rect.width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = t.tiles.values.nbytes + t.tiles.offsets.nbytes
+        # the one-pass formula held four arrays as long as the output: about 2.6 times it
+        assert peak < 2 * output

@@ -106,6 +106,20 @@ def test_failed_write_leaves_earlier_file_and_no_temporary(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["new.json", "t.json"]
 
 
+def test_failed_write_names_the_target_not_the_temporary(tmp_path):
+    missing = tmp_path / "missing" / "t.json"
+    with pytest.raises(FileNotFoundError) as info:
+        write_json(missing, INTERVAL)
+    assert info.value.filename == str(missing) and str(missing) in str(info.value)
+    # the replace fails when the target is a directory
+    target = tmp_path / "t.json"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_json(target, INTERVAL)
+    assert info.value.filename == str(target) and ".tmp" not in str(info.value)
+    assert [f.name for f in tmp_path.iterdir()] == ["t.json"]
+
+
 def test_canonical_files_take_the_byte_pass(tmp_path, monkeypatch):
     # A fall back to json.loads would still read these files right, only
     # slower; the benchmark alone would show it.
