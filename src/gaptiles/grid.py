@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._chunks import ordered_map
 from .errors import ConstructionError, PreconditionError, SearchExhausted
 from .oracle import SearchStatus, solve_rectangle
 from .serialize import dumps_canonical  # noqa: F401  benchmarks/tracing.py patches it here
@@ -432,7 +433,8 @@ def residue_interleave(
 
 
 # Tiles flattened per slice: each slice's gather index and point copies are
-# the only scratch arrays that grow with the output.
+# the only scratch arrays that grow with the output, one set per slice that
+# the chunk pool runs at a time.
 _FLATTEN_TILES = 1 << 14
 
 
@@ -448,8 +450,10 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     first point.
 
     Besides the output, flatten holds a few arrays with one entry per tile
-    and the scratch of one slice of _FLATTEN_TILES tiles, never a second
-    array as long as the output.
+    and the scratch of the slices of _FLATTEN_TILES tiles in flight, never a
+    second array as long as the output. The slices are gathered side by side
+    on the chunk pool (_chunks.ordered_map), each into its own part of the
+    output, so the result is the same for every pool width.
     """
     if width != r.width:
         raise PreconditionError(f"width {width} does not match the rectangle width {r.width}")
@@ -475,7 +479,8 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
     del order
     shift -= offsets[:-1]
     values = np.empty(xs.size, dtype=np.int64)
-    for a in range(0, len(shift), _FLATTEN_TILES):
+
+    def gather(a: int) -> None:
         b = min(a + _FLATTEN_TILES, len(shift))
         lo, hi = offsets[a], offsets[b]
         src = np.repeat(shift[a:b], np.diff(offsets[a : b + 1]))
@@ -483,5 +488,9 @@ def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
         out = values[lo:hi]
         np.multiply(ys[src], width, out=out)
         out += xs[src]
+
+    # each slice writes its own part of values
+    for _ in ordered_map(gather, range(0, len(shift), _FLATTEN_TILES)):
+        pass
     del shift
     return IntervalTiling(width * r.height, Tiles(offsets, values))

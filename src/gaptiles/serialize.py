@@ -12,8 +12,10 @@ interval_to_obj and rectangle_to_obj return keep "tiles" or "paths" as the
 tiling's CSR view, and the rows are printed as bytes straight from its
 arrays, 65,536 points at a time: each number's digits come from a table of
 4-digit words, and one keep mask drops the leading zeros and unused
-separator bytes. write_json streams those chunks into a temporary file in
-the target's directory and renames it over the target, so a failed write
+separator bytes. The chunks are printed side by side on the chunk pool
+(_chunks.ordered_map) and taken in order, so the bytes are the same for
+every pool width. write_json streams them into a temporary file in the
+target's directory and renames it over the target, so a failed write
 leaves the earlier file as it was and no temporary file behind.
 
 read_json reads that layout back from the bytes: the rows array is cut out
@@ -37,6 +39,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from ._chunks import ordered_map
 from .errors import PreconditionError
 from .types import (
     GapSet,
@@ -124,12 +127,15 @@ def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[by
         return
     last = np.zeros(n, dtype=bool)
     last[rows.offsets[1:] - 1] = True
+
+    def text(a: int) -> bytes:
+        return _points_bytes(tuple(c[a : a + chunk] for c in cols), last[a : a + chunk])
+
     yield b"[["
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        text = _points_bytes(tuple(c[a:b] for c in cols), last[a:b])
+    starts = range(0, n, chunk)
+    for a, part in zip(starts, ordered_map(text, starts)):
         # the final point's separator is "],["; the rows close with "]]"
-        yield text if b < n else text[:-3] + b"]]"
+        yield part if a + chunk < n else part[:-3] + b"]]"
 
 
 def _rows_json(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> str:
@@ -142,7 +148,7 @@ def _chunks(obj: Any) -> Iterator[bytes]:
     bytes in pieces; a dict holding a Tiles or Paths value yields its rows
     chunk by chunk."""
     if isinstance(obj, (Tiles, Paths)):
-        yield from _rows_chunks(obj)
+        yield from _rows_chunks(obj, _CHUNK_POINTS)
     elif isinstance(obj, dict) and any(isinstance(v, (Tiles, Paths)) for v in obj.values()):
         sep = b"{"
         for k in sorted(obj):

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._chunks import ordered_map
 from .errors import PreconditionError
 from .types import (
     DEFAULT_VIOLATION_CAP,
@@ -96,18 +97,32 @@ def _cover(
         rep.add_all("OutOfRange", np.unique(points[above]), f"point outside [0, {n - 1}]")
 
 
+# Window starts checked per block: a block's windows are the check's only
+# scratch that grows with the tiling.
+_WINDOW_BLOCK = 1 << 15
+
+
 def _sorted_windows_differ(
     steps: np.ndarray, starts: np.ndarray, expected: np.ndarray, width: int
 ) -> np.ndarray:
     """Whether steps[s : s + width], sorted, differs from expected, per start s.
 
-    Windows of another length than expected differ by definition.
+    Windows of another length than expected differ by definition. The
+    starts are checked _WINDOW_BLOCK at a time, the blocks side by side on
+    the chunk pool; every block size gives the same answer.
     """
     if width != expected.size:
         return np.ones(starts.size, dtype=bool)
-    windows = steps[starts[:, None] + np.arange(width)]
-    windows.sort(axis=1)
-    return (windows != expected).any(axis=1)
+    block = _WINDOW_BLOCK
+
+    def differ(a: int) -> np.ndarray:
+        windows = steps[starts[a : a + block, None] + np.arange(width)]
+        windows.sort(axis=1)
+        return (windows != expected).any(axis=1)
+
+    if starts.size <= block:
+        return differ(0)
+    return np.concatenate(list(ordered_map(differ, range(0, starts.size, block))))
 
 
 def _row_mismatches(offsets: np.ndarray, steps: np.ndarray, expected: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import grid, pipeline
+from gaptiles import _chunks, grid, pipeline
 from gaptiles.errors import PreconditionError
 from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
@@ -89,6 +89,19 @@ class TestMinHeightRect:
             f, wit = min_height_rect(k, l, k + l + 1)
             assert f == l + 1
             assert wit == stair_tiling(k, l)
+
+    @pytest.mark.parametrize("k, l", [(k, l) for k in range(1, 8) for l in range(1, 9 - k)])
+    def test_transposed_staircase_bounds_the_height_at_width_k_plus_1(self, table, k, l):
+        # the staircase for (l, k), its axes swapped, tiles width k+1 at height k+l+1
+        stair = stair_tiling(l, k).paths
+        rect = RectangleTiling(
+            width=k + 1,
+            height=k + l + 1,
+            paths=Paths(stair.offsets, stair.ys, stair.xs),
+            step_type=normalize_steps({(1, 0): k, (0, 1): l}),
+        )
+        assert verify_rectangle_tiling(rect).ok
+        assert min_height_rect(k, l, k + 1, table=table)[0] <= k + l + 1
 
     def test_range_error(self):
         with pytest.raises(PreconditionError):
@@ -340,11 +353,13 @@ class TestFlattenSlices:
             assert np.array_equal(t.tiles.offsets, offsets)
             assert np.array_equal(t.tiles.values, values)
 
-    def test_scratch_memory_is_bounded_by_the_slice(self, table, monkeypatch):
+    @pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
+    def test_scratch_memory_is_bounded_by_the_slice(self, table, monkeypatch, width):
         rects = stage_rectangles(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1), table))
         rect = rects[-1]
         assert rect.paths.xs.size >= 100_000
         monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
+        monkeypatch.setattr(_chunks, "_width", lambda: width)
         tracemalloc.start()
         try:
             t = flatten(rect, rect.width)
