@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -142,6 +141,8 @@ def run_catalog(
         if workers and workers > 1 and todo:
             # map yields in submission order as results arrive, so each record
             # is written once it and every earlier one are done.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_solve_one, args)
         else:

@@ -11,7 +11,6 @@ height-1 rectangle whose paths take steps (g, 0), one per gap.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -236,6 +235,8 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
         # terminates the roots still running. Where no order fits, the serial
         # search below stops at its root.
         # nodes starts at 1: the root state, as the serial search counts it
+        import multiprocessing
+
         solutions, nodes, budget_hit = [], 1, False
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(min(cfg.parallel_width, len(offsets))) as pool:

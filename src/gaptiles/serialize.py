@@ -22,12 +22,15 @@ read_json reads that layout back from the bytes: the rows array is cut out
 of the file, checked byte by byte against the canonical grammar with a few
 array passes, and read into the CSR arrays by np.fromstring, while
 json.loads parses the small rest of the object. The array is checked and
-read in pieces of about 1 MB, each cut just after a comma, so the scratch
-memory is bounded by the piece size, not by the file; the grammar is the
-same whatever the piece size. A file laid out any other way goes through
-json.loads whole, so it reads exactly as before. Either way a point or a
-header number that is not a JSON integer is a parse error
-(PreconditionError), never truncated or read as 0 or 1.
+read in pieces of about 256 KB, each cut just after a comma, side by side
+on the chunk pool: a serial pass over the commas first tells each piece
+where its values go, so the pieces run in any order and fill one array.
+The scratch memory is bounded by the pieces in flight, not by the file;
+the grammar and the result are the same whatever the piece size and the
+pool width, and the first failing piece in order declines the file. A file
+laid out any other way goes through json.loads whole, so it reads exactly
+as before. Either way a point or a header number that is not a JSON integer
+is a parse error (PreconditionError), never truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -229,8 +232,10 @@ _ROW_BYTES = bytes(
     for c in range(256)
 )
 _TWO63 = np.frombuffer(str(2**63).encode("ascii"), dtype=np.uint8)  # 19 digits
-# Bytes of the rows array checked and read at a time.
-_PIECE_BYTES = 1 << 20
+# Bytes of the rows array checked and read by one task of the chunk pool: the
+# most pieces that run at once (_chunks._MAX_WIDTH) hold about the scratch of
+# one 1 MB piece.
+_PIECE_BYTES = 1 << 18
 
 
 def _read_tiling(data: bytes) -> dict | None:
@@ -284,10 +289,14 @@ def _rows_from_bytes(
     the bounds of every number, and np.fromstring reads the values.
 
     The numbers are checked and read in pieces of about `piece` bytes, each
-    cut just after a comma, so the scratch arrays stay as small as a piece;
-    only the values, the row breaks and running totals outlive one. The
-    bracket runs beside a comma are read from the whole file, so a seam
-    changes nothing: every piece size gives the same view or the same None.
+    cut just after a comma, side by side on the chunk pool. One serial pass
+    first fixes the pieces and counts their commas, so each piece knows its
+    slice of the values, its parity within a point and where its first
+    number starts; then each piece writes its values into its slice and
+    returns its row breaks, or None. Only the values and the row breaks
+    outlive a piece. The bracket runs beside a comma are read from the whole
+    file, so a seam changes nothing: every piece size and pool width gives
+    the same view or the same None.
     """
     per_point = depth - 1  # numbers per point
     if end - a == 2:  # "[]"
@@ -296,14 +305,21 @@ def _rows_from_bytes(
     if not data.startswith(b"[" * depth, a) or first >= last:
         return None
     u = np.frombuffer(data, dtype=np.uint8)
-    values = np.empty(data.count(b",", first, last) + 1, dtype=np.int64)
-    breaks = []  # points before each later row, per piece
-    n_values = n_commas = 0
-    start = first  # where the next number starts
-    s = first
-    while s < last:
+    bounds = [first]  # where each piece starts, then `last`
+    commas_before = [0]  # commas before each piece, then all of them
+    while bounds[-1] < last:
+        s = bounds[-1]
         cut = data.find(b",", s + piece - 1, last)
-        e = last if cut < 0 else cut + 1
+        bounds.append(last if cut < 0 else cut + 1)
+        commas_before.append(commas_before[-1] + np.count_nonzero(u[s : bounds[-1]] == ord(",")))
+    if per_point == 2 and commas_before[-1] % 2 == 0:
+        return None
+    values = np.empty(commas_before[-1] + 1, dtype=np.int64)
+
+    def read(k: int) -> np.ndarray | None:
+        """Check piece k, write its values into its slice, and return the
+        points before each row it starts, or None."""
+        s, e, before = bounds[k], bounds[k + 1], commas_before[k]
         text = data[s:e].translate(_ROW_BYTES)
         if b"*" in text:
             return None
@@ -322,9 +338,12 @@ def _rows_from_bytes(
         if not np.array_equal(shut, opened):
             return None
         # within a point (an even comma overall) nothing closes, between points something does
-        within = n_commas % 2
+        within = before % 2
         if per_point == 2 and (shut[within::2].any() or not shut[1 - within :: 2].all()):
             return None
+        # the first number starts after the "[" run that follows the comma before the piece
+        head = data[s : s + per_point]
+        start = s if s == first else s + len(head) - len(head.lstrip(b"["))
         starts = np.concatenate(([start], commas + 1 + opened))
         ends = commas - shut
         if e < last:
@@ -335,7 +354,6 @@ def _rows_from_bytes(
         # the "[" run after its last comma and plus the one it starts with
         if np.count_nonzero(w > ord("9")) != 2 * int(shut.sum()) + (start - s) - (after - e):
             return None
-        start = after
         neg = u[starts] == ord("-")
         lead = starts + neg
         digits = ends - lead
@@ -356,14 +374,16 @@ def _rows_from_bytes(
         got = np.fromstring(text, dtype=np.int64, sep=" ")
         if got.size != starts.size:
             return None
-        values[n_values : n_values + got.size] = got
-        breaks.append((n_commas + np.flatnonzero(shut == per_point) + 1) // per_point)
-        n_values += got.size
-        n_commas += commas.size
-        s = e
-    if per_point == 2 and n_commas % 2 == 0:
-        return None
+        values[before : before + got.size] = got
+        return (before + np.flatnonzero(shut == per_point) + 1) // per_point
+
+    breaks = []  # points before each later row, per piece
+    for piece_breaks in ordered_map(read, range(len(bounds) - 1)):
+        if piece_breaks is None:
+            return None
+        breaks.append(piece_breaks)
     offsets = np.concatenate(([0], *breaks, [values.size // per_point]))
+    breaks.clear()  # a copy of the offsets, dropped before the view's checks
     try:
         return Tiles(offsets, values) if depth == 2 else Paths(offsets, values[::2], values[1::2])
     except PreconditionError:

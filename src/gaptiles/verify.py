@@ -3,7 +3,12 @@
 Verifiers are pure functions of their inputs and trust nothing about how a
 tiling was built: coverage is re-derived from the point arrays alone, and
 every check is an array pass over the CSR layout, so memory is linear in the
-number of points whatever length the tiling declares.
+number of points whatever length the tiling declares. A partition passes the
+cover check with one boolean mark per point; only a failing cover is counted,
+to report it. The gap and window checks run in blocks on the chunk pool and
+take each block's steps as differences of its own points, so the interval
+and homogeneous checks make no array as long as the points. A rectangle's
+"points" for them are the prefix sums of its step codes.
 
 Violations come in a fixed order: OutOfRange below 0, Overlap, Hole,
 OutOfRange above the range, then the per-tile or per-path mismatches by index.
@@ -52,6 +57,18 @@ def _first_holes(present: np.ndarray, n: int, limit: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _is_partition(points: np.ndarray, n: int) -> bool:
+    """Whether the points, n of them, are each point of [0, n) once: then
+    they lie in [0, n) and leave no point of it unmarked."""
+    if n == 0:
+        return True
+    if points.min() < 0 or points.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[points] = True
+    return bool(seen.all())
+
+
 def _cover(
     points: np.ndarray,
     n: int,
@@ -63,14 +80,18 @@ def _cover(
     ``locate`` maps the points of Overlap and Hole to the locations reported
     for them; by default a point is its own location.
 
-    Points are range-checked first. The in-range ones are counted over
-    [0, n) when n is at most their number; otherwise overlaps come from the
-    sorted distinct points and only the first holes are listed, so memory
-    stays linear in the number of points. Counting is kept for the dense
-    case because it is faster and smaller there: sorting alone made the
-    headline construct about 17% slower and its peak memory 26% higher.
+    A partition passes with one range check and one boolean mark per point
+    (_is_partition). Only a failing cover is counted. Its points are
+    range-checked first. The in-range ones are counted over [0, n) when n is
+    at most their number; otherwise overlaps come from the sorted distinct
+    points and only the first holes are listed, so memory stays linear in
+    the number of points. Counting is kept for the dense case because it is
+    faster and smaller there: sorting alone made the headline construct
+    about 17% slower and its peak memory 26% higher.
     """
     n = max(n, 0)
+    if points.size == n and _is_partition(points, n):
+        return
     below = points < 0
     above = points >= n
     outside = below | above
@@ -97,15 +118,34 @@ def _cover(
         rep.add_all("OutOfRange", np.unique(points[above]), f"point outside [0, {n - 1}]")
 
 
-# Window starts checked per block: a block's windows are the check's only
-# scratch that grows with the tiling.
+# Window starts, or rows, checked per block: a block's windows are the
+# check's only scratch that grows with the tiling.
 _WINDOW_BLOCK = 1 << 15
 
 
-def _sorted_windows_differ(
-    steps: np.ndarray, starts: np.ndarray, expected: np.ndarray, width: int
+def _in_blocks(differ: Callable[[int], np.ndarray], count: int) -> np.ndarray:
+    """differ(a) for the blocks of _WINDOW_BLOCK items from each a, side by
+    side on the chunk pool, joined in order."""
+    if count <= _WINDOW_BLOCK:
+        return differ(0)
+    return np.concatenate(list(ordered_map(differ, range(0, count, _WINDOW_BLOCK))))
+
+
+def _windows_differ(
+    seq: np.ndarray, starts: np.ndarray, expected: np.ndarray, width: int
 ) -> np.ndarray:
-    """Whether steps[s : s + width], sorted, differs from expected, per start s.
+    """Whether the `width` steps from each start s, the differences of
+    seq[s : s + width + 1], sorted, differ from expected."""
+    windows = np.diff(seq[starts[:, None] + np.arange(width + 1)], axis=1)
+    windows.sort(axis=1)
+    return (windows != expected).any(axis=1)
+
+
+def _sorted_windows_differ(
+    seq: np.ndarray, starts: np.ndarray, expected: np.ndarray, width: int
+) -> np.ndarray:
+    """_windows_differ for every start, so that no step array as long as
+    seq is made.
 
     Windows of another length than expected differ by definition. The
     starts are checked _WINDOW_BLOCK at a time, the blocks side by side on
@@ -113,48 +153,58 @@ def _sorted_windows_differ(
     """
     if width != expected.size:
         return np.ones(starts.size, dtype=bool)
-    block = _WINDOW_BLOCK
 
     def differ(a: int) -> np.ndarray:
-        windows = steps[starts[a : a + block, None] + np.arange(width)]
-        windows.sort(axis=1)
-        return (windows != expected).any(axis=1)
+        return _windows_differ(seq, starts[a : a + _WINDOW_BLOCK], expected, width)
 
-    if starts.size <= block:
-        return differ(0)
-    return np.concatenate(list(ordered_map(differ, range(0, starts.size, block))))
+    return _in_blocks(differ, starts.size)
 
 
-def _row_mismatches(offsets: np.ndarray, steps: np.ndarray, expected: np.ndarray) -> np.ndarray:
+def _row_mismatches(offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Rows whose sorted steps differ from expected, rows of another length included.
 
-    steps[j] is the step from point j to point j+1 of the flat point array.
+    A row's steps are the differences seq[j + 1] - seq[j] for each of its
+    points j but the last. The rows are checked _WINDOW_BLOCK at a time,
+    the blocks side by side on the chunk pool.
     """
-    bad = np.diff(offsets) - 1 != expected.size
-    fit = np.flatnonzero(~bad)
-    bad[fit] = _sorted_windows_differ(steps, offsets[fit], expected, expected.size)
-    return np.flatnonzero(bad)
+    width = expected.size
+
+    def differ(a: int) -> np.ndarray:
+        bounds = offsets[a : a + _WINDOW_BLOCK + 1]
+        bad = np.diff(bounds) != width + 1
+        fit = ~bad
+        bad[fit] = _windows_differ(seq, bounds[:-1][fit], expected, width)
+        return bad
+
+    return np.flatnonzero(_in_blocks(differ, offsets.size - 1))
 
 
 def _window_mismatches(
-    offsets: np.ndarray, steps: np.ndarray, expected: np.ndarray, width: int
+    offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, offset) of every window of `width` consecutive steps within a row
-    whose sorted steps differ from expected, in row then offset order."""
+    whose sorted steps differ from expected, in row then offset order; the
+    steps are as for _row_mismatches."""
     per_row = np.maximum(np.diff(offsets) - width, 0)
     row = np.repeat(np.arange(per_row.size), per_row)
     off = np.arange(row.size) - np.repeat(offsets_from_sizes(per_row)[:-1], per_row)
-    bad = _sorted_windows_differ(steps, offsets[row] + off, expected, width)
+    bad = _sorted_windows_differ(seq, offsets[row] + off, expected, width)
     return row[bad], off[bad]
 
 
 def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, np.ndarray]:
-    """Each step's index in step_type (-1 if undeclared), and the sorted
-    indices one path of the declared type has."""
+    """The prefix sums of each step's index in step_type (-1 if undeclared),
+    one per point with a leading 0, so that a step's index is the difference
+    of its ends' sums; and the sorted indices one path of the declared type
+    has. The sums stay within the number of points times the type's size.
+    """
     dx, dy = np.diff(paths.xs), np.diff(paths.ys)
-    codes = np.full(dx.size, -1, dtype=np.int64)
+    codes = np.full(dx.size + 1, -1, dtype=np.int64)
+    codes[0] = 0
+    steps = codes[1:]
     for code, ((vx, vy), _) in enumerate(step_type):
-        codes[(dx == vx) & (dy == vy)] = code
+        steps[(dx == vx) & (dy == vy)] = code
+    np.cumsum(codes, out=codes)
     expected = np.repeat(np.arange(len(step_type)), [mult for _, mult in step_type])
     return codes, expected
 
@@ -168,7 +218,7 @@ def verify_interval_tiling(
     rep = ReportBuilder(max_violations)
     tiles = tiling.tiles
     _cover(tiles.values, tiling.length, rep)
-    bad = _row_mismatches(tiles.offsets, np.diff(tiles.values), as_int64(gap_set.expand()))
+    bad = _row_mismatches(tiles.offsets, tiles.values, as_int64(gap_set.expand()))
     rep.add_all("GapMismatch", bad, "tile gap multiset differs from the target gap set")
     return rep.build()
 
@@ -213,7 +263,7 @@ def verify_homogeneous(
     seqs = Tiles.of(seqs)
     _cover(seqs.values, n_points, rep)
     expected = as_int64(gap_set.expand())
-    row, off = _window_mismatches(seqs.offsets, np.diff(seqs.values), expected, expected.size)
+    row, off = _window_mismatches(seqs.offsets, seqs.values, expected, expected.size)
     rep.add_all(
         "WindowMismatch",
         np.column_stack((row, off)),

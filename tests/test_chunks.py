@@ -1,7 +1,8 @@
-"""The chunk pool that flatten, the sorted-window check and the row printer
-run on: results in order, errors where their chunk's result would be, at
-most width + 1 chunks in flight, and the same bytes and reports for every
-pool width and chunk size. A forked child gets a pool of its own."""
+"""The chunk pool that flatten, the gap and window checks, the row printer
+and the row reader run on: results in order, errors where their chunk's
+result would be, at most width + 1 chunks in flight, and the same bytes and
+reports for every pool width and chunk size. A forked child gets a pool of
+its own."""
 
 import hashlib
 import os
@@ -286,6 +287,7 @@ def test_reports_are_the_same_for_every_width_and_block(corrupted, width, small_
 )
 def test_sorted_windows_differ_is_blind_to_the_block(data, steps, width, block, threads):
     steps = np.array(steps, dtype=np.int64)
+    seq = np.concatenate(([7], 7 + np.cumsum(steps)))
     expected = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
     if width and data.draw(st.booleans()):
         expected = expected[1:]  # windows of another length than expected
@@ -293,11 +295,11 @@ def test_sorted_windows_differ_is_blind_to_the_block(data, steps, width, block, 
     starts = data.draw(st.lists(st.integers(0, steps.size - width), max_size=40))
     starts = np.array(starts, dtype=np.int64)
     with serial():
-        whole = verify._sorted_windows_differ(steps, starts, expected, width)
+        whole = verify._sorted_windows_differ(seq, starts, expected, width)
     with mock.patch.object(verify, "_WINDOW_BLOCK", block), mock.patch.object(
         _chunks, "_width", lambda: threads
     ):
-        blocked = verify._sorted_windows_differ(steps, starts, expected, width)
+        blocked = verify._sorted_windows_differ(seq, starts, expected, width)
     assert blocked.dtype == bool and np.array_equal(blocked, whole)
     naive = [
         width != expected.size or sorted(steps[s : s + width].tolist()) != expected.tolist()

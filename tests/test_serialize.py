@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_serialize_properties import assert_paths_agree, read_in_pieces_of
+from test_serialize_properties import assert_paths_agree, at_width, read_in_pieces_of
 
 from gaptiles import (
     GapSet,
@@ -13,7 +13,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import serialize
+from gaptiles import _chunks, serialize
 from gaptiles.serialize import (
     _rows_json,
     dumps_canonical,
@@ -251,19 +251,56 @@ def test_named_files_read_the_same_in_small_pieces(text):
             assert_paths_agree(text.encode("utf-8"))
 
 
-def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
-    # 2**18 tiles of 4 points, 7-digit values: about 1M points in an 8 MB file
-    values = np.arange(1 << 20, dtype=np.int64) * 8 + 1_000_000
+def many_pieces_file(path, points=1 << 20):
+    """A canonical file of tiles of 4 points with 7-digit values, read in
+    many pieces: 2**20 points make an 8 MB file."""
+    values = np.arange(points, dtype=np.int64) * 8 + 1_000_000
     tiling = Tiles(np.arange(0, values.size + 1, 4), values)
-    path = tmp_path / "t.json"
     write_json(path, {"kind": "interval", "length": 9_400_000, "gap_set": [[8, 3]], "tiles": tiling})
-    tracemalloc.start()
-    try:
-        back = read_json(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back["tiles"] == tiling
-    arrays = back["tiles"].values.nbytes + back["tiles"].offsets.nbytes
-    # reading the rows in one go took about 4.5 times the file's size on top
-    assert peak <= path.stat().st_size + arrays + (16 << 20)
+    return tiling
+
+
+def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
+    path = tmp_path / "t.json"
+    tiling = many_pieces_file(path)
+    assert path.stat().st_size > 16 * serialize._PIECE_BYTES
+    for width in (1, _chunks._MAX_WIDTH):
+        with at_width(width):
+            tracemalloc.start()
+            try:
+                back = read_json(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert back["tiles"] == tiling
+        arrays = back["tiles"].values.nbytes + back["tiles"].offsets.nbytes
+        # Reading the rows in one go took about 4.5 times the file's size on
+        # top. A piece's scratch is about 8 times its size, and width + 1
+        # pieces may be in flight.
+        assert peak < path.stat().st_size + arrays + 8 * (width + 1) * serialize._PIECE_BYTES
+
+
+@pytest.fixture(scope="module")
+def five_pieces(tmp_path_factory):
+    path = tmp_path_factory.mktemp("five") / "t.json"
+    many_pieces_file(path, 5 * serialize._PIECE_BYTES // 8)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, _chunks._MAX_WIDTH])
+@pytest.mark.parametrize("bad", [b"*", b"01"])
+@pytest.mark.parametrize("where", [0.5, 0.99])
+def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five_pieces, width, bad, where):
+    # the number that starts after the first comma past `where` of the file
+    i = five_pieces.index(b",", int(len(five_pieces) * where)) + 1
+    assert i > 2 * serialize._PIECE_BYTES
+    data = five_pieces[:i] + bad + five_pieces[i + 1 :]
+    path = tmp_path / "t.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as want:
+        json.loads(data)
+    with at_width(width):
+        assert serialize._read_tiling(data) is None
+        with pytest.raises(type(want.value)) as got:
+            read_json(path)
+    assert str(got.value) == str(want.value)

@@ -1,13 +1,15 @@
 """Property tests: the canonical dump, printed from the CSR arrays chunk by
 chunk, is exactly json.dumps of the same rows as lists, for any int64
 values and wherever a chunk ends; read_json gives the arrays back by its
-byte pass, whatever size the pieces it reads them in; and any file,
-canonical or not, reads the same by the byte pass as by json.loads alone."""
+byte pass, whatever size the pieces it reads them in and however many
+threads of the chunk pool read them; and any file, canonical or not, reads
+the same by the byte pass as by json.loads alone."""
 
 import contextlib
 import functools
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -15,13 +17,21 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaptiles import serialize
+from gaptiles import _chunks, serialize
 from gaptiles.cli import main
 from gaptiles.serialize import _rows_json, dumps_canonical, read_json, tiling_from_obj, write_json
 from gaptiles.types import INT64_MAX, Paths, Tiles
 
 INT64_MIN = -INT64_MAX - 1
 SETTINGS = settings(max_examples=150, deadline=None)
+# Pool widths the seam properties are read at, whatever CPUs the host has.
+WIDTHS = st.sampled_from([1, 2, _chunks._MAX_WIDTH])
+
+
+def at_width(width: int):
+    """The chunk pool with `width` threads, as if the host had that many CPUs."""
+    return mock.patch.object(_chunks, "_width", lambda: width)
+
 
 values = st.one_of(
     st.integers(INT64_MIN, INT64_MAX),
@@ -170,9 +180,22 @@ def spliced(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(spliced())
-def test_spliced_files_read_the_same_on_both_paths(text):
-    assert_paths_agree(text)
+@given(spliced(), WIDTHS, st.sampled_from([1, 2, 5, serialize._PIECE_BYTES]))
+def test_spliced_files_read_the_same_on_both_paths(text, width, piece):
+    with at_width(width), read_in_pieces_of(piece), switching_often():
+        assert_paths_agree(text)
+
+
+@contextlib.contextmanager
+def switching_often():
+    """Threads that switch every microsecond, so that pieces read side by
+    side interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def rows_reads(text: bytes) -> list[tuple]:
@@ -230,9 +253,10 @@ def split_rows(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(split_rows())
-def test_every_piece_size_reads_the_rows_as_one_piece(text):
-    assert_pieces_agree(text)
+@given(split_rows(), WIDTHS)
+def test_every_piece_size_reads_the_rows_as_one_piece(text, width):
+    with at_width(width):
+        assert_pieces_agree(text)
 
 
 def read_in_pieces_of(piece: int):

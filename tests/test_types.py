@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import gaptiles
 from gaptiles import GapSet, LatticePath, SplitSpec, Tile
 from gaptiles.errors import PreconditionError
 
@@ -113,3 +120,33 @@ def test_csr_views_reject_what_the_element_types_reject():
         Paths.from_rows([[(1, 1), (0, 2)]])
     with pytest.raises(PreconditionError):
         Paths(np.array([0, 0, 1]), np.array([0]), np.array([0]))  # an empty path
+
+
+def test_package_names_resolve_on_first_use(tmp_path):
+    """Every name in gaptiles.__all__ and every submodule is reachable from
+    the package, and reading and checking a file loads no pipeline."""
+    code = """
+        import sys
+        import gaptiles.serialize, gaptiles.verify
+
+        for module in ("pipeline", "grid", "oracle", "conditions"):
+            assert f"gaptiles.{module}" not in sys.modules, module
+        assert gaptiles.render.__name__ == "gaptiles.render"
+        for name in gaptiles.__all__:
+            getattr(gaptiles, name)
+        assert callable(gaptiles.grid.flatten)
+        assert gaptiles.flatten is gaptiles.grid.flatten
+        assert not hasattr(gaptiles, "no_such_name")
+        namespace = {}
+        exec("from gaptiles import *", namespace)
+        assert {"construct", "grid", "verify"} <= namespace.keys()
+        """
+    env = {**os.environ, "PYTHONPATH": str(Path(gaptiles.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

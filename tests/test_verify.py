@@ -1,18 +1,24 @@
 import random
+import tracemalloc
+
+import pytest
 
 from gaptiles import (
     GapSet,
     IntervalTiling,
     LatticePath,
     RectangleTiling,
+    SplitSpec,
     Tile,
     boundary_base,
+    construct,
     stair_tiling,
     verify_boundary_prefix,
     verify_homogeneous,
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
+from gaptiles import _chunks, verify
 from gaptiles.serialize import dumps_canonical, report_to_obj
 from gaptiles.types import normalize_steps
 
@@ -89,6 +95,24 @@ class TestIntervalTiling:
         assert not rep.ok
         kinds = {v.kind for v in rep.violations}
         assert "Hole" in kinds and "Overlap" in kinds
+
+
+@pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
+def test_interval_scratch_memory_is_bounded_by_the_blocks(table, monkeypatch, width):
+    gs = T(1, 9, 30011)
+    t = construct(gs, SplitSpec(2, 1), table).tiling
+    assert t.tiles.values.size >= 100_000
+    monkeypatch.setattr(verify, "_WINDOW_BLOCK", len(t.tiles) // 64)
+    monkeypatch.setattr(_chunks, "_width", lambda: width)
+    tracemalloc.start()
+    try:
+        rep = verify_interval_tiling(t, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    # int64 point counts and a step array, each as long as the values, took twice them
+    assert peak < 0.5 * t.tiles.values.nbytes
 
 
 class TestBoundaryPrefix:

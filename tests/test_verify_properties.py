@@ -129,3 +129,58 @@ def test_rectangle_verifier_matches_reference(data, case, cap, full_window):
         rectangle_violations(paths, rect.width, rect.height, steps, window),
         cap,
     )
+
+
+@st.composite
+def same_count_edit(draw, rows, length):
+    """rows with one edit that keeps the number of points, so that the cover
+    check's partition test runs: two points of two rows swapped (still a
+    partition), one point replaced by a point of another row (a duplicate
+    and a hole), or by a point outside [0, length)."""
+    rows = [list(r) for r in rows]
+    i, k = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    m = draw(st.integers(0, len(rows[k]) - 1))
+    kind = draw(st.sampled_from(["swap", "duplicate", "outside"]))
+    if kind == "swap":
+        rows[i][j], rows[k][m] = rows[k][m], rows[i][j]
+    elif kind == "duplicate":
+        rows[i][j] = rows[k][m]
+    else:
+        rows[i][j] = draw(st.one_of(st.integers(-3, -1), st.integers(length, length + 3)))
+    assume(all(len(set(r)) == len(r) for r in rows))
+    return [sorted(r) for r in rows]
+
+
+@SETTINGS
+@given(data=st.data(), case=st.integers(0, 2), cap=CAPS)
+def test_covers_of_the_right_size_match_reference(data, case, cap):
+    tiling, gaps = interval_cases()[case]
+    rows = data.draw(same_count_edit([t.points for t in tiling.tiles], tiling.length))
+    broken = IntervalTiling(tiling.length, tuple(Tile(tuple(r)) for r in rows))
+    assert sum(map(len, rows)) == tiling.length
+    assert_same(
+        verify_interval_tiling(broken, gaps, cap),
+        interval_violations(rows, tiling.length, gaps.expand()),
+        cap,
+    )
+
+
+@SETTINGS
+@given(
+    rows=st.lists(st.lists(st.integers(-2, 6), min_size=2, max_size=3, unique=True).map(sorted), max_size=3),
+    n=st.integers(0, 6),
+    cap=CAPS,
+)
+def test_small_and_empty_covers_match_reference(rows, n, cap):
+    """Covers of [0, n) for n = 0 and up by no rows or a few: some with as
+    many points as n, some partitions among them."""
+    gaps = GapSet.from_gaps([1])
+    seqs = tuple(Tile(tuple(r)) for r in rows)
+    assert_same(verify_homogeneous(seqs, n, gaps, cap), homogeneous_violations(rows, n, gaps.expand()), cap)
+    if n:
+        assert_same(
+            verify_interval_tiling(IntervalTiling(n, seqs), gaps, cap),
+            interval_violations(rows, n, gaps.expand()),
+            cap,
+        )
