@@ -1,11 +1,11 @@
 """An ordered map over chunks on one small, process-wide thread pool.
 
-The large array passes (flatten's gather, the gap and window checks, the
-row printer and the reading of a file's rows in pieces) cut their work into
-chunks and map a function over the chunk starts with ordered_map. numpy releases the interpreter lock inside those
-passes, so threads run chunks side by side and nothing is pickled. Results
-come back in the order of the starts, so the output never depends on how
-many threads there are.
+The large array passes (flatten's gather, the row printer and the reading
+of a file's rows in pieces) cut their work into chunks and map a function
+over the chunk starts with ordered_map. numpy releases the interpreter lock
+inside those passes, so threads run chunks side by side and nothing is
+pickled. Results come back in the order of the starts, so the output never
+depends on how many threads there are.
 
 With one chunk or one CPU the map is a plain map in the calling thread: no
 pool is made and concurrent.futures is not imported. The pool is made by

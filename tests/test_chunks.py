@@ -1,8 +1,9 @@
-"""The chunk pool that flatten, the gap and window checks, the row printer
-and the row reader run on: results in order, errors where their chunk's
-result would be, at most width + 1 chunks in flight, and the same bytes and
-reports for every pool width and chunk size. A forked child gets a pool of
-its own."""
+"""The chunk pool that flatten, the row printer and the row reader run on:
+results in order, errors where their chunk's result would be, at most
+width + 1 chunks in flight, and the same bytes for every pool width and
+chunk size; the gap and window checks, run in blocks, give the same reports
+for every block size and pool width. A forked child gets a pool of its
+own."""
 
 import hashlib
 import os
