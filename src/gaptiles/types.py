@@ -507,10 +507,6 @@ class ReportBuilder:
             self._stored.append(Violation(kind, tuple(loc), detail if isinstance(detail, str) else detail(i)))
         self._count += len(locations) if count is None else count
 
-    @property
-    def count(self) -> int:
-        return self._count
-
     def build(self) -> VerificationReport:
         return VerificationReport(
             ok=self._count == 0,

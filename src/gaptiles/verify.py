@@ -4,11 +4,12 @@ Verifiers are pure functions of their inputs and trust nothing about how a
 tiling was built: coverage is re-derived from the point arrays alone, and
 every check is an array pass over the CSR layout, so memory is linear in the
 number of points whatever length the tiling declares. A partition passes the
-cover check with one boolean mark per point; only a failing cover is counted,
+cover check with one boolean mark per point; only a failing cover is sorted,
 to report it. The gap and window checks run in blocks, one after another
 in the calling thread, and take each block's steps as differences of its
-own points, so the interval and homogeneous checks make no array as long
-as the points. A rectangle's "points" for them are the prefix sums of its
+own points, so the step arrays are bounded by the block, not the tiling.
+The window check does hold a row, an offset and a start for every window
+of every row. A rectangle's "points" for them are the prefix sums of its
 step codes. The checks start no thread, so their time does not hang on
 how many CPUs the host leaves free; with the steps gathered a column at a
 time, one thread runs them about as fast as two did the row-wise way.
@@ -83,41 +84,26 @@ def _cover(
     for them; by default a point is its own location.
 
     A partition passes with one range check and one boolean mark per point
-    (_is_partition). Only a failing cover is counted. Its points are
-    range-checked first. The in-range ones are counted over [0, n) when n is
-    at most their number; otherwise overlaps come from the sorted distinct
-    points and only the first holes are listed, so memory stays linear in
-    the number of points. Counting is kept for the dense case because it is
-    faster and smaller there: sorting alone made the headline construct
-    about 17% slower and its peak memory 26% higher.
+    (_is_partition). A failing cover is sorted once: its distinct points
+    come in report order, those below 0, those in [0, n), those above. The
+    counts give the overlaps, and only the first holes are listed, so
+    memory stays linear in the number of points.
     """
     n = max(n, 0)
     if points.size == n and _is_partition(points, n):
         return
-    below = points < 0
-    above = points >= n
-    outside = below | above
-    inside = points[~outside] if outside.any() else points
-    if below.any():
-        rep.add_all("OutOfRange", np.unique(points[below]), "point below 0")
-    if n <= inside.size:
-        counts = np.bincount(inside, minlength=n)
-        over = np.flatnonzero(counts > 1)
-        over_counts = counts[over]
-        holes = np.flatnonzero(counts == 0)
-        n_holes = holes.size
-    else:
-        present, counts = np.unique(inside, return_counts=True)
-        over = present[counts > 1]
-        over_counts = counts[counts > 1]
-        holes = _first_holes(present, n, rep.cap)
-        n_holes = n - present.size
+    present, counts = np.unique(points, return_counts=True)
+    lo, hi = np.searchsorted(present, [0, n]).tolist()
+    inside, inside_counts = present[lo:hi], counts[lo:hi]
+    rep.add_all("OutOfRange", present[:lo], "point below 0")
+    many = inside_counts > 1
+    over, over_counts = inside[many], inside_counts[many]
+    holes = _first_holes(inside, n, rep.cap)
     if locate is not None:
         over, holes = locate(over), locate(holes)
     rep.add_all("Overlap", over, lambda i: f"point covered {int(over_counts[i])} times")
-    rep.add_all("Hole", holes, "point not covered by any block", n_holes)
-    if above.any():
-        rep.add_all("OutOfRange", np.unique(points[above]), f"point outside [0, {n - 1}]")
+    rep.add_all("Hole", holes, "point not covered by any block", n - inside.size)
+    rep.add_all("OutOfRange", present[hi:], f"point outside [0, {n - 1}]")
 
 
 # Window starts, or rows, checked per block: a block's windows are the
@@ -132,16 +118,15 @@ def _in_blocks(differ: Callable[[int], np.ndarray], count: int) -> np.ndarray:
     return np.concatenate([differ(a) for a in range(0, count, _WINDOW_BLOCK)])
 
 
-def _windows_differ(
-    seq: np.ndarray, starts: np.ndarray, expected: np.ndarray, width: int
-) -> np.ndarray:
-    """Whether the `width` steps from each start s, the differences of
-    seq[s : s + width + 1], sorted, differ from expected.
+def _windows_differ(seq: np.ndarray, starts: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Whether the steps from each start s, the differences of
+    seq[s : s + expected.size + 1], sorted, differ from expected.
 
     The steps are gathered, and compared with expected, a column at a time:
     numpy's gathers, differences and reductions along rows of a few steps
     each took 1.7 times as long in all.
     """
+    width = expected.size
     windows = np.empty((starts.size, width), dtype=seq.dtype)
     ahead = seq[starts]
     for j in range(width):
@@ -154,53 +139,40 @@ def _windows_differ(
     return bad
 
 
-def _sorted_windows_differ(
-    seq: np.ndarray, starts: np.ndarray, expected: np.ndarray, width: int
-) -> np.ndarray:
-    """_windows_differ for every start, so that no step array as long as
-    seq is made.
-
-    Windows of another length than expected differ by definition. The
-    starts are checked _WINDOW_BLOCK at a time; every block size gives the
-    same answer.
-    """
-    if width != expected.size:
-        return np.ones(starts.size, dtype=bool)
-
-    def differ(a: int) -> np.ndarray:
-        return _windows_differ(seq, starts[a : a + _WINDOW_BLOCK], expected, width)
-
-    return _in_blocks(differ, starts.size)
-
-
 def _row_mismatches(offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Rows whose sorted steps differ from expected, rows of another length included.
 
     A row's steps are the differences seq[j + 1] - seq[j] for each of its
     points j but the last. The rows are checked _WINDOW_BLOCK at a time.
     """
-    width = expected.size
 
     def differ(a: int) -> np.ndarray:
         bounds = offsets[a : a + _WINDOW_BLOCK + 1]
-        bad = np.diff(bounds) != width + 1
+        bad = np.diff(bounds) != expected.size + 1
         fit = ~bad
-        bad[fit] = _windows_differ(seq, bounds[:-1][fit], expected, width)
+        bad[fit] = _windows_differ(seq, bounds[:-1][fit], expected)
         return bad
 
     return np.flatnonzero(_in_blocks(differ, offsets.size - 1))
 
 
 def _window_mismatches(
-    offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray, width: int
+    offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(row, offset) of every window of `width` consecutive steps within a row
-    whose sorted steps differ from expected, in row then offset order; the
-    steps are as for _row_mismatches."""
-    per_row = np.maximum(np.diff(offsets) - width, 0)
+    """(row, offset) of every window of expected.size consecutive steps
+    within a row whose sorted steps differ from expected, in row then offset
+    order; the steps are as for _row_mismatches. The window starts are
+    checked _WINDOW_BLOCK at a time; every block size gives the same answer.
+    """
+    per_row = np.maximum(np.diff(offsets) - expected.size, 0)
     row = np.repeat(np.arange(per_row.size), per_row)
     off = np.arange(row.size) - np.repeat(offsets_from_sizes(per_row)[:-1], per_row)
-    bad = _sorted_windows_differ(seq, offsets[row] + off, expected, width)
+    starts = offsets[row] + off
+
+    def differ(a: int) -> np.ndarray:
+        return _windows_differ(seq, starts[a : a + _WINDOW_BLOCK], expected)
+
+    bad = _in_blocks(differ, starts.size)
     return row[bad], off[bad]
 
 
@@ -275,7 +247,7 @@ def verify_homogeneous(
     seqs = Tiles.of(seqs)
     _cover(seqs.values, n_points, rep)
     expected = as_int64(gap_set.expand())
-    row, off = _window_mismatches(seqs.offsets, seqs.values, expected, expected.size)
+    row, off = _window_mismatches(seqs.offsets, seqs.values, expected)
     rep.add_all(
         "WindowMismatch",
         np.column_stack((row, off)),
@@ -311,7 +283,7 @@ def verify_rectangle_tiling(
         rep.add_all("TypeMismatch", bad, "path step multiset differs from declared type")
         return rep.build()
     short = np.flatnonzero(paths.sizes() - 1 < window)
-    row, off = _window_mismatches(paths.offsets, codes, expected, window)
+    row, off = _window_mismatches(paths.offsets, codes, expected)
     rows = np.concatenate((short, row))
     # A short path has no windows, so sorting by path keeps each path's entries together.
     order = np.argsort(rows, kind="stable")

@@ -281,32 +281,32 @@ def test_reports_are_the_same_for_every_width_and_block(corrupted, width, small_
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
-    steps=st.lists(st.integers(0, 3), min_size=5, max_size=60),
+    steps=st.lists(st.integers(0, 3), max_size=60),
     width=st.integers(0, 5),
     block=st.integers(1, 9),
     threads=st.sampled_from(WIDTHS),
 )
-def test_sorted_windows_differ_is_blind_to_the_block(data, steps, width, block, threads):
+def test_window_mismatches_are_blind_to_the_block(data, steps, width, block, threads):
     steps = np.array(steps, dtype=np.int64)
     seq = np.concatenate(([7], 7 + np.cumsum(steps)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, seq.size), max_size=12)))
+    offsets = np.array([0, *cuts, seq.size], dtype=np.int64)
     expected = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
-    if width and data.draw(st.booleans()):
-        expected = expected[1:]  # windows of another length than expected
     expected = np.sort(np.array(expected, dtype=np.int64))
-    starts = data.draw(st.lists(st.integers(0, steps.size - width), max_size=40))
-    starts = np.array(starts, dtype=np.int64)
     with serial():
-        whole = verify._sorted_windows_differ(seq, starts, expected, width)
+        whole = verify._window_mismatches(offsets, seq, expected)
     with mock.patch.object(verify, "_WINDOW_BLOCK", block), mock.patch.object(
         _chunks, "_width", lambda: threads
     ):
-        blocked = verify._sorted_windows_differ(seq, starts, expected, width)
-    assert blocked.dtype == bool and np.array_equal(blocked, whole)
+        blocked = verify._window_mismatches(offsets, seq, expected)
+    assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
     naive = [
-        width != expected.size or sorted(steps[s : s + width].tolist()) != expected.tolist()
-        for s in starts.tolist()
+        (r, o)
+        for r, (a, b) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        for o in range(b - a - width)
+        if sorted(np.diff(seq[a:b])[o : o + width].tolist()) != expected.tolist()
     ]
-    assert whole.tolist() == naive
+    assert list(zip(*(x.tolist() for x in whole))) == naive
 
 
 def test_a_forked_child_makes_a_pool_of_its_own(tmp_path):

@@ -76,6 +76,12 @@ class TestConstructCommand:
         out = capsys.readouterr().out
         assert "final" in out and "2970" in out
 
+    def test_thresholds_only_hypothesis_violation_exit_2(self, capsys):
+        assert run(["construct", "--gaps", "1:1,5:1", "--thresholds-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stage-2 boundary-base: requires distance >= 9, got 5\n"
+
     @pytest.mark.parametrize(
         "args, token",
         [

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import pytest
+from naive_verify import homogeneous_violations, interval_violations
 
 from gaptiles import (
     GapSet,
@@ -20,7 +21,7 @@ from gaptiles import (
 )
 from gaptiles import _chunks, verify
 from gaptiles.serialize import dumps_canonical, report_to_obj
-from gaptiles.types import normalize_steps
+from gaptiles.types import Tiles, normalize_steps
 
 
 def T(*gaps):
@@ -113,6 +114,34 @@ def test_interval_scratch_memory_is_bounded_by_the_blocks(table, monkeypatch, wi
     assert rep.ok
     # int64 point counts and a step array, each as long as the values, took twice them
     assert peak < 0.5 * t.tiles.values.nbytes
+
+
+@pytest.fixture(scope="module")
+def constructed_rows(table):
+    gs = T(1, 9, 2970)
+    t = construct(gs, SplitSpec(2, 1), table).tiling
+    return gs, t.length, [t.tiles.row(i).tolist() for i in range(len(t.tiles))]
+
+
+@pytest.mark.parametrize("cap", [1, 32, 10**6])
+@pytest.mark.parametrize("variant", ["duplicated", "dropped", "strays"])
+def test_large_failing_covers_match_reference(constructed_rows, variant, cap):
+    """A constructed tiling with one tile twice, 40 tiles missing, or points
+    on both sides of the range gets the reference report from both checks."""
+    gs, length, rows = constructed_rows
+    if variant == "duplicated":
+        rows = rows + [rows[len(rows) // 2]]
+    elif variant == "dropped":
+        rows = [r for i, r in enumerate(rows) if i % 73 or i >= 73 * 40]
+    else:
+        rows = rows + [[-2, length + 5]]
+    tiles, gaps = Tiles.from_rows(rows), gs.expand()
+    for report, want in (
+        (verify_interval_tiling(IntervalTiling(length, tiles), gs, cap), interval_violations(rows, length, gaps)),
+        (verify_homogeneous(tiles, length, gs, cap), homogeneous_violations(rows, length, gaps)),
+    ):
+        assert [(v.kind, v.location, v.detail) for v in report.violations] == want[:cap]
+        assert not report.ok and report.truncated == (len(want) > cap)
 
 
 class TestBoundaryPrefix:
