@@ -42,6 +42,7 @@ from .serialize import (
     interval_to_obj,
     read_json,
     rectangle_to_obj,
+    refuse_special_file,
     report_to_obj,
     tiling_from_obj,
     write_json,
@@ -122,6 +123,9 @@ def cmd_construct(args) -> int:
     if not out.parent.is_dir():  # refuse before a long build, not at its write
         code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
         raise OSError(code, os.strerror(code), str(out))
+    outputs = (out, out.with_suffix(".trace.json"), out.with_suffix(".thresholds.json"))
+    for path in outputs:
+        refuse_special_file(path)
     splits = [split] if split else auto_split(gaps)
     result = None
     errors = []
@@ -146,9 +150,9 @@ def cmd_construct(args) -> int:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 3 if exhausted else 2
-    write_json(out, interval_to_obj(result.tiling, gaps))
-    write_json(out.with_suffix(".trace.json"), list(result.trace))
-    write_json(out.with_suffix(".thresholds.json"), result.thresholds.to_obj())
+    write_json(outputs[0], interval_to_obj(result.tiling, gaps))
+    write_json(outputs[1], list(result.trace))
+    write_json(outputs[2], result.thresholds.to_obj())
     print(f"tiled interval of length {result.tiling.length} with {len(result.tiling.tiles)} tiles")
     # construct() raises VerificationFailed unless every stage's output passed its check.
     print("verification: ok")

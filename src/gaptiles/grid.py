@@ -17,12 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ._chunks import ordered_map
 from .errors import ConstructionError, PreconditionError, SearchExhausted
 from .oracle import SearchStatus, solve_rectangle
 from .serialize import dumps_canonical  # noqa: F401  benchmarks/tracing.py patches it here
 from .serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
 from .types import (
+    INT64_MAX,
     IntervalTiling,
     Paths,
     RectangleTiling,
@@ -432,65 +432,118 @@ def residue_interleave(
     return as_rectangle(merged)
 
 
-# Tiles flattened per slice: each slice's gather index and point copies are
-# the only scratch arrays that grow with the output, one set per slice that
-# the chunk pool runs at a time.
-_FLATTEN_TILES = 1 << 14
-
-
-def flatten(r: RectangleTiling, width: int) -> IntervalTiling:
-    """Map (x, y) -> x + y*width, turning each path into a tile.
-
-    Every point must lie in [0, width) x [0, height); PreconditionError names
-    the first one that does not. Within those bounds the map is one-to-one
-    onto [0, width*height), so the tiles partition that interval exactly when
-    the paths partition the rectangle, and no point outside can alias one
-    inside. Monotone steps flatten to strictly increasing points, so each
-    path's point order is preserved. Tiles are emitted stably sorted by their
-    first point.
-
-    Besides the output, flatten holds a few arrays with one entry per tile
-    and the scratch of the slices of _FLATTEN_TILES tiles in flight, never a
-    second array as long as the output. The slices are gathered side by side
-    on the chunk pool (_chunks.ordered_map), each into its own part of the
-    output, so the result is the same for every pool width.
-    """
-    if width != r.width:
-        raise PreconditionError(f"width {width} does not match the rectangle width {r.width}")
-    p = r.paths
-    xs, ys = p.xs, p.ys
-    if xs.size and (xs.min() < 0 or xs.max() >= width or ys.min() < 0 or ys.max() >= r.height):
-        i = int(np.flatnonzero((xs < 0) | (xs >= width) | (ys < 0) | (ys >= r.height))[0])
-        path = int(np.searchsorted(p.offsets, i, side="right")) - 1
-        raise PreconditionError(
-            f"point ({xs[i]}, {ys[i]}) of path {path} lies outside [0, {width}) x [0, {r.height})"
-        )
-    # flatten sets the peak memory of a large construct, so per-tile arrays
-    # are dropped once spent and the points are gathered a slice at a time.
+def _sorted_block(b: RectangleTiling, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block's paths stably sorted by first point and flattened at the
+    output width, with no x shift: (offsets, values, rows). Row y's paths
+    are paths rows[y]:rows[y+1] of the sorted order."""
+    p = b.paths
     starts = p.offsets[:-1]
-    firsts = ys[starts] * width
-    firsts += xs[starts]
+    firsts = p.ys[starts] * b.width
+    firsts += p.xs[starts]
     order = np.argsort(firsts, kind="stable")
-    del firsts
+    rows = np.searchsorted(firsts[order], b.width * np.arange(b.height + 1))
     offsets = offsets_from_sizes(p.sizes()[order])
-    # tile i of the output starts at path order[i]'s first point: its points
-    # are the input points k + shift[i] for k in [offsets[i], offsets[i+1])
-    shift = starts[order]
-    del order
-    shift -= offsets[:-1]
-    values = np.empty(xs.size, dtype=np.int64)
+    # sorted path i starts at path order[i]'s first point
+    src = np.repeat(starts[order] - offsets[:-1], np.diff(offsets))
+    src += np.arange(p.xs.size)
+    values = p.ys[src] * width
+    values += p.xs[src]
+    return offsets, values, rows
 
-    def gather(a: int) -> None:
-        b = min(a + _FLATTEN_TILES, len(shift))
-        lo, hi = offsets[a], offsets[b]
-        src = np.repeat(shift[a:b], np.diff(offsets[a : b + 1]))
-        src += np.arange(lo, hi)
-        out = values[lo:hi]
-        np.multiply(ys[src], width, out=out)
-        out += xs[src]
 
-    # each slice writes its own part of values
-    for _ in ordered_map(gather, range(0, len(shift), _FLATTEN_TILES)):
-        pass
-    del shift
-    return IntervalTiling(width * r.height, Tiles(offsets, values))
+def _check_bounds(b: RectangleTiling, i: int) -> None:
+    """PreconditionError naming block i and its first point outside
+    [0, width) x [0, height)."""
+    p = b.paths
+    xs, ys = p.xs, p.ys
+    if xs.size and (xs.min() < 0 or xs.max() >= b.width or ys.min() < 0 or ys.max() >= b.height):
+        j = int(np.flatnonzero((xs < 0) | (xs >= b.width) | (ys < 0) | (ys >= b.height))[0])
+        path = int(np.searchsorted(p.offsets, j, side="right")) - 1
+        raise PreconditionError(
+            f"block {i}: point ({xs[j]}, {ys[j]}) of path {path} lies outside "
+            f"[0, {b.width}) x [0, {b.height})"
+        )
+
+
+def _copies_into(out: np.ndarray, row: np.ndarray, first: int, step: int) -> None:
+    """out[j] = row + first + j*step for every row j of out.
+
+    Each pass adds to the rows written so far to write as many again, so no
+    array with one entry per row of out is made.
+    """
+    np.add(row, first, out=out[0])
+    done = 1
+    while done < len(out):
+        m = min(done, len(out) - done)
+        np.add(out[:m], done * step, out=out[done : done + m])
+        done += m
+
+
+def flatten(blocks: RectangleTiling | Sequence[RectangleTiling], width: int) -> IntervalTiling:
+    """Lay the blocks left to right and map (x, y) -> x + y*width, turning
+    each path into a tile. A single rectangle is one block.
+
+    The blocks must share a height h and their widths must sum to width.
+    Every point must lie in its own block's [0, block width) x [0, h);
+    PreconditionError names the first block and point that do not. Within
+    those bounds the map is one-to-one onto [0, width*h), so the tiles
+    partition that interval exactly when each block's paths partition the
+    block, and no point can alias one of another block or copy. Monotone
+    steps flatten to strictly increasing points, so each path's point order
+    is preserved. Tiles are emitted stably sorted by their first point, as
+    if the blocks had been concatenated first.
+
+    That order is (row of the first point, block, first x in the block), so
+    the concatenated rectangle is never built. Each distinct block object is
+    checked, sorted and flattened once. A run of one object repeated is then
+    written row by row straight into the output, every copy of the row's
+    tiles at once (_copies_into). Besides the output, flatten holds one
+    sorted copy of each distinct block and nothing that grows with the
+    copies; a single block is sorted into the output itself.
+    """
+    if isinstance(blocks, RectangleTiling):
+        blocks = [blocks]
+    if not blocks:
+        raise PreconditionError("need at least one block")
+    runs = []  # (block, copies) for each run of one block object
+    for _, run in groupby(blocks, key=id):
+        b = next(run)
+        runs.append((b, 1 + sum(1 for _ in run)))
+    h = blocks[0].height
+    if any(b.height != h for b, _ in runs):
+        raise PreconditionError("blocks must share a height")
+    total = sum(b.width * copies for b, copies in runs)
+    if width != total:
+        raise PreconditionError(f"width {width} does not match the rectangle width {total}")
+    if width * h > INT64_MAX:
+        raise PreconditionError("the rectangle must have fewer than 2**63 points")
+    sorted_blocks, i = {}, 0  # i: the index of the run's first block
+    for b, copies in runs:
+        if id(b) not in sorted_blocks:
+            _check_bounds(b, i)
+            sorted_blocks[id(b)] = _sorted_block(b, width)
+        i += copies
+    if len(blocks) == 1:
+        offsets, values, _ = sorted_blocks.pop(id(blocks[0]))
+        return IntervalTiling(width * h, Tiles(offsets, values))
+    values = np.empty(sum(b.paths.xs.size * copies for b, copies in runs), dtype=np.int64)
+    offsets = np.empty(sum(len(b.paths) * copies for b, copies in runs) + 1, dtype=np.int64)
+    layout, x0 = [], 0  # each run's sorted block, copies, block width and x shift
+    for b, copies in runs:
+        layout.append((sorted_blocks[id(b)], copies, b.width, x0))
+        x0 += b.width * copies
+    point = path = 0
+    for y in range(h):
+        for (b_offsets, b_values, rows), copies, bw, x0 in layout:
+            lo, hi = rows[y], rows[y + 1]
+            a, z = b_offsets[lo], b_offsets[hi]
+            n, k = z - a, hi - lo
+            # copy j of the row's tiles: the block's, shifted right by x0 + j*bw
+            out = values[point : point + copies * n].reshape(copies, n)
+            _copies_into(out, b_values[a:z], x0, bw)
+            out = offsets[path : path + copies * k].reshape(copies, k)
+            _copies_into(out, b_offsets[lo:hi], point - a, n)
+            point += copies * n
+            path += copies * k
+    offsets[-1] = point
+    return IntervalTiling(width * h, Tiles(offsets, values))

@@ -20,10 +20,10 @@ checks (_check_final), not the minimal-height searches only the build needs.
 
 A build assembles what its plan says and verifies its output once before
 returning, so a constructed tiling is never trusted without verification. A
-stage that assembles a rectangle flattens it with a bounds check and
-verifies the flattened tiling; the rectangle itself is checked only to say
-where a failed output went wrong. The built tiling's cardinality histogram
-must equal the plan's.
+stage that assembles a rectangle flattens its column blocks, each checked
+against its own bounds, straight into the tiling and verifies that; the
+rectangle is built and checked only to say where a failed output went
+wrong. The built tiling's cardinality histogram must equal the plan's.
 """
 
 from __future__ import annotations
@@ -142,27 +142,29 @@ def _require_ok(report: VerificationReport, what: str) -> None:
         raise VerificationFailed(f"{what} failed verification: {first}")
 
 
-def _checked_output(rect: RectangleTiling, plan: StageState) -> StageState:
-    """Flatten a stage's rectangle by the stage's distance d, verify the
-    tiling once, and return the plan built with it (see _built).
+def _checked_output(blocks: Sequence[RectangleTiling], plan: StageState) -> StageState:
+    """Flatten a stage's column blocks, laid left to right, by the stage's
+    distance d, verify the tiling once, and return the plan built with it
+    (see _built).
 
     The check is verify_homogeneous for the plan's gap set on homogeneous
     stages (the tiling is then annotated homogeneous for it), else
     verify_interval_tiling; boundary stages add verify_boundary_prefix and
-    the count's annotation. Flatten is bounds-checked and maps [0, d) x
-    [0, h) one-to-one onto [0, d*h), so a clean output shows the rectangle is
-    tiled exactly too. Pass the rectangle as a temporary: this call then
-    holds its only reference and frees it before the check. Only after a
-    failure is the rectangle rebuilt from the tiling and verified, to locate
-    the fault. Any failure raises VerificationFailed.
+    the count's annotation. Flatten checks each block's bounds and maps the
+    blocks' [0, d) x [0, h) one-to-one onto [0, d*h), so a clean output shows
+    the blocks tile that rectangle exactly too. The concatenated rectangle
+    is never built: only after a failure is it rebuilt from the tiling and
+    verified, to locate the fault. Pass the list as a temporary: this call
+    then holds its only reference and frees the blocks before the check. Any
+    failure raises VerificationFailed.
     """
     d, stage, gaps = plan.stage_trace["d_used"], plan.stage_trace["stage"], plan.gap_prefix
-    height, step_type, window = rect.height, rect.step_type, rect.window
+    height, step_type, window = blocks[0].height, blocks[0].step_type, blocks[0].window
     try:
-        tiling = flatten(rect, d)
+        tiling = flatten(blocks, d)
     except PreconditionError as exc:
         raise VerificationFailed(f"{stage} rectangle does not flatten: {exc}") from None
-    del rect
+    del blocks
     if plan.kind == "homogeneous":
         tiling = tiling.with_annotations(homogeneous_for=gaps)
         report = verify_homogeneous(tiling.tiles, tiling.length, gaps)
@@ -359,7 +361,7 @@ def boundary_base(
     def column(narrow: int, wide: int):
         return dilate_x(concat_columns([first] * narrow + [second] * wide), d1, 0)
 
-    return _checked_output(residue_interleave(column(c2, b2), column(c1, b1), d1, blocks["t"]), plan)
+    return _checked_output([residue_interleave(column(c2, b2), column(c1, b1), d1, blocks["t"])], plan)
 
 
 def _extension_block(
@@ -458,11 +460,9 @@ def boundary_step(
 
     blocks = plan.stage_trace["blocks"]
     return _checked_output(
-        concat_columns(
-            [rect_narrow] * blocks["narrow_blocks"]
-            + [rect_widened] * blocks["widened_blocks"]
-            + [rect_extended]
-        ),
+        [rect_narrow] * blocks["narrow_blocks"]
+        + [rect_widened] * blocks["widened_blocks"]
+        + [rect_extended],
         plan,
     )
 
@@ -609,13 +609,15 @@ def plan_homogeneous_step(
 
 def _lifted_blocks(
     prev: StageState, plan: StageState, k: int, base, window: int | None
-) -> RectangleTiling:
-    """The rectangle of a homogeneous step or final stage.
+) -> list[RectangleTiling]:
+    """The column blocks of a homogeneous step or final stage, left to right.
 
-    `removed_blocks` blocks over prev's sequences with the last point removed
-    (width L), then `full_blocks` blocks over all of them (width L+1), left
-    to right. In each block, a sequence of c points carries base(c) lifted
-    over its points with the window given and stacked to the plan's height.
+    `removed_blocks` copies of one block over prev's sequences with the last
+    point removed (width L), then `full_blocks` copies of one block over all
+    of them (width L+1). The list repeats those two block objects, so flatten
+    sorts each once and writes its copies straight into the output. In each
+    block, a sequence of c points carries base(c) lifted over its points with
+    the window given and stacked to the plan's height.
     """
     step_type = _lifted_type(prev.gap_prefix, k)
     base = cache(base)
@@ -635,7 +637,7 @@ def _lifted_blocks(
     if c > 0:
         idx = dict(prev.endpoint_index)[prev.L]
         removed = [block(tiles.with_row(idx, tiles[idx].points[:-1]))] * c
-    return concat_columns(removed + [full] * blocks["full_blocks"])
+    return removed + [full] * blocks["full_blocks"]
 
 
 def homogeneous_step(

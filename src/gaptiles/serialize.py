@@ -35,8 +35,10 @@ is a parse error (PreconditionError), never truncated or read as 0 or 1.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -168,6 +170,20 @@ def dumps_canonical(obj: Any) -> str:
     return b"".join(_chunks(obj)).decode("ascii") + "\n"
 
 
+def refuse_special_file(path: str | Path) -> None:
+    """Raise an OSError naming path if it exists and is not a regular file
+    (a device, a FIFO, a directory, or a link to one): writing there would
+    replace that entry with a plain file."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISDIR(mode):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not stat.S_ISREG(mode):
+        raise OSError(errno.EEXIST, "exists and is not a regular file", str(path))
+
+
 def write_json(path: str | Path, obj: Any) -> None:
     """Write the canonical JSON of obj to path, atomically.
 
@@ -175,9 +191,12 @@ def write_json(path: str | Path, obj: Any) -> None:
     replaces path; on any failure the temporary file is removed and path is
     left as it was. The file is not fsynced: the replace is atomic for
     readers and against a failing writer, not against a power loss. An
-    OSError about the temporary file is raised naming path.
+    OSError about the temporary file is raised naming path, and so is one
+    for a path that exists and is not a regular file (refuse_special_file),
+    before any temporary file is made.
     """
     path = Path(path)
+    refuse_special_file(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "xb")

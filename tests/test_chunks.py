@@ -1,4 +1,4 @@
-"""The chunk pool that flatten, the row printer and the row reader run on:
+"""The chunk pool that the row printer and the row reader run on:
 results in order, errors where their chunk's result would be, at most
 width + 1 chunks in flight, and the same bytes for every pool width and
 chunk size; the gap and window checks, run in blocks, give the same reports
@@ -53,7 +53,6 @@ def width(request, monkeypatch):
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Chunk sizes small enough that a small tiling spans many chunks."""
-    monkeypatch.setattr(grid, "_FLATTEN_TILES", 7)
     monkeypatch.setattr(verify, "_WINDOW_BLOCK", 5)
     monkeypatch.setattr(serialize, "_CHUNK_POINTS", 97)
 
@@ -62,10 +61,8 @@ def small_chunks(monkeypatch):
 def serial():
     """One thread and one chunk per pass, as before the pool."""
     with mock.patch.object(_chunks, "_width", lambda: 1), mock.patch.object(
-        grid, "_FLATTEN_TILES", 1 << 62
-    ), mock.patch.object(verify, "_WINDOW_BLOCK", 1 << 62), mock.patch.object(
-        serialize, "_CHUNK_POINTS", 1 << 62
-    ):
+        verify, "_WINDOW_BLOCK", 1 << 62
+    ), mock.patch.object(serialize, "_CHUNK_POINTS", 1 << 62):
         yield
 
 
@@ -214,13 +211,14 @@ def test_construct_writes_the_same_bytes_for_every_width_and_chunk(tmp_path, wid
 
 
 def flattened(run):
-    """run()'s result and the rectangles the pipeline flattened for it."""
+    """run()'s result and the rectangles the pipeline flattened for it, each
+    its column blocks concatenated."""
     rects = []
     real = pipeline.flatten
 
-    def capture(rect, width):
-        rects.append(rect)
-        return real(rect, width)
+    def capture(blocks, width):
+        rects.append(grid.concat_columns(blocks))
+        return real(rects[-1:], width)
 
     with mock.patch.object(pipeline, "flatten", capture):
         return run(), rects

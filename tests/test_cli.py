@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -102,13 +104,13 @@ class TestConstructCommand:
         assert "Traceback" not in err
 
     def test_stage_verification_failure_exit_4(self, tmp_path, capsys, monkeypatch):
-        real = pipeline.concat_columns
+        real = pipeline.flatten
         moved = []
 
-        def concat_moving_one_point(blocks):
-            rect = real(blocks)
-            if rect.width != 2970:  # corrupt the final stage's rectangle only
-                return rect
+        def flatten_moving_one_point(blocks, width):
+            if width != 2970:  # corrupt the final stage's rectangle only
+                return real(blocks, width)
+            rect = pipeline.concat_columns(blocks)
             # Path 0 turns somewhere: put its point there on the other side of
             # the turn, which keeps the path's steps and leaves one point twice.
             p = rect.paths
@@ -118,9 +120,9 @@ class TestConstructCommand:
             xs[j + 1], ys[j + 1] = xs[j] + xs[j + 2] - xs[j + 1], ys[j] + ys[j + 2] - ys[j + 1]
             moved.append((int(xs[j + 1]), int(ys[j + 1])))
             paths = Paths(p.offsets, xs, ys)
-            return RectangleTiling(rect.width, rect.height, paths, rect.step_type, rect.window)
+            return real([RectangleTiling(rect.width, rect.height, paths, rect.step_type, rect.window)], width)
 
-        monkeypatch.setattr(pipeline, "concat_columns", concat_moving_one_point)
+        monkeypatch.setattr(pipeline, "flatten", flatten_moving_one_point)
         out = tmp_path / "t.json"
         assert run(["construct", "--gaps", "1:1,9:1,2970:1", "--split", "2,1", "--out", str(out)]) == 4
         captured = capsys.readouterr()
@@ -222,6 +224,22 @@ class TestConstructCommand:
         assert run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["t.json", "t.trace.json", "t.thresholds.json"])
+    def test_out_onto_a_fifo_exits_1_before_building(self, tmp_path, capsys, monkeypatch, name):
+        # a device node or a FIFO is never replaced by the written file
+        def build(*args):
+            raise AssertionError("built before --out was checked")
+
+        monkeypatch.setattr(cli, "construct", build)
+        fifo = tmp_path / name
+        os.mkfifo(fifo)
+        out = tmp_path / "t.json"
+        assert run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"i/o error: [Errno {errno.EEXIST}] exists and is not a regular file: '{fifo}'\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [f.name for f in tmp_path.iterdir()] == [name]
 
     def test_exhausted_height_search_in_conditions_exit_3(self, capsys, monkeypatch):
         # an undecided height search is no evidence that staged growth fails

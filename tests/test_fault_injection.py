@@ -1,10 +1,12 @@
 """Fault injection: a stage whose assembled rectangle is corrupted before it
 is flattened raises VerificationFailed and never returns a tiling.
 
-Each stage checks only its flattened output, over a bounds-checked flatten.
-These tests show that the corruptions a rectangle check catches are still
-caught: a point moved to the position that flattens to the same value, a
-point covered twice, a point dropped, and two steps of a path swapped.
+Each stage checks only its flattened output, over a flatten that checks each
+column block's bounds. These tests show that the corruptions a rectangle
+check catches are still caught: a point moved to the position that flattens
+to the same value, a point covered twice, a point dropped, and two steps of
+a path swapped. Each is made once in the concatenated rectangle, and once
+in a block object that several columns share, so it repeats in every copy.
 """
 
 from unittest import mock
@@ -134,17 +136,34 @@ STEP_RUNS = {
 }
 
 
-def _assert_caught(run, target: int, corrupt, data) -> None:
+def whole(blocks, corrupt, data):
+    """The blocks concatenated into one rectangle, then corrupted."""
+    rect = corrupt(pipeline.concat_columns(blocks), data)
+    # the fault is real: the rectangle check would have caught it
+    assert not verify_rectangle_tiling(rect).ok
+    return [rect]
+
+
+def shared(blocks, corrupt, data):
+    """The blocks with one block object that several columns share corrupted
+    in all of them."""
+    objects = {id(b): b for b in blocks}
+    runs = [b for b in objects.values() if sum(c is b for c in blocks) > 1]
+    block = runs[_draw_index(data, len(runs))]
+    bad = corrupt(block, data)
+    assert not verify_rectangle_tiling(bad).ok
+    return [bad if b is block else b for b in blocks]
+
+
+def _assert_caught(run, target: int, corrupt, data, where=whole) -> None:
     real = pipeline.flatten
     calls = []
 
-    def flatten(rect, width):
+    def flatten(blocks, width):
         if len(calls) == target:
-            rect = corrupt(rect, data)
-            # the fault is real: the rectangle check would have caught it
-            assert not verify_rectangle_tiling(rect).ok
+            blocks = where(blocks, corrupt, data)
         calls.append(width)
-        return real(rect, width)
+        return real(blocks, width)
 
     with mock.patch.object(pipeline, "flatten", flatten):
         with pytest.raises(VerificationFailed):
@@ -171,6 +190,17 @@ def test_corrupted_step_rectangle_never_yields_a_tiling(data, kind, stage, extra
     # extra = 1 puts both block widths into the step's rectangle
     d = {"boundary-step": 4225, "homogeneous-step": 3025}[stage] + extra
     _assert_caught(lambda: STEP_RUNS[stage](d, table), 1, CORRUPTIONS[kind], data)
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    kind=st.sampled_from(sorted(CORRUPTIONS)),
+    stage=st.sampled_from(sorted(STEP_RUNS)),
+)
+def test_corrupted_shared_block_never_yields_a_tiling(data, kind, stage, table):
+    d = {"boundary-step": 4225, "homogeneous-step": 3025}[stage]
+    _assert_caught(lambda: STEP_RUNS[stage](d, table), 1, CORRUPTIONS[kind], data, shared)
 
 
 

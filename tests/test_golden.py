@@ -67,6 +67,13 @@ def test_homogeneous_step_output_is_byte_identical():
     assert sha256(text.encode()) == "f37499437489f94c52fcc0d8cd16918a0bb019479ff99df607e4bf73534cf09c"
 
 
+def test_benchmark_homogeneous_step_output_is_byte_identical():
+    # the benchmark's homogeneous instance: 600,000 points, 147,936 sequences
+    st = homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), 30000, 1)
+    text = dumps_canonical(interval_to_obj(st.tiling, st.tiling.annotations.homogeneous_for))
+    assert sha256(text.encode()) == "0d2cf5100902ac05f209f129ab6c54bd1d5089026c383b347c149fc2ccbb0ca0"
+
+
 def test_catalog_sweep_is_byte_identical(tmp_path):
     run_catalog(tmp_path / "cat.jsonl", 6, 4, 120)
     assert sha256((tmp_path / "cat.jsonl").read_bytes()) == (

@@ -29,7 +29,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import _chunks, grid, pipeline
+from gaptiles import grid, pipeline
 from gaptiles.errors import PreconditionError
 from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
@@ -315,57 +315,59 @@ def flatten_by_argsort(rect, width):
     return offsets, values[source]
 
 
-def stage_rectangles(run):
-    """The rectangles the pipeline flattens while run() builds."""
-    rects = []
+def stage_blocks(run):
+    """The block lists the pipeline flattens while run() builds."""
+    lists = []
     real = pipeline.flatten
 
-    def capture(rect, width):
-        rects.append(rect)
-        return real(rect, width)
+    def capture(blocks, width):
+        lists.append(blocks)
+        return real(blocks, width)
 
     with mock.patch.object(pipeline, "flatten", capture):
         run()
-    return rects
+    return lists
 
 
-@pytest.fixture(scope="module")
-def seam_rectangles(table):
-    """Every stage rectangle of a small construct, and the windowed rectangle
-    of a homogeneous step, whose paths differ in length."""
-    rects = stage_rectangles(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
-    step = stage_rectangles(
-        lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
-    )
-    return rects + step[-1:]
-
-
-class TestFlattenSlices:
-    @pytest.mark.parametrize("tiles", [1, 2, 3, 7, 1 << 30])
-    def test_every_slice_size_flattens_alike(self, seam_rectangles, monkeypatch, tiles):
-        ragged = seam_rectangles[-1]
+class TestFlattenBlocks:
+    def test_stage_blocks_flatten_as_their_concatenation(self, table):
+        # every stage of a small construct, and a homogeneous step, whose
+        # windowed paths differ in length
+        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
+        lists += stage_blocks(
+            lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
+        )[-1:]
+        ragged = lists[-1][0]
         assert ragged.window is not None and len(set(ragged.paths.sizes().tolist())) > 1
-        monkeypatch.setattr(grid, "_FLATTEN_TILES", tiles)
-        for rect in seam_rectangles:
-            t = flatten(rect, rect.width)
+        assert max(len(blocks) for blocks in lists) > 1
+        for blocks in lists:
+            rect = concat_columns(blocks)
+            t = flatten(blocks, rect.width)
             offsets, values = flatten_by_argsort(rect, rect.width)
             assert t.length == rect.width * rect.height
             assert np.array_equal(t.tiles.offsets, offsets)
             assert np.array_equal(t.tiles.values, values)
 
-    @pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
-    def test_scratch_memory_is_bounded_by_the_slice(self, table, monkeypatch, width):
-        rects = stage_rectangles(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1), table))
-        rect = rects[-1]
-        assert rect.paths.xs.size >= 100_000
-        monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
-        monkeypatch.setattr(_chunks, "_width", lambda: width)
+    def test_scratch_is_bounded_by_the_distinct_blocks(self, table, monkeypatch):
+        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
+        block = lists[-1][-1]
+        blocks = [block] * 5000
+        # the peak once the output is written, before Tiles checks its invariants
+        real, peaks = grid.Tiles, []
+
+        def tiles(offsets, values):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(offsets, values)
+
+        monkeypatch.setattr(grid, "Tiles", tiles)
         tracemalloc.start()
         try:
-            t = flatten(rect, rect.width)
-            peak = tracemalloc.get_traced_memory()[1]
+            t = flatten(blocks, block.width * len(blocks))
         finally:
             tracemalloc.stop()
         output = t.tiles.values.nbytes + t.tiles.offsets.nbytes
-        # the one-pass formula held four arrays as long as the output: about 2.6 times it
-        assert peak < 2 * output
+        p = block.paths
+        block_bytes = p.xs.nbytes + p.ys.nbytes + p.offsets.nbytes
+        assert output > 1000 * block_bytes
+        # the concatenated rectangle alone was twice the output's values
+        assert peaks[0] - output < 4 * block_bytes

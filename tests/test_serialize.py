@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -304,3 +306,13 @@ def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five
         with pytest.raises(type(want.value)) as got:
             read_json(path)
     assert str(got.value) == str(want.value)
+
+
+def test_a_target_that_is_not_a_regular_file_is_refused(tmp_path):
+    fifo = tmp_path / "t.json"
+    os.mkfifo(fifo)
+    with pytest.raises(FileExistsError) as info:
+        write_json(fifo, INTERVAL)
+    assert info.value.filename == str(fifo) and "not a regular file" in str(info.value)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [f.name for f in tmp_path.iterdir()] == ["t.json"]
