@@ -432,6 +432,11 @@ def residue_interleave(
     return as_rectangle(merged)
 
 
+# Paths gathered per slice in _sorted_block: each slice's gather index and
+# point copies are the only scratch arrays that grow with the block.
+_FLATTEN_TILES = 1 << 14
+
+
 def _sorted_block(b: RectangleTiling, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One block's paths stably sorted by first point and flattened at the
     output width, with no x shift: (offsets, values, rows). Row y's paths
@@ -444,10 +449,18 @@ def _sorted_block(b: RectangleTiling, width: int) -> tuple[np.ndarray, np.ndarra
     rows = np.searchsorted(firsts[order], b.width * np.arange(b.height + 1))
     offsets = offsets_from_sizes(p.sizes()[order])
     # sorted path i starts at path order[i]'s first point
-    src = np.repeat(starts[order] - offsets[:-1], np.diff(offsets))
-    src += np.arange(p.xs.size)
-    values = p.ys[src] * width
-    values += p.xs[src]
+    shift = starts[order]
+    del firsts, order
+    shift -= offsets[:-1]
+    values = np.empty(p.xs.size, dtype=np.int64)
+    for a in range(0, len(shift), _FLATTEN_TILES):
+        z = min(a + _FLATTEN_TILES, len(shift))
+        lo, hi = offsets[a], offsets[z]
+        src = np.repeat(shift[a:z], np.diff(offsets[a : z + 1]))
+        src += np.arange(lo, hi)
+        out = values[lo:hi]
+        np.multiply(p.ys[src], width, out=out)
+        out += p.xs[src]
     return offsets, values, rows
 
 
@@ -498,8 +511,9 @@ def flatten(blocks: RectangleTiling | Sequence[RectangleTiling], width: int) -> 
     checked, sorted and flattened once. A run of one object repeated is then
     written row by row straight into the output, every copy of the row's
     tiles at once (_copies_into). Besides the output, flatten holds one
-    sorted copy of each distinct block and nothing that grows with the
-    copies; a single block is sorted into the output itself.
+    sorted copy of each distinct block, gathered _FLATTEN_TILES paths at a
+    time, and nothing that grows with the copies; a single block is sorted
+    into the output itself.
     """
     if isinstance(blocks, RectangleTiling):
         blocks = [blocks]

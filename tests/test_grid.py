@@ -29,7 +29,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import grid, pipeline
+from gaptiles import _chunks, grid, pipeline
 from gaptiles.errors import PreconditionError
 from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
@@ -329,25 +329,53 @@ def stage_blocks(run):
     return lists
 
 
-class TestFlattenBlocks:
-    def test_stage_blocks_flatten_as_their_concatenation(self, table):
-        # every stage of a small construct, and a homogeneous step, whose
-        # windowed paths differ in length
-        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
-        lists += stage_blocks(
-            lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
-        )[-1:]
-        ragged = lists[-1][0]
-        assert ragged.window is not None and len(set(ragged.paths.sizes().tolist())) > 1
-        assert max(len(blocks) for blocks in lists) > 1
-        for blocks in lists:
-            rect = concat_columns(blocks)
-            t = flatten(blocks, rect.width)
-            offsets, values = flatten_by_argsort(rect, rect.width)
-            assert t.length == rect.width * rect.height
-            assert np.array_equal(t.tiles.offsets, offsets)
-            assert np.array_equal(t.tiles.values, values)
+@pytest.fixture(scope="module")
+def seam_blocks(table):
+    """The block list of every stage of a small construct, and of the
+    windowed last stage of a homogeneous step, whose paths differ in length."""
+    lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
+    step = stage_blocks(
+        lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
+    )
+    return lists + step[-1:]
 
+
+class TestFlattenSlices:
+    @pytest.mark.parametrize("tiles", [1, 2, 3, 7, 1 << 30])
+    def test_every_slice_size_flattens_alike(self, seam_blocks, monkeypatch, tiles):
+        ragged = seam_blocks[-1][0]
+        assert ragged.window is not None and len(set(ragged.paths.sizes().tolist())) > 1
+        assert max(len(blocks) for blocks in seam_blocks) > 1
+        monkeypatch.setattr(grid, "_FLATTEN_TILES", tiles)
+        for blocks in seam_blocks:
+            rect = concat_columns(blocks)
+            offsets, values = flatten_by_argsort(rect, rect.width)
+            # the stage's block list, and the rectangle they concatenate to
+            for t in flatten(blocks, rect.width), flatten(rect, rect.width):
+                assert t.length == rect.width * rect.height
+                assert np.array_equal(t.tiles.offsets, offsets)
+                assert np.array_equal(t.tiles.values, values)
+
+    # flatten gathers in the calling thread: its peak is the same at every pool width
+    @pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
+    def test_scratch_memory_is_bounded_by_the_slice(self, table, monkeypatch, width):
+        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1), table))
+        rect = concat_columns(lists[-1])
+        assert rect.paths.xs.size >= 100_000
+        monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
+        monkeypatch.setattr(_chunks, "_width", lambda: width)
+        tracemalloc.start()
+        try:
+            t = flatten(rect, rect.width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = t.tiles.values.nbytes + t.tiles.offsets.nbytes
+        # the one-pass formula held four arrays as long as the output: about 2.6 times it
+        assert peak < 2 * output
+
+
+class TestFlattenBlocks:
     def test_scratch_is_bounded_by_the_distinct_blocks(self, table, monkeypatch):
         lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
         block = lists[-1][-1]
