@@ -45,6 +45,7 @@ from .serialize import (
     refuse_special_file,
     report_to_obj,
     tiling_from_obj,
+    write_atomic,
     write_json,
 )
 from .types import GapSet, SplitSpec
@@ -235,7 +236,7 @@ def cmd_render(args) -> int:
     out = Path(args.out) if args.out else Path(args.file).with_suffix(
         ".svg" if args.format == "svg" else ".txt"
     )
-    out.write_text(text, encoding="utf-8")
+    write_atomic(out, [text.encode("utf-8")])
     print(f"wrote {out}")
     return 0
 

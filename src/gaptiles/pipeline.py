@@ -13,7 +13,10 @@ StageState without a tiling, computed from the previous stage's shape and
 the new distance and multiplicity alone: it checks the stage's growth,
 multiplicity and cardinality hypotheses and fixes the output length, height,
 block counts and cardinality histogram. Each bound on the next distance is
-computed from the actual dimensions (L, h) of the preceding stage.
+computed from the actual dimensions (L, h) of the preceding stage. A
+homogeneous step and the final stage each name once the witness they lift
+over a sequence of c points; _lift reads their heights, block counts,
+histogram and last cardinality off those witnesses, which the build lifts.
 ``thresholds`` folds the plans alone, so a dry run reports the bounds and
 raises the errors ``construct`` would. Of the final stage it runs only the
 checks (_check_final), not the minimal-height searches only the build needs.
@@ -32,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -267,6 +270,23 @@ def _trace(stage: str, L_in: int | None, L_out: int, h: int, required, d, blocks
     }
 
 
+def _next_plan(
+    prev: StageState, stage: str, required: int, d: int, k: int, h: int, blocks: dict, **fields
+) -> StageState:
+    """The plan of a stage after prev that consumes distance d with
+    multiplicity k at height h; fields sets what else the stage changes."""
+    return replace(
+        prev,
+        tiling=None,
+        L=d * h - 1,
+        gap_prefix=prev.gap_prefix.with_entry(d, k),
+        endpoint_index=(),
+        h=h,
+        stage_trace=_trace(stage, prev.L, d * h - 1, h, required, d, blocks),
+        **fields,
+    )
+
+
 def represent_two_coins(
     a: int, w1: int, w2: int, require_positive_b: bool
 ) -> tuple[int, int]:
@@ -411,16 +431,7 @@ def plan_boundary_step(
         "widened_blocks": b,
         "extended_width": extended,
     }
-    return replace(
-        prev,
-        tiling=None,
-        L=d * h - 1,
-        gap_prefix=prev.gap_prefix.with_entry(d, k),
-        boundary_prefix_count=budget - k,
-        endpoint_index=(),
-        h=h,
-        stage_trace=_trace(stage, L, d * h - 1, h, required, d, blocks),
-    )
+    return _next_plan(prev, stage, required, d, k, h, blocks, boundary_prefix_count=budget - k)
 
 
 def boundary_step(
@@ -530,33 +541,55 @@ def _without_last_point(prev: StageState) -> Counter:
     return +cards  # without cardinalities left with no sequence
 
 
-def block_counter(
-    card_counts: Mapping[int, int], n: int, k: int, f1: int, height: int, blocks: int
-) -> Counter:
-    """Cardinality histogram of `blocks` homogeneous-step blocks of the given height.
+def _lift(prev: StageState, d: int, base: Callable[[int], RectangleTiling]) -> tuple[dict, int, dict]:
+    """What a homogeneous step or the final stage reads off its witnesses,
+    base(c) being the rectangle it lifts over each sequence of c points.
 
-    card_counts is the histogram of the sequences the block lifts over. A
-    sequence of n+1 points carries the f1-high minimal-height witness, whose
-    (n+1)*f1 points lie on paths of n+k+1 points each; a sequence of m+1 > n+1
-    points carries the (m+k+1)-high diagonal stripe tiling of width m+1.
+    Returns the trace values, the stage's height and its plan's card_counts
+    and last_card. The trace values are each witness height by cardinality,
+    the lcms h_full over prev's sequences and h_removed over them without the
+    last point, and the b full_blocks and c removed_blocks of d = b*(L+1) +
+    c*L. The histogram counts each witness's path sizes once for each copy
+    stacked in each block over each sequence; the stage's last point is the
+    top-right corner of the witness over prev's last sequence.
     """
-    out: Counter = Counter()
-    for c, count in card_counts.items():
-        if c - 1 == n:
-            out[n + k + 1] += blocks * count * (height // f1) * ((n + 1) * f1 // (n + k + 1))
-        else:
-            sizes = diagonal_stripe_tiling(n, k, c - 1).paths.sizes().tolist()
-            for size, paths in Counter(sizes).items():
-                out[size] += blocks * count * (height // (c + k)) * paths
-    return out
+    cards = dict(prev.card_counts or ())
+    removed = _without_last_point(prev)
+    heights = {c: base(c).height for c in sorted({*cards, *removed})}
+    h_full = lcm(*[heights[c] for c in cards])
+    h_removed = lcm(*[heights[c] for c in removed])
+    b, c_cnt = represent_two_coins(d, prev.L, prev.L + 1, True)
+    h = lcm(h_full, h_removed) if c_cnt > 0 else h_full
+    counts: Counter = Counter()
+    for blocks, hist in ((b, cards), (c_cnt, removed)):
+        for c, seqs in hist.items():
+            sizes, paths = np.unique(base(c).paths.sizes(), return_counts=True)
+            for size, n_paths in zip(sizes.tolist(), paths.tolist()):
+                counts[size] += blocks * seqs * (h // heights[c]) * n_paths
+    last = base(prev.last_card)
+    xs, ys = last.paths.ends()
+    last_card = int(last.paths.sizes()[(xs == last.width - 1) & (ys == last.height - 1)][0])
+    trace = {
+        "heights": {str(c): f for c, f in heights.items()},
+        "h_full": h_full,
+        "h_removed": h_removed,
+        "full_blocks": b,
+        "removed_blocks": c_cnt,
+    }
+    return trace, h, {"card_counts": tuple(sorted((+counts).items())), "last_card": last_card}
 
 
-def _stripe_corner_card(n: int, k: int, m: int) -> int:
-    """Points on the stripe path that ends at the top-right corner (m, m+k)."""
-    paths = diagonal_stripe_tiling(n, k, m).paths
-    xs, ys = paths.ends()
-    # the corner has no successor inside the rectangle, so the path through it ends there
-    return int(paths.sizes()[np.flatnonzero((xs == m) & (ys == m + k))[0]])
+def _final_witnesses(n: int, k: int, table: HeightTable | None) -> Callable[[int], RectangleTiling]:
+    """The final stage's witness for c points: the minimal-height rectangle of
+    width c, every path of n+k+1 points."""
+    return cache(lambda c: min_height_rect(n, k, c, table=table)[1])
+
+
+def _stripe_witnesses(n: int, k: int, table: HeightTable | None) -> Callable[[int], RectangleTiling]:
+    """The homogeneous step's witness for c points: the final stage's for
+    c = n+1, else the diagonal stripes of width c and height c+k."""
+    first = _final_witnesses(n, k, table)
+    return cache(lambda c: first(c) if c == n + 1 else diagonal_stripe_tiling(n, k, c - 1))
 
 
 def plan_homogeneous_step(
@@ -565,46 +598,24 @@ def plan_homogeneous_step(
     """The plan of homogeneous_step: checks d >= (L+1)^2 and every sequence
     of m+1 points for n <= m and (m = n or m < 2n)."""
     stage = _stage_name(prev, "homogeneous-step", k)
-    L, n = prev.L, prev.gap_prefix.size()
+    n = prev.gap_prefix.size()
     required = _next_bound(prev, "homogeneous-step")
     if d < required:
         raise GrowthViolation(stage, required, d)
-    cards = dict(prev.card_counts or ())
-    for c in sorted(cards):
-        m = c - 1
-        if m < n:
+    for c, _ in prev.card_counts or ():
+        if c <= n:
             raise CardinalityViolation(f"{stage}: sequence of {c} points is shorter than a tile")
-        if m > n and m >= 2 * n:
+        if c > 2 * n:
             raise CardinalityViolation(
                 f"{stage}: sequence of {c} points too long for stripes (needs {c - 1} < {2 * n})"
             )
-    cards_removed = _without_last_point(prev)
-    f1, _ = min_height_rect(n, k, n + 1, table=table)
-    # a sequence of c > n+1 points carries a stripe of period m+k+1 = c+k
-    h = lcm(f1, *[c + k for c in sorted(cards) if c - 1 > n])
-    h_removed = lcm(f1, *[c + k for c in sorted(cards_removed) if c - 1 > n])
-    b, c_cnt = represent_two_coins(d, L, L + 1, True)
-    total_h = lcm(h, h_removed) if c_cnt > 0 else h
-    counts = block_counter(cards, n, k, f1, total_h, b)
-    if c_cnt > 0:
-        counts.update(block_counter(cards_removed, n, k, f1, total_h, c_cnt))
-    last_card = _stripe_corner_card(n, k, prev.last_card - 1)
-    if last_card <= n + k + 1:
+    trace, h, lifted = _lift(prev, d, _stripe_witnesses(n, k, table))
+    if lifted["last_card"] <= n + k + 1:
         raise ConstructionError("last sequence lost the long-sequence property")
-    if max(counts) > max(cards) - 1 + 2 * k + 1:
+    if lifted["card_counts"][-1][0] > prev.card_counts[-1][0] - 1 + 2 * k + 1:
         raise ConstructionError("a sequence exceeds the stripe length bound")
-    blocks = {"h_full": h, "h_removed": h_removed, "full_blocks": b, "removed_blocks": c_cnt}
-    return replace(
-        prev,
-        tiling=None,
-        L=d * total_h - 1,
-        gap_prefix=prev.gap_prefix.with_entry(d, k),
-        endpoint_index=(),
-        h=total_h,
-        card_counts=tuple(sorted(counts.items())),
-        last_card=last_card,
-        stage_trace=_trace(stage, L, d * total_h - 1, total_h, required, d, blocks),
-    )
+    blocks = {key: trace[key] for key in ("h_full", "h_removed", "full_blocks", "removed_blocks")}
+    return _next_plan(prev, stage, required, d, k, h, blocks, **lifted)
 
 
 def _lifted_blocks(
@@ -616,11 +627,11 @@ def _lifted_blocks(
     point removed (width L), then `full_blocks` copies of one block over all
     of them (width L+1). The list repeats those two block objects, so flatten
     sorts each once and writes its copies straight into the output. In each
-    block, a sequence of c points carries base(c) lifted over its points with
-    the window given and stacked to the plan's height.
+    block, a sequence of c points carries base(c), the witness the plan was
+    read off (_lift), lifted over its points with the window given and
+    stacked to the plan's height.
     """
     step_type = _lifted_type(prev.gap_prefix, k)
-    base = cache(base)
 
     def block(seqs: Tiles) -> RectangleTiling:
         cols = [
@@ -651,22 +662,16 @@ def homogeneous_step(
     plan = plan_homogeneous_step(prev, d, k, table)
     _buildable(plan, prev)
     n = prev.gap_prefix.size()
-    _, wit1 = min_height_rect(n, k, n + 1, table=table)
-
-    def base(card: int) -> RectangleTiling:
-        # n+1 points: the minimal-height witness; longer: the diagonal stripes
-        return wit1 if card - 1 == n else diagonal_stripe_tiling(n, k, card - 1)
-
-    return _checked_output(_lifted_blocks(prev, plan, k, base, n + k), plan)
+    return _checked_output(_lifted_blocks(prev, plan, k, _stripe_witnesses(n, k, table), n + k), plan)
 
 
-def _check_final(prev: StageState, d: int, k: int) -> tuple[str, int, Counter]:
-    """The final stage's name, its bound on d and prev's histogram without
-    the last point; checks every sequence cardinality within [n+1, n+k+1],
-    d >= L(L+1) and that the last sequence can lose its last point."""
+def _check_final(prev: StageState, d: int, k: int) -> tuple[str, int]:
+    """The final stage's name and its bound on d; checks every sequence
+    cardinality within [n+1, n+k+1], d >= L(L+1) and that the last sequence
+    can lose its last point."""
     stage = _stage_name(prev, "final", k)
     n = prev.gap_prefix.size()
-    for c in sorted(dict(prev.card_counts or ())):
+    for c, _ in prev.card_counts or ():
         if not (n + 1 <= c <= n + k + 1):
             raise CardinalityViolation(
                 f"{stage}: sequence of {c} points outside [{n + 1}, {n + k + 1}]"
@@ -674,40 +679,18 @@ def _check_final(prev: StageState, d: int, k: int) -> tuple[str, int, Counter]:
     required = _next_bound(prev, "final")
     if d < required:
         raise GrowthViolation(stage, required, d)
-    return stage, required, _without_last_point(prev)
+    _without_last_point(prev)
+    return stage, required
 
 
 def plan_final(
     prev: StageState, d: int, k: int, table: HeightTable | None = None
 ) -> StageState:
     """The plan of final_stage: _check_final, then the minimal heights."""
-    stage, required, cards_removed = _check_final(prev, d, k)
-    L, n = prev.L, prev.gap_prefix.size()
-    cards = dict(prev.card_counts or ())
-    fs = {c: min_height_rect(n, k, c, table=table)[0] for c in sorted({*cards, *cards_removed})}
-    h = lcm(*[fs[c] for c in cards])
-    h_removed = lcm(*[fs[c] for c in cards_removed])
-    b, c_cnt = represent_two_coins(d, L, L + 1, True)
-    total_h = lcm(h, h_removed) if c_cnt > 0 else h
-    # every path of every witness has n+k+1 points
-    tiles = d * total_h // (n + k + 1)
-    blocks = {
-        "heights": {str(c): f for c, f in fs.items()},
-        "full_blocks": b,
-        "removed_blocks": c_cnt,
-    }
-    return replace(
-        prev,
-        kind="final",
-        tiling=None,
-        L=d * total_h - 1,
-        gap_prefix=prev.gap_prefix.with_entry(d, k),
-        endpoint_index=(),
-        h=total_h,
-        card_counts=((n + k + 1, tiles),),
-        last_card=n + k + 1,
-        stage_trace=_trace(stage, L, d * total_h - 1, total_h, required, d, blocks),
-    )
+    stage, required = _check_final(prev, d, k)
+    trace, h, lifted = _lift(prev, d, _final_witnesses(prev.gap_prefix.size(), k, table))
+    blocks = {key: trace[key] for key in ("heights", "full_blocks", "removed_blocks")}
+    return _next_plan(prev, stage, required, d, k, h, blocks, kind="final", **lifted)
 
 
 def _final_stage_impl(
@@ -717,11 +700,7 @@ def _final_stage_impl(
     (gap_prefix), and its trace."""
     plan = plan_final(prev, d, k, table)
     _buildable(plan, prev)
-    n = prev.gap_prefix.size()
-
-    def base(card: int) -> RectangleTiling:
-        return min_height_rect(n, k, card, table=table)[1]
-
+    base = _final_witnesses(prev.gap_prefix.size(), k, table)
     return _checked_output(_lifted_blocks(prev, plan, k, base, None), plan)
 
 
@@ -882,7 +861,7 @@ def thresholds(
             break
         if kind == "final":
             # the last stage: only its build needs the minimal heights
-            stage, required, _ = _check_final(state, ds[i], ks[i])
+            stage, required = _check_final(state, ds[i], ks[i])
             rows.append(ThresholdRow(stage, required, ds[i]))
             break
         state = plan_homogeneous_base(state) if i is None else plans[kind](state, ds[i], ks[i], table)

@@ -39,8 +39,9 @@ import errno
 import json
 import os
 import stat
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -184,16 +185,16 @@ def refuse_special_file(path: str | Path) -> None:
         raise OSError(errno.EEXIST, "exists and is not a regular file", str(path))
 
 
-def write_json(path: str | Path, obj: Any) -> None:
-    """Write the canonical JSON of obj to path, atomically.
+def write_atomic(path: str | Path, parts: Iterable[bytes]) -> None:
+    """Write the byte parts to path, atomically.
 
-    The chunks go to a new file beside path as they are made, which then
+    The parts go to a new file beside path as they are made, which then
     replaces path; on any failure the temporary file is removed and path is
     left as it was. The file is not fsynced: the replace is atomic for
     readers and against a failing writer, not against a power loss. An
     OSError about the temporary file is raised naming path, and so is one
     for a path that exists and is not a regular file (refuse_special_file),
-    before any temporary file is made.
+    before any temporary file is made or any part is taken.
     """
     path = Path(path)
     refuse_special_file(path)
@@ -204,15 +205,20 @@ def write_json(path: str | Path, obj: Any) -> None:
         raise _naming(exc, path) from None
     try:
         with fh:
-            for part in _chunks(obj):
+            for part in parts:
                 fh.write(part)
-            fh.write(b"\n")
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise _naming(exc, path) from None
         raise
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write the canonical JSON of obj to path with write_atomic, the chunks
+    printed as the file takes them."""
+    write_atomic(path, chain(_chunks(obj), [b"\n"]))
 
 
 def _naming(exc: OSError, path: Path) -> OSError:

@@ -232,11 +232,15 @@ class _Rows(Sequence):
 
     __slots__ = ("offsets",)
 
-    def _init_offsets(self, offsets, n_values: int) -> None:
-        self.offsets = _frozen(offsets)
-        o = self.offsets
-        if o.ndim != 1 or o.size == 0 or o[0] != 0 or o[-1] != n_values or np.any(o[1:] < o[:-1]):
-            raise PreconditionError("offsets must rise from 0 to the number of points")
+    def _init_offsets(self, offsets, n_values: int, least: int, short: str) -> None:
+        """Offsets rising from 0 to n_values, no element below `least` points (else `short`)."""
+        self.offsets = o = _frozen(offsets)
+        rise = "offsets must rise from 0 to the number of points"
+        if o.ndim != 1 or o.size == 0 or o[0] != 0 or o[-1] != n_values:
+            raise PreconditionError(rise)
+        fewest = np.diff(o).min(initial=least)  # a negative size is a fall
+        if fewest < least:
+            raise PreconditionError(rise if fewest < 0 else short)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
@@ -293,9 +297,7 @@ class Tiles(_Rows):
 
     def __init__(self, offsets, values):
         self.values = _frozen(values)
-        self._init_offsets(offsets, self.values.size)
-        if len(self) and self.sizes().min() < 2:
-            raise PreconditionError("a tile needs at least 2 points")
+        self._init_offsets(offsets, self.values.size, 2, "a tile needs at least 2 points")
         v = self.values
         rising = v[1:] > v[:-1]
         rising[self.offsets[1:-1] - 1] = True  # pairs that straddle two tiles
@@ -353,9 +355,7 @@ class Paths(_Rows):
         self.ys = _frozen(ys)
         if self.xs.shape != self.ys.shape:
             raise PreconditionError("xs and ys must have the same length")
-        self._init_offsets(offsets, self.xs.size)
-        if len(self) and self.sizes().min() < 1:
-            raise PreconditionError("a path needs at least one point")
+        self._init_offsets(offsets, self.xs.size, 1, "a path needs at least one point")
         x0, x1, y0, y1 = self.xs[:-1], self.xs[1:], self.ys[:-1], self.ys[1:]
         monotone = (x1 >= x0) & (y1 >= y0) & ((x1 != x0) | (y1 != y0))
         monotone[self.offsets[1:-1] - 1] = True  # pairs that straddle two paths

@@ -176,6 +176,17 @@ def _window_mismatches(
     return row[bad], off[bad]
 
 
+def _repeated(values: Sequence[int], counts: Sequence[int], points: int) -> np.ndarray:
+    """Each value repeated counts times, as the row and window checks compare
+    them. At least as many as there are points fit no row of them, and the
+    counts may be any integers: `points` zeros stand in for them, unexpanded,
+    with the same answer."""
+    values = as_int64(values)
+    if sum(counts) >= points:
+        return np.zeros(points, dtype=np.int64)
+    return np.repeat(values, counts)
+
+
 def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, np.ndarray]:
     """The prefix sums of each step's index in step_type (-1 if undeclared),
     one per point with a leading 0, so that a step's index is the difference
@@ -189,8 +200,7 @@ def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, np.ndarr
     for code, ((vx, vy), _) in enumerate(step_type):
         steps[(dx == vx) & (dy == vy)] = code
     np.cumsum(codes, out=codes)
-    expected = np.repeat(np.arange(len(step_type)), [mult for _, mult in step_type])
-    return codes, expected
+    return codes, _repeated(range(len(step_type)), [mult for _, mult in step_type], paths.xs.size)
 
 
 def verify_interval_tiling(
@@ -202,7 +212,8 @@ def verify_interval_tiling(
     rep = ReportBuilder(max_violations)
     tiles = tiling.tiles
     _cover(tiles.values, tiling.length, rep)
-    bad = _row_mismatches(tiles.offsets, tiles.values, as_int64(gap_set.expand()))
+    expected = _repeated(gap_set.distances(), gap_set.multiplicities(), tiles.values.size)
+    bad = _row_mismatches(tiles.offsets, tiles.values, expected)
     rep.add_all("GapMismatch", bad, "tile gap multiset differs from the target gap set")
     return rep.build()
 
@@ -246,7 +257,7 @@ def verify_homogeneous(
     rep = ReportBuilder(max_violations)
     seqs = Tiles.of(seqs)
     _cover(seqs.values, n_points, rep)
-    expected = as_int64(gap_set.expand())
+    expected = _repeated(gap_set.distances(), gap_set.multiplicities(), seqs.values.size)
     row, off = _window_mismatches(seqs.offsets, seqs.values, expected)
     rep.add_all(
         "WindowMismatch",

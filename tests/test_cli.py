@@ -23,6 +23,23 @@ def run(args):
     return main(list(args))
 
 
+def run_child(args, cwd=None, timeout=None, max_bytes=None):
+    """`python -m gaptiles *args` in a child process, its address space capped
+    at max_bytes. The child may run in a directory where a relative
+    PYTHONPATH (e.g. "src") resolves to nothing, so it is handed the absolute
+    directory holding the package."""
+    env = dict(os.environ)
+    pkg_root = str(Path(gaptiles.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    launch = ["-m", "gaptiles"]
+    if max_bytes is not None:  # set in the child itself: no preexec_fn in a threaded parent
+        cap = f"resource.setrlimit(resource.RLIMIT_AS, ({max_bytes}, {max_bytes}))"
+        launch = ["-c", f"import resource, runpy; {cap}; runpy.run_module('gaptiles', run_name='__main__')"]
+    return subprocess.run(
+        [sys.executable, *launch, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout
+    )
+
+
 def test_parse_gaps_normalizes():
     assert parse_gaps("9:1,1:1").entries == ((1, 1), (9, 1))
     assert parse_gaps("2,2,5:3").entries == ((2, 2), (5, 3))
@@ -509,6 +526,28 @@ class TestVerifyCommand:
         # homogeneity is auto-detected from the annotation too
         assert run(["verify", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "text, flags, code, kinds",
+        [
+            ('{"annotations":{},"gap_set":[[1,18446744073709551616]],"kind":"interval",'
+             '"length":4,"tiles":[[0,1],[2,3]]}', [], 4, ["GapMismatch"] * 2),
+            # windowed, both tiles are shorter than a window: vacuously homogeneous
+            ('{"annotations":{},"gap_set":[[1,18446744073709551616]],"kind":"interval",'
+             '"length":4,"tiles":[[0,1],[2,3]]}', ["--homogeneous"], 0, []),
+            ('{"height":2,"kind":"rectangle","paths":[[[0,0],[0,1]],[[1,0],[1,1]]],'
+             '"step_type":[[[0,1],18446744073709551616]],"width":2}', [], 4, ["TypeMismatch"] * 2),
+        ],
+    )
+    def test_more_gaps_or_steps_than_points_are_not_listed(self, tmp_path, text, flags, code, kinds):
+        # 2**64 gaps or steps fit no tile or path of a 4-point file, and listing
+        # them would take all memory: the child runs capped at 1 GiB, with a
+        # time limit
+        f = tmp_path / "t.json"
+        f.write_text(text + "\n")
+        proc = run_child(["verify", str(f), *flags], timeout=60, max_bytes=1 << 30)
+        assert proc.returncode == code, proc.stderr
+        assert [v["kind"] for v in next(iter(json.loads(proc.stdout).values()))["violations"]] == kinds
+
 
 class TestRenderCommand:
     def test_rectangle_svg(self, tmp_path):
@@ -534,6 +573,19 @@ class TestRenderCommand:
             {"kind": "rectangle", "width": 1, "height": 1, "step_type": [[[1, 0], 1]], "paths": []},
         )
         assert run(["render", str(f)]) == 1
+
+    def test_out_onto_a_fifo_exits_1(self, tmp_path):
+        # in a child with a timeout: opening a FIFO with no reader for writing
+        # blocks, so a render that wrote straight to --out would hang
+        f = tmp_path / "stair.json"
+        write_json(f, rectangle_to_obj(stair_tiling(3, 4)))
+        fifo = tmp_path / "out.svg"
+        os.mkfifo(fifo)
+        proc = run_child(["render", str(f), "--out", str(fifo)], timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr == f"i/o error: [Errno {errno.EEXIST}] exists and is not a regular file: '{fifo}'\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.svg", "stair.json"]
 
 
 class TestDeterminism:
@@ -682,18 +734,7 @@ def test_fvalue_errors(capsys, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
-    # The child runs in tmp_path, where a relative PYTHONPATH (e.g. "src")
-    # resolves to nothing; hand it the absolute directory holding the package.
-    env = dict(os.environ)
-    pkg_root = str(Path(gaptiles.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaptiles", "minlen", "--gaps", "1:1,2:1", "--max", "30"],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-    )
+    proc = run_child(["minlen", "--gaps", "1:1,2:1", "--max", "30"], cwd=tmp_path)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
 

@@ -1,7 +1,8 @@
 """Golden bytes: the construction writes exactly the files it wrote before
-tilings were stored as CSR arrays and printed from them in chunks, and the
+tilings were stored as CSR arrays and printed from them in chunks, the
 oracle finds exactly the witnesses it found before its DFS tested each node
-once (SHA-256 of each output)."""
+once, and the lifted stages plan exactly what they planned when each derived
+its heights and histogram in its own closed form (SHA-256 of each output)."""
 
 import hashlib
 import itertools
@@ -19,7 +20,14 @@ from gaptiles import (
 )
 from gaptiles.catalog import run_catalog
 from gaptiles.cli import main
+from gaptiles.errors import TilingError
 from gaptiles.grid import HeightTable, min_height_rect
+from gaptiles.pipeline import (
+    plan_boundary_base,
+    plan_final,
+    plan_homogeneous_base,
+    plan_homogeneous_step,
+)
 from gaptiles.serialize import dumps_canonical, interval_to_obj, rectangle_to_obj
 
 
@@ -72,6 +80,53 @@ def test_benchmark_homogeneous_step_output_is_byte_identical():
     st = homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), 30000, 1)
     text = dumps_canonical(interval_to_obj(st.tiling, st.tiling.annotations.homogeneous_for))
     assert sha256(text.encode()) == "0d2cf5100902ac05f209f129ab6c54bd1d5089026c383b347c149fc2ccbb0ca0"
+
+
+def _lifted_plans_digest(table) -> tuple[int, str]:
+    """The number of plans tried and the SHA-256 over each one's kind, length,
+    height, histogram, last cardinality and trace, or over the type and
+    message of the error that refused it.
+
+    Over every base d1, k1, k2 in {1, 2} at its bound: a homogeneous step and
+    a final stage for k in {1, 2, 3} at their bounds +0, +1 and +2, then after
+    the homogeneous step with k = 1 at its bound + 1, a second homogeneous
+    step and a final stage for k in {1, 2, 3} at their bounds + 1."""
+    h = hashlib.sha256()
+    tried = 0
+
+    def record(run):
+        nonlocal tried
+        tried += 1
+        try:
+            p = run()
+        except TilingError as exc:
+            h.update(f"{type(exc).__name__}: {exc}\n".encode())
+            return None
+        h.update(f"{(p.kind, p.L, p.h, p.card_counts, p.last_card, p.stage_trace)!r}\n".encode())
+        return p
+
+    def bounds(prev):
+        return ((plan_homogeneous_step, (prev.L + 1) ** 2), (plan_final, prev.L * (prev.L + 1)))
+
+    for d1, k1, k2 in itertools.product((1, 2), repeat=3):
+        base = plan_homogeneous_base(plan_boundary_base(d1, d1 * (k1 + k2 + 1) ** 2, k1, k2, table))
+        for plan, bound in bounds(base):
+            for k, extra in itertools.product((1, 2, 3), (0, 1, 2)):
+                record(lambda: plan(base, bound + extra, k, table))
+        step = record(lambda: plan_homogeneous_step(base, (base.L + 1) ** 2 + 1, 1, table))
+        for plan, bound in bounds(step):
+            for k in (1, 2, 3):
+                record(lambda: plan(step, bound + 1, k, table))
+    return tried, h.hexdigest()
+
+
+def test_lifted_stage_plans_are_unchanged(table):
+    # pins the homogeneous steps' traces (h_full, h_removed, removed_blocks),
+    # which no hash above covers, and the final stages' heights
+    assert _lifted_plans_digest(table) == (
+        200,
+        "3fe03317ef48e5fe74554d805a836a5fbe2089cee6e9765bb779686565703138",
+    )
 
 
 def test_catalog_sweep_is_byte_identical(tmp_path):

@@ -122,6 +122,35 @@ def test_csr_views_reject_what_the_element_types_reject():
         Paths(np.array([0, 0, 1]), np.array([0]), np.array([0]))  # an empty path
 
 
+RISE = "offsets must rise from 0 to the number of points"
+
+
+@pytest.mark.parametrize(
+    "kind, offsets, message",
+    [
+        ("tiles", [0, 1, 3], "a tile needs at least 2 points"),
+        ("paths", [0, 0, 3], "a path needs at least one point"),
+        ("tiles", [0, 3, 1, 3], RISE),
+        ("tiles", [1, 3], RISE),
+        # a fall is named before a short element, wherever each lies
+        ("tiles", [0, 1, 0, 3], RISE),
+        ("tiles", [0, 2, 3, 1, 3], RISE),
+        ("paths", [0, 0, 2, 1, 3], RISE),
+        ("paths", [0, 2, 0, 0, 3], RISE),
+    ],
+)
+def test_csr_offsets_checks_name_a_fall_before_a_short_element(kind, offsets, message):
+    import numpy as np
+
+    from gaptiles.types import Paths, Tiles
+
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        if kind == "tiles":
+            Tiles(np.array(offsets), np.array([1, 2, 3]))
+        else:
+            Paths(np.array(offsets), np.array([0, 1, 2]), np.array([0, 0, 0]))
+
+
 def test_package_names_resolve_on_first_use(tmp_path):
     """Every name in gaptiles.__all__ and every submodule is reachable from
     the package, and reading and checking a file loads no pipeline."""
