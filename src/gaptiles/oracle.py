@@ -329,6 +329,8 @@ def min_interval(
     the least one.
     """
     cfg = cfg or SearchConfig()
+    if sum(d * k for d, k in gap_set.entries) >= n_max:  # no tile fits; do not expand the gaps
+        return None
     n = _least_length(gap_set.expand(), n_max, cfg.max_nodes)
     if n is None:
         return None

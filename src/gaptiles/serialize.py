@@ -18,19 +18,16 @@ every pool width. write_json streams them into a temporary file in the
 target's directory and renames it over the target, so a failed write
 leaves the earlier file as it was and no temporary file behind.
 
-read_json reads that layout back from the bytes: the rows array is cut out
-of the file, checked byte by byte against the canonical grammar with a few
-array passes, and read into the CSR arrays by np.fromstring, while
-json.loads parses the small rest of the object. The array is checked and
-read in pieces of about 256 KB, each cut just after a comma, side by side
-on the chunk pool: a serial pass over the commas first tells each piece
-where its values go, so the pieces run in any order and fill one array.
-The scratch memory is bounded by the pieces in flight, not by the file;
-the grammar and the result are the same whatever the piece size and the
-pool width, and the first failing piece in order declines the file. A file
-laid out any other way goes through json.loads whole, so it reads exactly
-as before. Either way a point or a header number that is not a JSON integer
-is a parse error (PreconditionError), never truncated or read as 0 or 1.
+read_json reads that layout back from the bytes, in pieces of about 256 KB
+side by side on the chunk pool: a few array passes check each piece against
+the canonical grammar and find its numbers' bounds, and each number is read
+eight digits per word of the file's bytes straight into the CSR arrays. The
+scratch memory is bounded by the pieces in flight, not by the file, and the
+result is the same whatever the piece size and the pool width. json.loads
+parses the small rest of the object, and the whole of a file laid out any
+other way, which so reads exactly as before. Either way a point or a header
+number that is not a JSON integer is a parse error (PreconditionError),
+never truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -250,13 +247,14 @@ def _read_plain(data: bytes) -> Any:
 # The key of the rows array of an interval and of a rectangle file, and how
 # deep its numbers sit in it.
 _ROW_ARRAYS = (("tiles", 2), ("paths", 3))
-# Digits and "-" stay, the punctuation ",[]" becomes the space np.fromstring
-# splits on, and every other byte becomes "*", which no canonical row holds.
-_ROW_BYTES = bytes(
-    c if chr(c) in "-0123456789" else ord(" ") if chr(c) in ",[]" else ord("*")
-    for c in range(256)
-)
-_TWO63 = np.frombuffer(str(2**63).encode("ascii"), dtype=np.uint8)  # 19 digits
+# _HIGH[k] keeps the last k bytes of a little-endian word and _FILL[k] puts "0"
+# in the others; _COMBINE's steps add 8 digits up as 4 pairs, 2 fours, 1 eight.
+_HIGH = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.uint64)
+_NIBBLES, _THREES, _SIXES = (np.uint64(0x0101010101010101 * b) for b in (0xF0, 0x30, 0x06))
+_FILL = _THREES & ~_HIGH
+_COMBINE = [tuple(map(np.uint64, step)) for step in (
+    (8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))]
+_LEAST = np.array([0, 0, *_POW10[:18]], dtype=np.uint64)  # of d digits, no leading zero
 # Bytes of the rows array checked and read by one task of the chunk pool: the
 # most pieces that run at once (_chunks._MAX_WIDTH) hold about the scratch of
 # one 1 MB piece.
@@ -310,8 +308,11 @@ def _rows_from_bytes(
 
     Canonical rows hold numbers -?(0|[1-9][0-9]*) split by "," within a
     point (paths), "," or "],[" between points, and "]],[[" between paths.
-    So every bracket inside the array sits next to a comma, the commas give
-    the bounds of every number, and np.fromstring reads the values.
+    So every bracket inside the array sits next to a comma, and the commas
+    give the bounds of every number. The numbers are read eight digits per
+    word of the file's bytes, which checks that every byte after a number's
+    "-" is a digit; with the commas and the bracket runs beside them, that
+    accounts for every byte.
 
     The numbers are checked and read in pieces of about `piece` bytes, each
     cut just after a comma, side by side on the chunk pool. One serial pass
@@ -330,6 +331,7 @@ def _rows_from_bytes(
     if not data.startswith(b"[" * depth, a) or first >= last:
         return None
     u = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # no copy
     bounds = [first]  # where each piece starts, then `last`
     commas_before = [0]  # commas before each piece, then all of them
     while bounds[-1] < last:
@@ -345,16 +347,10 @@ def _rows_from_bytes(
         """Check piece k, write its values into its slice, and return the
         points before each row it starts, or None."""
         s, e, before = bounds[k], bounds[k + 1], commas_before[k]
-        text = data[s:e].translate(_ROW_BYTES)
-        if b"*" in text:
-            return None
-        w = u[s:e]
-        commas = np.flatnonzero(w == ord(",")) + s
+        commas = np.flatnonzero(u[s:e] == ord(",")) + s
         # "]" closed just before and "[" opened just after each comma
-        shut = np.zeros(commas.size, dtype=np.int8)
-        opened = np.zeros(commas.size, dtype=np.int8)
-        run_shut = np.ones(commas.size, dtype=bool)
-        run_open = np.ones(commas.size, dtype=bool)
+        shut, opened = np.zeros((2, commas.size), dtype=np.int8)
+        run_shut, run_open = np.ones((2, commas.size), dtype=bool)
         for i in range(1, depth):
             run_shut &= u[commas - i] == ord("]")
             run_open &= u[commas + i] == ord("[")
@@ -369,37 +365,41 @@ def _rows_from_bytes(
         # the first number starts after the "[" run that follows the comma before the piece
         head = data[s : s + per_point]
         start = s if s == first else s + len(head) - len(head.lstrip(b"["))
-        starts = np.concatenate(([start], commas + 1 + opened))
-        ends = commas - shut
-        if e < last:
-            starts, after = starts[:-1], int(starts[-1])
-        else:
-            ends, after = np.append(ends, last), e
-        # no other bracket: the piece holds the runs beside its commas, less
-        # the "[" run after its last comma and plus the one it starts with
-        if np.count_nonzero(w > ord("9")) != 2 * int(shut.sum()) + (start - s) - (after - e):
-            return None
+        ends = commas - shut if e < last else np.append(commas - shut, last)  # only the last ends in a number
+        starts = np.concatenate(([start], commas + 1 + opened))[: ends.size]
         neg = u[starts] == ord("-")
-        lead = starts + neg
-        digits = ends - lead
-        if (
-            np.count_nonzero(neg) != np.count_nonzero(w == ord("-"))
-            or digits.min() < 1
-            or digits.max() > 19
-            or ((u[lead] == ord("0")) & (digits > 1)).any()
-        ):
+        digits = ends - starts - neg
+        del commas, opened, run_shut, run_open, starts  # less scratch in the pieces in flight
+        if digits.min() < 1 or digits.max() > 19:
             return None
-        big = np.flatnonzero(digits == 19)
-        if big.size:
-            # each 19-digit magnitude against 2**63, which only a negative may reach
-            diff = u[lead[big, None] + np.arange(19)].astype(np.int16) - _TWO63
-            first_diff = diff[np.arange(big.size), (diff != 0).argmax(axis=1)]
-            if ((first_diff > 0) | ((first_diff == 0) & ~neg[big])).any():
+        # Word j ends 8j bytes before each number's end, with "0" before its
+        # digits. One that holds a digit starts at byte 4 or later, as the rows
+        # start after '{"tiles":[['; one that holds none is read at byte 0.
+        mag = values[before : before + ends.size].view(np.uint64)
+        mag[...], spare = 0, np.empty_like(mag)
+        for j in range(-(-int(digits.max()) // 8)):
+            k = np.clip(digits - 8 * j, 0, 8)
+            t = words[np.maximum(ends - 8 * (j + 1), 0)]
+            t &= _HIGH[k]
+            t |= _FILL[k]
+            # a digit, 0x30-0x39, has a high nibble of 3, and still 3 after adding 6
+            np.add(t, _SIXES, out=spare)
+            spare ^= _THREES
+            t ^= _THREES  # each digit byte now holds its value
+            spare |= t
+            if np.bitwise_and(spare, _NIBBLES, out=spare).any():
                 return None
-        got = np.fromstring(text, dtype=np.int64, sep=" ")
-        if got.size != starts.size:
+            for shift, scale, mask in _COMBINE:
+                np.right_shift(t, shift, out=spare)
+                t *= scale
+                t += spare
+                t &= mask
+            t *= np.uint64(10 ** (8 * j))
+            mag += t
+        big = digits == 19  # only these reach 2**63, which only a negative may
+        if (mag < _LEAST[digits]).any() or (mag[big] > np.uint64(2**63 - 1) + neg[big]).any():
             return None
-        values[before : before + got.size] = got
+        np.negative(mag, out=mag, where=neg)
         return (before + np.flatnonzero(shut == per_point) + 1) // per_point
 
     breaks = []  # points before each later row, per piece

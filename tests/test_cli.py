@@ -306,6 +306,11 @@ class TestSolveCommands:
         assert run(["minlen", "--gaps", "5:1,6:3", "--max", "120"]) == 3
         assert capsys.readouterr().out.strip() == "not found within 120"
 
+    def test_minlen_of_a_tile_longer_than_max_is_not_found_without_expanding_it(self):
+        # 10**11 gaps of 1 would take all memory to list
+        proc = run_child(["minlen", "--gaps", "1:100000000000", "--max", "30"], timeout=60, max_bytes=1 << 30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "not found within 30\n", "")
+
     def test_solve_found(self, tmp_path, capsys):
         assert run(["solve", "--gaps", "1:1", "--len", "2"]) == 0
         assert "[0, 1]" in capsys.readouterr().out

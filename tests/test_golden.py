@@ -154,6 +154,31 @@ def test_min_height_witnesses_are_byte_identical():
     )
 
 
+# f(k, l, m) for every shape with k + l = 9, at the widths m = k+1 .. k+l
+HEIGHTS_AT_NINE = {
+    (1, 8): (10, 20, 10, 20, 10, 20, 10, 20),
+    (2, 7): (10, 10, 20, 10, 10, 10, 10),
+    (3, 6): (10, 20, 10, 20, 10, 20),
+    (4, 5): (10, 10, 10, 10, 20),
+    (5, 4): (10, 20, 10, 20),
+    (6, 3): (10, 10, 10),
+    (7, 2): (10, 20),
+    (8, 1): (10,),
+}
+
+
+def test_min_heights_up_to_nine_steps_are_pinned_and_at_most_twice_the_staircase():
+    table = HeightTable()
+    heights = {
+        (k, l, m): min_height_rect(k, l, m, table=table)[0]
+        for k in range(1, 9) for l in range(1, 10 - k) for m in range(k + 1, k + l + 1)
+    }
+    assert len(heights) == 120
+    nine = {(k, l): tuple(heights[k, l, m] for m in range(k + 1, 10)) for k, l in HEIGHTS_AT_NINE}
+    assert nine == HEIGHTS_AT_NINE
+    assert all(f <= 2 * (k + l + 1) for (k, l, m), f in heights.items())
+
+
 def _search_digest() -> str:
     """SHA-256 over the status, the states entered and the witness points of
     about 3,000 small interval and rectangle searches, each under three configs:

@@ -152,6 +152,8 @@ SPLICES = [
     b"999999999999999999", b"9999999999999999999", b"10000000000000000000",
     b",", b"[", b"]", b"],[", b"]],[[", b"[]", b"[[]]", b" ", b"\n", b"\\", b'"tiles":[[0,1]],',
     b'"paths":[[[0,0]]],', b'"tiles"', b"}", b"{",
+    # the bytes on each side of "0"-"9", a plus sign and a digit that is not ASCII
+    b"/", b":", b"+1", "¹".encode(),
 ]
 
 
@@ -263,3 +265,45 @@ def read_in_pieces_of(piece: int):
     """read_json with the rows read in pieces of `piece` bytes."""
     real = serialize._rows_from_bytes
     return mock.patch.object(serialize, "_rows_from_bytes", functools.partial(real, piece=piece))
+
+
+def word_edges() -> list[int]:
+    """Numbers of 1, 8, 9, 16, 17 and 19 digits, at the edges of the words
+    of eight digits they are read in, of both signs and up to the int64
+    bounds."""
+    mags = {0}
+    for d in (1, 8, 9, 16, 17, 19):
+        mags |= {10 ** (d - 1), int("1234567890123456789"[:d]), min(10**d - 1, INT64_MAX - 1)}
+    return sorted({sign * m for m in mags for sign in (1, -1)} | {INT64_MIN})
+
+
+def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
+    path, edges = tmp_path / "t.json", word_edges()
+    # each number first in the file, in a piece whose largest number has 19 digits
+    for v in edges:
+        text = b'{"tiles":[[%d,%d]]}' % (v, INT64_MAX)
+        path.write_bytes(text)
+        back = read_json(path)["tiles"]
+        assert isinstance(back, Tiles) and back == Tiles.from_rows(json.loads(text)["tiles"]), v
+    # each number at a piece's start and at its end, at every piece size
+    text = dumps_canonical({"tiles": [edges[i : i + 2] for i in range(len(edges) - 1)]}).encode()
+    path.write_bytes(text)
+    want = Tiles.from_rows(json.loads(text)["tiles"])
+    for piece in range(1, len(text)):
+        with read_in_pieces_of(piece):
+            back = read_json(path)["tiles"]
+        assert isinstance(back, Tiles) and back == want, piece
+
+
+def test_any_byte_in_place_of_a_digit_reads_as_json_loads_reads_it():
+    text = b'{"tiles":[[-5,%d]]}' % INT64_MAX
+    # the digit of a number in one word, and each digit of one in three
+    for i in (text.index(b"5"), *range(text.index(b"922"), text.index(b"]]"))):
+        for byte in range(256):
+            spliced = text[:i] + bytes([byte]) + text[i + 1 :]
+            try:
+                want = Tiles.from_rows(json.loads(spliced)["tiles"])
+            except ValueError:  # not JSON, or not a tiling's rows
+                want = None
+            got = serialize._read_tiling(spliced)
+            assert got is None or got["tiles"] == want, (i, byte)
