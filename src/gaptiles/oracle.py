@@ -274,21 +274,22 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
     least ``c``, is at its least position. A placement that leaves nothing
     occupied ahead completes length ``c + span + 1``, so the first one found
     is the least length. No tile placed at ``c >= n_max - span`` fits.
+    Only buckets that hold a state are kept, so the memory does not grow
+    with ``n_max``, and the sweep stops once none is left.
     Settled states count against ``max_nodes``; when it runs out,
     SearchExhausted names the least admissible length not yet decided.
     """
     span = sum(gaps)
     _, runs = _orders(tuple((g, 0) for g in gaps), 1)
     limit = n_max - span
-    buckets: list[list[int]] = [[] for _ in range(max(limit, 0))]
-    if buckets:
-        buckets[0].append(0)
+    buckets: dict[int, list[int]] = {0: [0]}  # position -> rests not yet settled
     # rest -> position. A dict, not a set: on the catalog's largest sweep
     # (20k rests) a set peaked at 3.3 MB, this dict at 1.3 MB.
     reached = {0: 0}
     settled = 0
-    for c, bucket in enumerate(buckets):
-        for rest in bucket:
+    c = 0
+    while buckets and c < limit:
+        for rest in buckets.pop(c, ()):
             settled += 1
             if settled > max_nodes:
                 ppt = len(gaps) + 1
@@ -309,8 +310,8 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
                         return c + step
                     if c + step < limit and nxt not in reached:
                         reached[nxt] = c + step
-                        buckets[c + step].append(nxt)
-        bucket.clear()
+                        buckets.setdefault(c + step, []).append(nxt)
+        c += 1
     return None
 
 

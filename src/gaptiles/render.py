@@ -10,9 +10,12 @@ from __future__ import annotations
 import colorsys
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import PreconditionError
-from .types import IntervalTiling, RectangleTiling
+from .types import IntervalTiling, RectangleTiling, Tiles
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 _GOLDEN = 0.6180339887498949
@@ -32,15 +35,23 @@ class RenderSpec:
             raise PreconditionError("cell_size and max_points must be sensible")
 
 
-def _palette(n: int, seed: int) -> list[str]:
-    rng = random.Random(seed)
-    h0 = rng.random()
-    colors = []
-    for i in range(n):
-        hue = (h0 + i * _GOLDEN) % 1.0
-        r, g, b = colorsys.hls_to_rgb(hue, 0.45, 0.8)
-        colors.append(f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}")
+def _palette(indices: Iterable[int], seed: int) -> dict[int, str]:
+    """The colour of each given tile or path index: hues a golden ratio
+    apart, from a seeded start, so a colour depends on its index alone."""
+    h0 = random.Random(seed).random()
+    colors = {}
+    for i in indices:
+        r, g, b = colorsys.hls_to_rgb((h0 + i * _GOLDEN) % 1.0, 0.45, 0.8)
+        colors[i] = f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
     return colors
+
+
+def _shown_points(tiles: Tiles, shown: int) -> Iterator[tuple[int, int]]:
+    """(point, tile index) for each point in [0, shown), in tile order,
+    read from the CSR arrays without building a tile."""
+    at = np.flatnonzero((tiles.values >= 0) & (tiles.values < shown))
+    owners = np.searchsorted(tiles.offsets, at, side="right") - 1
+    return zip(tiles.values[at].tolist(), owners.tolist())
 
 
 def render_rectangle_svg(rect: RectangleTiling, spec: RenderSpec) -> str:
@@ -50,7 +61,7 @@ def render_rectangle_svg(rect: RectangleTiling, spec: RenderSpec) -> str:
     pad = s
     w_px = (rect.width - 1) * s + 2 * pad
     h_px = (rect.height - 1) * s + 2 * pad
-    colors = _palette(len(rect.paths), spec.seed)
+    colors = _palette(range(len(rect.paths)), spec.seed)
 
     def px(x: int, y: int) -> tuple[float, float]:
         return pad + x * s, pad + (rect.height - 1 - y) * s
@@ -90,12 +101,8 @@ def render_interval_svg(tiling: IntervalTiling, spec: RenderSpec) -> str:
     s = spec.cell_size
     shown = min(tiling.length, spec.max_points)
     truncated = shown < tiling.length
-    owner = {}
-    for i, tile in enumerate(tiling.tiles):
-        for p in tile.points:
-            if 0 <= p < shown:
-                owner[p] = i
-    colors = _palette(len(tiling.tiles), spec.seed)
+    owner = dict(_shown_points(tiling.tiles, shown))  # the last tile over a point wins
+    colors = _palette(set(owner.values()), spec.seed)
     w_px = shown * s + (s if truncated else 0)
     h_px = s
     out = [
@@ -135,10 +142,7 @@ def render_interval_ascii(tiling: IntervalTiling, max_points: int = 200) -> str:
         raise PreconditionError("nothing to render: no tiles")
     shown = min(tiling.length, max_points)
     line = ["."] * shown
-    for i, tile in enumerate(tiling.tiles):
-        ch = _LETTERS[i % len(_LETTERS)]
-        for p in tile.points:
-            if 0 <= p < shown:
-                line[p] = ch if line[p] == "." else "#"
+    for p, i in _shown_points(tiling.tiles, shown):
+        line[p] = _LETTERS[i % len(_LETTERS)] if line[p] == "." else "#"
     suffix = f"…(+{tiling.length - shown})" if shown < tiling.length else ""
     return "".join(line) + suffix + "\n"

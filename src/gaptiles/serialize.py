@@ -12,22 +12,22 @@ interval_to_obj and rectangle_to_obj return keep "tiles" or "paths" as the
 tiling's CSR view, and the rows are printed as bytes straight from its
 arrays, 65,536 points at a time: each number's digits come from a table of
 4-digit words, and one keep mask drops the leading zeros and unused
-separator bytes. The chunks are printed side by side on the chunk pool
-(_chunks.ordered_map) and taken in order, so the bytes are the same for
-every pool width. write_json streams them into a temporary file in the
-target's directory and renames it over the target, so a failed write
-leaves the earlier file as it was and no temporary file behind.
+separator bytes. The chunks are printed side by side on threads that live
+for the write (_chunks.ordered_map) and taken in order, so the bytes are
+the same for every thread count. write_json streams them into a temporary
+file in the target's directory and renames it over the target, so a failed
+write leaves the earlier file as it was and no temporary file behind.
 
 read_json reads that layout back from the bytes, in pieces of about 256 KB
-side by side on the chunk pool: a few array passes check each piece against
-the canonical grammar and find its numbers' bounds, and each number is read
-eight digits per word of the file's bytes straight into the CSR arrays. The
-scratch memory is bounded by the pieces in flight, not by the file, and the
-result is the same whatever the piece size and the pool width. json.loads
-parses the small rest of the object, and the whole of a file laid out any
-other way, which so reads exactly as before. Either way a point or a header
-number that is not a JSON integer is a parse error (PreconditionError),
-never truncated or read as 0 or 1.
+side by side on threads that live for the read: a few array passes check
+each piece against the canonical grammar and find its numbers' bounds, and
+each number is read eight digits per word of the file's bytes straight
+into the CSR arrays. The scratch memory is bounded by the pieces in flight,
+not by the file, and the result is the same whatever the piece size and the
+thread count. json.loads parses the small rest of the object, and the whole
+of a file laid out any other way, which so reads exactly as before. Either
+way a point or a header number that is not a JSON integer is a parse error
+(PreconditionError), never truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ _FILL = _THREES & ~_HIGH
 _COMBINE = [tuple(map(np.uint64, step)) for step in (
     (8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))]
 _LEAST = np.array([0, 0, *_POW10[:18]], dtype=np.uint64)  # of d digits, no leading zero
-# Bytes of the rows array checked and read by one task of the chunk pool: the
+# Bytes of the rows array checked and read by one chunk of ordered_map: the
 # most pieces that run at once (_chunks._MAX_WIDTH) hold about the scratch of
 # one 1 MB piece.
 _PIECE_BYTES = 1 << 18
@@ -315,13 +315,13 @@ def _rows_from_bytes(
     accounts for every byte.
 
     The numbers are checked and read in pieces of about `piece` bytes, each
-    cut just after a comma, side by side on the chunk pool. One serial pass
-    first fixes the pieces and counts their commas, so each piece knows its
+    cut just after a comma, side by side on threads. One serial pass first
+    fixes the pieces and counts their commas, so each piece knows its
     slice of the values, its parity within a point and where its first
     number starts; then each piece writes its values into its slice and
     returns its row breaks, or None. Only the values and the row breaks
     outlive a piece. The bracket runs beside a comma are read from the whole
-    file, so a seam changes nothing: every piece size and pool width gives
+    file, so a seam changes nothing: every piece size and thread count gives
     the same view or the same None.
     """
     per_point = depth - 1  # numbers per point

@@ -1,9 +1,9 @@
-"""The chunk pool that the row printer and the row reader run on:
-results in order, errors where their chunk's result would be, at most
-width + 1 chunks in flight, and the same bytes for every pool width and
-chunk size; the gap and window checks, run in blocks, give the same reports
-for every block size and pool width. A forked child gets a pool of its
-own."""
+"""The chunk map that the row printer and the row reader run on: results
+in order, errors where their chunk's result would be, at most width + 1
+chunks in flight, no thread left alive once the map ends, and the same
+bytes for every thread count and chunk size; the gap and window checks, run
+in blocks, give the same reports for every block size and thread count. A
+forked child makes a pool of its own and inherits no chunk thread."""
 
 import hashlib
 import os
@@ -59,7 +59,7 @@ def small_chunks(monkeypatch):
 
 @contextmanager
 def serial():
-    """One thread and one chunk per pass, as before the pool."""
+    """One thread and one chunk per pass, as before the chunk map."""
     with mock.patch.object(_chunks, "_width", lambda: 1), mock.patch.object(
         verify, "_WINDOW_BLOCK", 1 << 62
     ), mock.patch.object(serialize, "_CHUNK_POINTS", 1 << 62):
@@ -89,6 +89,11 @@ def run_python(code, tmp_path, *args, timeout=120):
             pytest.fail(f"the child hung for {timeout} s")
     assert code == 0, err.read_text()
     return out.read_text()
+
+
+def chunk_threads():
+    """The names of the live threads of a chunk map."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("gaptiles-chunks")]
 
 
 class TestOrderedMap:
@@ -143,6 +148,7 @@ class TestOrderedMap:
         with pytest.raises(error, match="chunk 3"):
             next(results)
         assert running[0] == 0
+        assert chunk_threads() == []
 
     def test_a_caller_that_stops_early_leaves_nothing_running(self, width):
         running, lock = [0], threading.Lock()
@@ -159,6 +165,7 @@ class TestOrderedMap:
         assert next(results) == 0
         del results
         assert running[0] == 0
+        assert chunk_threads() == []
 
     @pytest.mark.parametrize("cpus, starts", [(1, range(30)), (_chunks._MAX_WIDTH, range(1))])
     def test_one_chunk_or_one_cpu_runs_in_the_calling_thread(self, monkeypatch, cpus, starts):
@@ -308,11 +315,12 @@ def test_window_mismatches_are_blind_to_the_block(data, steps, width, block, thr
 
 
 def test_a_forked_child_makes_a_pool_of_its_own(tmp_path):
-    """Warm the pool, then fork through the parallel interval search and the
-    catalog's process pool; each child runs a multi-chunk map first. A child
-    that kept the parent's pool would wait for threads that are gone."""
+    """Write a multi-chunk file, then fork through the parallel interval
+    search and the catalog's process pool; each child runs a multi-chunk map
+    first. No chunk thread is alive at the forks, so none is copied."""
     code = """
         import sys
+        import threading
         from pathlib import Path
         from gaptiles import GapSet, SearchConfig, _chunks, catalog, oracle, serialize, solve_interval
         from gaptiles.serialize import interval_to_obj, write_json
@@ -336,7 +344,8 @@ def test_a_forked_child_makes_a_pool_of_its_own(tmp_path):
         gs = GapSet.from_gaps([1, 2])
         serial = solve_interval(gs, 6)
         write_json(out / "warm.json", interval_to_obj(serial.witnesses[0], gs))
-        assert _chunks._pool is not None
+        assert "concurrent.futures" in sys.modules  # the write ran on threads
+        assert not [t for t in threading.enumerate() if t.name.startswith("gaptiles-chunks")]
         oracle._solve_root, catalog._solve_one = solve_root, solve_one
         par = solve_interval(gs, 6, SearchConfig(parallel_width=2))
         assert (par.status, par.witnesses) == (serial.status, serial.witnesses)

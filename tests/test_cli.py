@@ -311,6 +311,12 @@ class TestSolveCommands:
         proc = run_child(["minlen", "--gaps", "1:100000000000", "--max", "30"], timeout=60, max_bytes=1 << 30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "not found within 30\n", "")
 
+    @pytest.mark.parametrize("gaps, least", [("1:1", 2), ("5:1,6:3", 150)])
+    def test_minlen_under_a_large_max_holds_no_bucket_per_position(self, gaps, least):
+        # one bucket per position below 10**10 would take all memory
+        proc = run_child(["minlen", "--gaps", gaps, "--max", "10000000000"], timeout=60, max_bytes=1 << 30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{least}\n", "")
+
     def test_solve_found(self, tmp_path, capsys):
         assert run(["solve", "--gaps", "1:1", "--len", "2"]) == 0
         assert "[0, 1]" in capsys.readouterr().out

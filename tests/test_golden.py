@@ -1,8 +1,10 @@
 """Golden bytes: the construction writes exactly the files it wrote before
 tilings were stored as CSR arrays and printed from them in chunks, the
 oracle finds exactly the witnesses it found before its DFS tested each node
-once, and the lifted stages plan exactly what they planned when each derived
-its heights and histogram in its own closed form (SHA-256 of each output)."""
+once, the lifted stages plan exactly what they planned when each derived
+its heights and histogram in its own closed form, and an interval strip
+renders as it did when every tile was built to draw it (SHA-256 of each
+output)."""
 
 import hashlib
 import itertools
@@ -11,8 +13,11 @@ import pytest
 
 from gaptiles import (
     GapSet,
+    IntervalTiling,
     SearchConfig,
+    SplitSpec,
     boundary_base,
+    construct,
     homogeneous_base,
     homogeneous_step,
     solve_interval,
@@ -28,7 +33,9 @@ from gaptiles.pipeline import (
     plan_homogeneous_base,
     plan_homogeneous_step,
 )
+from gaptiles.render import RenderSpec, render_interval_ascii, render_interval_svg
 from gaptiles.serialize import dumps_canonical, interval_to_obj, rectangle_to_obj
+from gaptiles.types import Tiles
 
 
 def sha256(data: bytes) -> str:
@@ -225,3 +232,30 @@ def _search_digest() -> str:
 def test_search_node_counts_are_unchanged():
     # pins nodes_explored, so every max_nodes outcome, as well as the witnesses
     assert _search_digest() == "cc8615873e1fcd0fb5ce7bcd3c24692abbadc034b0dc109a46acead2d42618ce"
+
+
+RENDERED = {
+    # 11,880 points in 2,970 tiles: only the first 200 (or 5,000) are drawn
+    "constructed": lambda table: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table).tiling,
+    "short": lambda table: IntervalTiling(6, Tiles.from_rows([[0, 1, 3], [2, 4, 5]])),
+    # point 0 three times, 2 twice, holes at 1, 4, 9, points at -1 and past the end
+    "broken": lambda table: IntervalTiling(
+        12, Tiles.from_rows([[-1, 0, 3], [0, 2, 5], [2, 7, 8], [0, 6], [10, 11, 40]])
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("constructed", "09cc64c4c68834387c292a811f916889bea9e443f4f691ae71c1dd1aa0a8b80b"),
+        ("short", "7594550cc166c7842b9a6b1211f560970c048fb366996cf17de6432d922ffbf8"),
+        ("broken", "17bc0d6c73cab658c4b93ba9a1a2c36bd43c25a698bcc84294789ec209ff136f"),
+    ],
+)
+def test_interval_renders_are_byte_identical(table, name, digest):
+    tiling = RENDERED[name](table)
+    specs = [RenderSpec(), RenderSpec(cell_size=10, seed=7, max_points=5000)]
+    outs = [render_interval_svg(tiling, spec) for spec in specs]
+    outs += [render_interval_ascii(tiling, m) for m in (200, 40, 5000)]
+    assert sha256("\n".join(outs).encode()) == digest

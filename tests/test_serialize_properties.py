@@ -2,7 +2,7 @@
 chunk, is exactly json.dumps of the same rows as lists, for any int64
 values and wherever a chunk ends; read_json gives the arrays back by its
 byte pass, whatever size the pieces it reads them in and however many
-threads of the chunk pool read them; and any file, canonical or not, reads
+threads of the chunk map read them; and any file, canonical or not, reads
 the same by the byte pass as by json.loads alone."""
 
 import contextlib
@@ -29,7 +29,7 @@ WIDTHS = st.sampled_from([1, 2, _chunks._MAX_WIDTH])
 
 
 def at_width(width: int):
-    """The chunk pool with `width` threads, as if the host had that many CPUs."""
+    """Chunk maps on `width` threads, as if the host had that many CPUs."""
     return mock.patch.object(_chunks, "_width", lambda: width)
 
 
