@@ -19,7 +19,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import verify
+from gaptiles import _chunks, verify
 from gaptiles.serialize import dumps_canonical, report_to_obj
 from gaptiles.types import Tiles, normalize_steps
 
@@ -98,11 +98,13 @@ class TestIntervalTiling:
         assert "Hole" in kinds and "Overlap" in kinds
 
 
-def test_interval_scratch_memory_is_bounded_by_the_blocks(table, monkeypatch):
+@pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
+def test_interval_scratch_memory_is_bounded_by_the_blocks(table, monkeypatch, width):
     gs = T(1, 9, 30011)
     t = construct(gs, SplitSpec(2, 1), table).tiling
     assert t.tiles.values.size >= 100_000
     monkeypatch.setattr(verify, "_WINDOW_BLOCK", len(t.tiles) // 64)
+    monkeypatch.setattr(_chunks, "_width", lambda: width)
     tracemalloc.start()
     try:
         rep = verify_interval_tiling(t, gs)
