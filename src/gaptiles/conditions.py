@@ -75,21 +75,15 @@ def check_two_value_cases(gap_set: GapSet) -> list[ConditionResult]:
     return results
 
 
-def representable_sums(k: int, l: int, up_to: int) -> set[int]:
-    """All integers <= up_to expressible as nonnegative combinations of the
-    coins k+1, ..., k+l+1 (dynamic program)."""
-    coins = list(range(k + 1, k + l + 2))
-    reach = [False] * (up_to + 1)
-    reach[0] = True
-    for v in range(1, up_to + 1):
-        reach[v] = any(v >= c and reach[v - c] for c in coins)
-    return {v for v, ok in enumerate(reach) if ok}
+def _representable(a: int, k: int, l: int) -> bool:
+    """Whether a >= 0 is a sum of the coins k+1, ..., k+l+1.
 
-
-def admissible_window_factors(k: int, l: int, a_max: int) -> list[int]:
-    """All a <= a_max with both a and a+1 representable over the coins k+1..k+l+1."""
-    reach = representable_sums(k, l, a_max + 1)
-    return [a for a in range(1, a_max + 1) if a in reach and a + 1 in reach]
+    n such coins sum to exactly the integers in [n*(k+1), n*(k+l+1)], as the
+    coins are consecutive; the fewest coins that can reach a are
+    ceil(a / (k+l+1)), so a is a sum exactly when that many can stay as low.
+    """
+    lo, hi = k + 1, k + l + 1
+    return -(-a // hi) * lo <= a
 
 
 def check_two_value_representation(gap_set: GapSet) -> ConditionResult:
@@ -103,9 +97,8 @@ def check_two_value_representation(gap_set: GapSet) -> ConditionResult:
     candidates = [q // p]
     if q % p == 0 and q // p >= 1:
         candidates.append(q // p - 1)
-    reach = representable_sums(k, l, max(candidates) + 1)
     for a in candidates:
-        if a >= 1 and a in reach and a + 1 in reach:
+        if a >= 1 and _representable(a, k, l) and _representable(a + 1, k, l):
             return ConditionResult(
                 name,
                 SATISFIED,

@@ -17,9 +17,12 @@ computed from the actual dimensions (L, h) of the preceding stage. A
 homogeneous step and the final stage each name once the witness they lift
 over a sequence of c points; _lift reads their heights, block counts,
 histogram and last cardinality off those witnesses, which the build lifts.
-``thresholds`` folds the plans alone, so a dry run reports the bounds and
-raises the errors ``construct`` would. Of the final stage it runs only the
-checks (_check_final), not the minimal-height searches only the build needs.
+One walk over the stage schedule (_walk) serves ``construct``, which builds
+each stage, and ``thresholds``, which plans them alone, so a dry run reports
+the bounds and raises the errors ``construct`` would. Of the final stage it
+runs only the checks (_check_final), not the minimal-height searches only the
+build needs. The stages take their minimal heights from the process-wide
+height table (grid.default_height_table), persisted under $GAPTILES_CACHE.
 
 A build assembles what its plan says and verifies its output once before
 returning, so a constructed tiling is never trusted without verification. A
@@ -50,7 +53,6 @@ from .errors import (
     VerificationFailed,
 )
 from .grid import (
-    HeightTable,
     RaggedTiling,
     as_rectangle,
     concat_columns,
@@ -326,9 +328,7 @@ def base_decomposition(d1: int, d2: int, k1: int, k2: int) -> BaseDecomposition:
 # Boundary stages
 
 
-def plan_boundary_base(
-    d1: int, d2: int, k1: int, k2: int, table: HeightTable | None = None
-) -> StageState:
+def plan_boundary_base(d1: int, d2: int, k1: int, k2: int) -> StageState:
     """The plan of boundary_base: checks d2 >= d1*(k1+k2+1)^2."""
     stage = "stage-2 boundary-base"
     if min(d1, d2, k1, k2) < 1:
@@ -337,7 +337,7 @@ def plan_boundary_base(
     if d2 < required:
         raise GrowthViolation(stage, required, d2)
     dec = base_decomposition(d1, d2, k1, k2)
-    f, _ = min_height_rect(k1, k2, k1 + k2, table=table)
+    f, _ = min_height_rect(k1, k2, k1 + k2)
     h = lcm(k2 + 1, f)
     blocks = {
         "a": dec.a,
@@ -361,18 +361,16 @@ def plan_boundary_base(
     )
 
 
-def boundary_base(
-    d1: int, d2: int, k1: int, k2: int, table: HeightTable | None = None
-) -> StageState:
+def boundary_base(d1: int, d2: int, k1: int, k2: int) -> StageState:
     """First stage: tile [0, h*d2 - 1] for the gap set {d1^(k1), d2^(k2)} with
     boundary prefix count k1. Requires d2 >= d1*(k1+k2+1)^2.
     """
-    plan = plan_boundary_base(d1, d2, k1, k2, table)
+    plan = plan_boundary_base(d1, d2, k1, k2)
     _buildable(plan)
     blocks = plan.stage_trace["blocks"]
     b1, c1 = blocks["rep_a"]
     b2, c2 = blocks["rep_a_plus_1"]
-    _, f_wit = min_height_rect(k1, k2, k1 + k2, table=table)
+    _, f_wit = min_height_rect(k1, k2, k1 + k2)
     first = stack_to_height(f_wit, plan.h)
     second = stack_to_height(stair_tiling(k1, k2), plan.h)
 
@@ -405,9 +403,7 @@ def _extension_block(
     return RaggedTiling(tuple(ext), k + 1, Paths.from_rows(paths), step_type, None)
 
 
-def plan_boundary_step(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
+def plan_boundary_step(prev: StageState, d: int, k: int) -> StageState:
     """The plan of boundary_step: checks k <= budget - 1 and the growth bound."""
     stage = _stage_name(prev, "boundary-step", k)
     budget = prev.boundary_prefix_count or 0
@@ -419,8 +415,8 @@ def plan_boundary_step(
     if d < required:
         raise GrowthViolation(stage, required, d)
     L, n = prev.L, prev.gap_prefix.size()
-    f1, _ = min_height_rect(n, k, n + 1, table=table)
-    f2, _ = min_height_rect(n, k, n + 2, table=table)
+    f1, _ = min_height_rect(n, k, n + 1)
+    f2, _ = min_height_rect(n, k, n + 2)
     h = lcm(k + 1, f1, f2)
     extended = L + k * prev.d1 + 1
     b, c = represent_two_coins(d - extended, L + 1, L + 2, False)
@@ -434,20 +430,18 @@ def plan_boundary_step(
     return _next_plan(prev, stage, required, d, k, h, blocks, boundary_prefix_count=budget - k)
 
 
-def boundary_step(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
+def boundary_step(prev: StageState, d: int, k: int) -> StageState:
     """Extend a boundary stage by a new distance d with multiplicity k.
 
     Requires k <= boundary budget - 1 and
     d >= (L+1)(L+2) + (L + k*d1 + 1), computed from the previous stage.
     """
-    plan = plan_boundary_step(prev, d, k, table)
+    plan = plan_boundary_step(prev, d, k)
     _buildable(plan, prev)
     L, d1, h = prev.L, prev.d1, plan.h
     n = prev.gap_prefix.size()
-    _, wit1 = min_height_rect(n, k, n + 1, table=table)
-    _, wit2 = min_height_rect(n, k, n + 2, table=table)
+    _, wit1 = min_height_rect(n, k, n + 1)
+    _, wit2 = min_height_rect(n, k, n + 2)
     step_type = _lifted_type(prev.gap_prefix, k)
     tiles = prev.tiling.tiles
     ends = dict(prev.endpoint_index)
@@ -579,22 +573,20 @@ def _lift(prev: StageState, d: int, base: Callable[[int], RectangleTiling]) -> t
     return trace, h, {"card_counts": tuple(sorted((+counts).items())), "last_card": last_card}
 
 
-def _final_witnesses(n: int, k: int, table: HeightTable | None) -> Callable[[int], RectangleTiling]:
+def _final_witnesses(n: int, k: int) -> Callable[[int], RectangleTiling]:
     """The final stage's witness for c points: the minimal-height rectangle of
     width c, every path of n+k+1 points."""
-    return cache(lambda c: min_height_rect(n, k, c, table=table)[1])
+    return cache(lambda c: min_height_rect(n, k, c)[1])
 
 
-def _stripe_witnesses(n: int, k: int, table: HeightTable | None) -> Callable[[int], RectangleTiling]:
+def _stripe_witnesses(n: int, k: int) -> Callable[[int], RectangleTiling]:
     """The homogeneous step's witness for c points: the final stage's for
     c = n+1, else the diagonal stripes of width c and height c+k."""
-    first = _final_witnesses(n, k, table)
+    first = _final_witnesses(n, k)
     return cache(lambda c: first(c) if c == n + 1 else diagonal_stripe_tiling(n, k, c - 1))
 
 
-def plan_homogeneous_step(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
+def plan_homogeneous_step(prev: StageState, d: int, k: int) -> StageState:
     """The plan of homogeneous_step: checks d >= (L+1)^2 and every sequence
     of m+1 points for n <= m and (m = n or m < 2n)."""
     stage = _stage_name(prev, "homogeneous-step", k)
@@ -609,7 +601,7 @@ def plan_homogeneous_step(
             raise CardinalityViolation(
                 f"{stage}: sequence of {c} points too long for stripes (needs {c - 1} < {2 * n})"
             )
-    trace, h, lifted = _lift(prev, d, _stripe_witnesses(n, k, table))
+    trace, h, lifted = _lift(prev, d, _stripe_witnesses(n, k))
     if lifted["last_card"] <= n + k + 1:
         raise ConstructionError("last sequence lost the long-sequence property")
     if lifted["card_counts"][-1][0] > prev.card_counts[-1][0] - 1 + 2 * k + 1:
@@ -651,18 +643,16 @@ def _lifted_blocks(
     return removed + [full] * blocks["full_blocks"]
 
 
-def homogeneous_step(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
+def homogeneous_step(prev: StageState, d: int, k: int) -> StageState:
     """Extend a homogeneous stage by a new distance d with multiplicity k.
 
     Requires d >= (L+1)^2 and every sequence of m+1 > n+1 points to satisfy
     m < 2n (which the multiplicity hypotheses guarantee along the pipeline).
     """
-    plan = plan_homogeneous_step(prev, d, k, table)
+    plan = plan_homogeneous_step(prev, d, k)
     _buildable(plan, prev)
     n = prev.gap_prefix.size()
-    return _checked_output(_lifted_blocks(prev, plan, k, _stripe_witnesses(n, k, table), n + k), plan)
+    return _checked_output(_lifted_blocks(prev, plan, k, _stripe_witnesses(n, k), n + k), plan)
 
 
 def _check_final(prev: StageState, d: int, k: int) -> tuple[str, int]:
@@ -683,35 +673,23 @@ def _check_final(prev: StageState, d: int, k: int) -> tuple[str, int]:
     return stage, required
 
 
-def plan_final(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
+def plan_final(prev: StageState, d: int, k: int) -> StageState:
     """The plan of final_stage: _check_final, then the minimal heights."""
     stage, required = _check_final(prev, d, k)
-    trace, h, lifted = _lift(prev, d, _final_witnesses(prev.gap_prefix.size(), k, table))
+    trace, h, lifted = _lift(prev, d, _final_witnesses(prev.gap_prefix.size(), k))
     blocks = {key: trace[key] for key in ("heights", "full_blocks", "removed_blocks")}
     return _next_plan(prev, stage, required, d, k, h, blocks, kind="final", **lifted)
 
 
-def _final_stage_impl(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> StageState:
-    """The built final stage: its tiling, the gap set it was verified against
-    (gap_prefix), and its trace."""
-    plan = plan_final(prev, d, k, table)
-    _buildable(plan, prev)
-    base = _final_witnesses(prev.gap_prefix.size(), k, table)
-    return _checked_output(_lifted_blocks(prev, plan, k, base, None), plan)
-
-
-def final_stage(
-    prev: StageState, d: int, k: int, table: HeightTable | None = None
-) -> IntervalTiling:
+def final_stage(prev: StageState, d: int, k: int) -> StageState:
     """Consume the last distance: lift minimal-height rectangles over every
     sequence and assemble the tiling of the full gap set. Requires d >= L(L+1)
     and every sequence cardinality within [n+1, n+k+1].
     """
-    return _final_stage_impl(prev, d, k, table).tiling
+    plan = plan_final(prev, d, k)
+    _buildable(plan, prev)
+    base = _final_witnesses(prev.gap_prefix.size(), k)
+    return _checked_output(_lifted_blocks(prev, plan, k, base, None), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -755,18 +733,52 @@ def _schedule(s: int, p: int) -> list[tuple[str, int | None]]:
     return out
 
 
-def _rows(trace: Sequence[dict]) -> list[ThresholdRow]:
-    """One row for each stage that consumed a distance."""
-    return [
-        ThresholdRow(t["stage"], t["threshold_required"], t["d_used"])
-        for t in trace
-        if t.get("d_used") is not None
-    ]
+def _walk(gaps: GapSet, s: int, p: int, build: bool) -> tuple[StageState, list[dict]]:
+    """Build (construct) or plan (thresholds) the boundary base and each stage
+    of _schedule(s, p) in turn; return the last state and the stage traces.
+
+    A plan stops at the final stage after its checks alone (only the build
+    needs the minimal heights), or at the first distance gaps does not have,
+    with an entry carrying that distance's bound. A boundary step's bound
+    depends on its multiplicity and is given for k=1. Stage functions are
+    looked up at call time, so a patched module global is the one run.
+    """
+    ds, ks = gaps.distances(), gaps.multiplicities()
+    state = (boundary_base if build else plan_boundary_base)(ds[0], ds[1], ks[0], ks[1])
+    trace = [state.stage_trace]
+    for kind, i in _schedule(s, p):
+        if i is not None and i >= len(ds):
+            stage = _stage_name(state, kind) + (" (k=1 assumed)" if kind == "boundary-step" else "")
+            trace.append({"stage": stage, "threshold_required": _next_bound(state, kind), "d_used": None})
+            break
+        if kind == "homogeneous-base":
+            state = (homogeneous_base if build else plan_homogeneous_base)(state)
+        elif kind == "boundary-step":
+            state = (boundary_step if build else plan_boundary_step)(state, ds[i], ks[i])
+        elif kind == "homogeneous-step":
+            state = (homogeneous_step if build else plan_homogeneous_step)(state, ds[i], ks[i])
+        elif build:
+            state = final_stage(state, ds[i], ks[i])
+        else:
+            stage, required = _check_final(state, ds[i], ks[i])
+            trace.append({"stage": stage, "threshold_required": required, "d_used": ds[i]})
+            break
+        trace.append(state.stage_trace)
+    return state, trace
 
 
-def construct(
-    gap_set: GapSet, split: SplitSpec, table: HeightTable | None = None
-) -> ConstructResult:
+def _report(trace: Sequence[dict]) -> ThresholdReport:
+    """One row for each stage with a bound on the distance it consumes."""
+    return ThresholdReport(
+        tuple(
+            ThresholdRow(t["stage"], t["threshold_required"], t["d_used"])
+            for t in trace
+            if t.get("threshold_required") is not None
+        )
+    )
+
+
+def construct(gap_set: GapSet, split: SplitSpec) -> ConstructResult:
     """Run the full pipeline for the gap set under the given split.
 
     Chains the boundary base, boundary steps for distances 3..s, then (when
@@ -774,25 +786,13 @@ def construct(
     With p = 0 the last boundary stage's tiling is returned directly, flagged
     "boundary-only" in the trace.
     """
-    ds = gap_set.distances()
-    ks = gap_set.multiplicities()
     s, p = split.s, split.p
-    if s + p != len(ds):
+    if s + p != len(gap_set.entries):
         raise PreconditionError(
-            f"split (s={s}, p={p}) does not cover {len(ds)} distinct distances"
+            f"split (s={s}, p={p}) does not cover {len(gap_set.entries)} distinct distances"
         )
-    _check_hypotheses(ks, s, p)
-    # Looked up at call time, so a patched module global is the one run.
-    stages = {
-        "boundary-step": boundary_step,
-        "homogeneous-step": homogeneous_step,
-        "final": _final_stage_impl,
-    }
-    state = boundary_base(ds[0], ds[1], ks[0], ks[1], table)
-    trace = [state.stage_trace]
-    for kind, i in _schedule(s, p):
-        state = homogeneous_base(state) if i is None else stages[kind](state, ds[i], ks[i], table)
-        trace.append(state.stage_trace)
+    _check_hypotheses(gap_set.multiplicities(), s, p)
+    state, trace = _walk(gap_set, s, p, build=True)
     if p == 0:
         trace.append({"stage": "result", "mode": "boundary-only"})
     # The stages verify against the gap set they rebuild; the result must be
@@ -801,8 +801,7 @@ def construct(
         raise VerificationFailed(
             f"the last stage verified its tiling for {state.gap_prefix}, not for the requested {gap_set}"
         )
-    report = ThresholdReport(tuple(_rows(trace)))
-    return ConstructResult(state.tiling, gap_set, report, tuple(trace))
+    return ConstructResult(state.tiling, gap_set, _report(trace), tuple(trace))
 
 
 def auto_split(gap_set: GapSet) -> list[SplitSpec]:
@@ -823,13 +822,9 @@ def auto_split(gap_set: GapSet) -> list[SplitSpec]:
     return out
 
 
-def thresholds(
-    prefix: GapSet,
-    split: SplitSpec | None = None,
-    table: HeightTable | None = None,
-) -> ThresholdReport:
+def thresholds(prefix: GapSet, split: SplitSpec | None = None) -> ThresholdReport:
     """Report each stage's required and achieved distance for a (possibly
-    partial) gap set by folding the stage plans, without materializing the
+    partial) gap set by walking the stage plans, without materializing the
     tilings; the final stage is checked, not planned. A prefix that covers
     the whole split is checked against the multiplicity hypotheses first, as
     construct checks it.
@@ -839,31 +834,12 @@ def thresholds(
     requirement depends on the next multiplicity and is reported for k=1.
     Without a split the prefix runs the boundary track alone.
     """
-    ds = prefix.distances()
-    ks = prefix.multiplicities()
-    j = len(ds)
+    j = len(prefix.entries)
     if j < 2:
         raise PreconditionError("prefix needs at least two distances")
     if split is not None and split.s + split.p < j:
         raise PreconditionError("prefix has more distances than the split covers")
     s, p = (split.s, split.p) if split is not None else (j + 1, 0)
     if s + p == j:
-        _check_hypotheses(ks, s, p)
-    plans = {"boundary-step": plan_boundary_step, "homogeneous-step": plan_homogeneous_step}
-    state = plan_boundary_base(ds[0], ds[1], ks[0], ks[1], table)
-    rows = _rows([state.stage_trace])
-    for kind, i in _schedule(s, p):
-        if i is not None and i >= j:
-            stage = _stage_name(state, kind)
-            if kind == "boundary-step":
-                stage += " (k=1 assumed)"
-            rows.append(ThresholdRow(stage, _next_bound(state, kind), None))
-            break
-        if kind == "final":
-            # the last stage: only its build needs the minimal heights
-            stage, required = _check_final(state, ds[i], ks[i])
-            rows.append(ThresholdRow(stage, required, ds[i]))
-            break
-        state = plan_homogeneous_base(state) if i is None else plans[kind](state, ds[i], ks[i], table)
-        rows += _rows([state.stage_trace])
-    return ThresholdReport(tuple(rows))
+        _check_hypotheses(prefix.multiplicities(), s, p)
+    return _report(_walk(prefix, s, p, build=False)[1])

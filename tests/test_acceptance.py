@@ -33,9 +33,9 @@ from gaptiles import (
 )
 from gaptiles.cli import main as cli_main
 from gaptiles.conditions import (
-    admissible_window_factors,
     check_three_gap_quadratic,
     check_two_value_cases,
+    check_two_value_representation,
 )
 from gaptiles.grid import HeightTable
 
@@ -262,4 +262,4 @@ def test_criterion_10_condition_checkers():
                     if r.name == "two-value-case-1"
                 )
                 assert case1.satisfied
-    assert 2 in admissible_window_factors(1, 1, 5)
+    assert check_two_value_representation(GapSet.from_pairs([(5, 1), (10, 1)])).witness["a"] == 2

@@ -245,14 +245,14 @@ def moved(rect):
 
 
 @pytest.fixture(scope="module")
-def corrupted(table):
+def corrupted():
     """(check, args) for corrupted outputs of every kind of check, each with
     violations in many blocks: a construct's interval tiling and final
     rectangle, and a homogeneous step's sequences and windowed rectangle."""
     gs = GapSet.from_gaps([1, 9, 2970])
-    result, rects = flattened(lambda: construct(gs, SplitSpec(2, 1), table))
+    result, rects = flattened(lambda: construct(gs, SplitSpec(2, 1)))
     step, steps = flattened(
-        lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
+        lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), 3025, 1)
     )
     assert rects[-1].window is None and steps[-1].window is not None
     tiles, seqs = result.tiling.tiles, step.tiling.tiles

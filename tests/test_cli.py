@@ -173,7 +173,7 @@ class TestConstructCommand:
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=["build", "thresholds-only"])
     def test_exhausted_height_search_exit_3(self, tmp_path, capsys, monkeypatch, dry_run):
-        def exhausted(k, l, m, table=None):
+        def exhausted(k, l, m):
             raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
 
         monkeypatch.setattr(pipeline, "min_height_rect", exhausted)
@@ -189,11 +189,11 @@ class TestConstructCommand:
         real = pipeline.min_height_rect
         calls = []
 
-        def first_exhausted(k, l, m, table=None):
+        def first_exhausted(k, l, m):
             calls.append((k, l, m))
             if len(calls) == 1:
                 raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
-            return real(k, l, m, table)
+            return real(k, l, m)
 
         monkeypatch.setattr(pipeline, "min_height_rect", first_exhausted)
         out = tmp_path / "t.json"
@@ -218,11 +218,11 @@ class TestConstructCommand:
         real = pipeline.min_height_rect
         calls = []
 
-        def exhausted(k, l, m, table=None):
+        def exhausted(k, l, m):
             calls.append((k, l, m))
             if len(calls) <= exhausted_searches:
                 raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
-            return real(k, l, m, table)
+            return real(k, l, m)
 
         monkeypatch.setattr(pipeline, "min_height_rect", exhausted)
         assert run(["construct", "--gaps", gaps, "--out", str(tmp_path / "t.json")]) == 3
@@ -260,7 +260,7 @@ class TestConstructCommand:
 
     def test_exhausted_height_search_in_conditions_exit_3(self, capsys, monkeypatch):
         # an undecided height search is no evidence that staged growth fails
-        def exhausted(k, l, m, table=None):
+        def exhausted(k, l, m):
             raise SearchExhausted(f"height search budget exceeded at f=1 for ({k},{l},{m})")
 
         monkeypatch.setattr(pipeline, "min_height_rect", exhausted)
@@ -721,6 +721,15 @@ def test_conditions_command(capsys):
     by_name = {r["name"]: r for r in lines}
     assert by_name["staged-growth(s=2,p=1)"]["status"] == "satisfied"
     assert by_name["three-gap-quadratic"]["status"] == "not-satisfied"
+
+
+def test_conditions_on_a_huge_ratio_fit_in_a_small_address_space():
+    # whether a = q // p and a + 1 are sums of the coins is a closed form, with
+    # no table of the sums up to q // p = 10^9
+    proc = run_child(["conditions", "--gaps", "1:1,1000000000:1"], timeout=60, max_bytes=1 << 30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    by_name = {r["name"]: r for r in map(json.loads, proc.stdout.splitlines())}
+    assert by_name["two-value-representation"]["status"] == "satisfied"
 
 
 def test_height_cache_env_round_trip(tmp_path, monkeypatch):

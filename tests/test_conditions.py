@@ -2,12 +2,11 @@ from gaptiles import GapSet, SplitSpec
 from gaptiles.conditions import (
     NOT_APPLICABLE,
     SATISFIED,
-    admissible_window_factors,
     check_sufficient_conditions,
     check_three_gap_quadratic,
     check_two_value_cases,
     check_two_value_representation,
-    representable_sums,
+    _representable,
 )
 
 
@@ -73,14 +72,33 @@ class TestTwoValueCases:
             assert r.status == NOT_APPLICABLE
 
 
+def brute_force_sums(k: int, l: int, up_to: int) -> list[bool]:
+    """Whether each integer 0..up_to is a sum of the coins k+1..k+l+1 (dynamic program)."""
+    reach = [True] + [False] * up_to
+    for v in range(1, up_to + 1):
+        reach[v] = any(reach[v - c] for c in range(k + 1, k + l + 2) if c <= v)
+    return reach
+
+
 class TestRepresentation:
+    def test_closed_form_matches_the_dynamic_program(self):
+        for k in range(1, 8):
+            for l in range(1, 8):
+                reach = brute_force_sums(k, l, 400)
+                assert [_representable(a, k, l) for a in range(401)] == reach, (k, l)
+
     def test_coins_dp(self):
-        # coins 2 and 3 represent everything except 1
-        assert representable_sums(1, 1, 10) == {0, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-        assert admissible_window_factors(1, 1, 10) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+        # coins 2 and 3 write every a >= 0 but 1, so every a = q // p from 2 on
+        # has both a and a+1 written
+        found = [
+            a
+            for a in range(1, 11)
+            if check_two_value_representation(gs((10, 1), (10 * a + 1, 1))).satisfied
+        ]
+        assert found == [2, 3, 4, 5, 6, 7, 8, 9, 10]
 
     def test_window_includes_a_equals_two(self):
-        assert 2 in admissible_window_factors(1, 1, 10)
+        assert check_two_value_representation(gs((10, 1), (21, 1))).witness["a"] == 2
         res = check_two_value_representation(gs((3, 1), (7, 1)))
         assert res.satisfied  # a=2: 6 <= 7 <= 9
         assert res.witness["a"] == 2

@@ -23,7 +23,7 @@ from gaptiles import (
     verify_homogeneous,
     verify_interval_tiling,
 )
-from gaptiles.pipeline import StageState
+from gaptiles.pipeline import StageState, ThresholdRow
 from gaptiles.errors import (
     CardinalityViolation,
     ConstructionError,
@@ -222,7 +222,7 @@ class TestHomogeneousStep:
 class TestFinalStage:
     def test_smallest_pipeline(self):
         prev = homogeneous_base(boundary_base(1, 9, 1, 1))
-        tiling = final_stage(prev, 2970, 1)
+        tiling = final_stage(prev, 2970, 1).tiling
         assert verify_interval_tiling(tiling, gs((1, 1), (9, 1), (2970, 1))).ok
 
     def test_growth_violation(self):
@@ -232,12 +232,12 @@ class TestFinalStage:
 
     def test_multiplicity_two_final(self):
         prev = homogeneous_base(boundary_base(1, 9, 1, 1))
-        tiling = final_stage(prev, 2970, 2)
+        tiling = final_stage(prev, 2970, 2).tiling
         assert verify_interval_tiling(tiling, gs((1, 1), (9, 1), (2970, 2))).ok
 
     def test_final_uses_remove_point_blocks(self):
         prev = homogeneous_base(boundary_base(1, 9, 1, 1))
-        tiling = final_stage(prev, 2971, 1)
+        tiling = final_stage(prev, 2971, 1).tiling
         assert verify_interval_tiling(tiling, gs((1, 1), (9, 1), (2971, 1))).ok
 
     def test_cardinality_violation(self):
@@ -303,16 +303,16 @@ class TestConstruct:
 
     @pytest.mark.parametrize(
         "stage, split",
-        [("boundary_base", SplitSpec(2, 0)), ("_final_stage_impl", SplitSpec(2, 1))],
+        [("boundary_base", SplitSpec(2, 0)), ("final_stage", SplitSpec(2, 1))],
     )
     def test_last_stage_must_verify_the_requested_gap_set(self, monkeypatch, stage, split):
         # The last stage builds and verifies a tiling for a neighbouring
         # distance; construct must not hand it out as one for the gap set asked.
         real = getattr(pipeline, stage)
         if stage == "boundary_base":
-            monkeypatch.setattr(pipeline, stage, lambda d1, d2, k1, k2, t: real(d1, d2 + 1, k1, k2, t))
+            monkeypatch.setattr(pipeline, stage, lambda d1, d2, k1, k2: real(d1, d2 + 1, k1, k2))
         else:
-            monkeypatch.setattr(pipeline, stage, lambda prev, d, k, t: real(prev, d + 1, k, t))
+            monkeypatch.setattr(pipeline, stage, lambda prev, d, k: real(prev, d + 1, k))
         gaps = gs((1, 1), (9, 1), (2970, 1))
         with pytest.raises(VerificationFailed, match="not for the requested"):
             construct(GapSet(gaps.entries[: split.s + split.p]), split)
@@ -353,6 +353,20 @@ class TestThresholds:
         assert rows[-1].required == 54 * 55 + 53 + 1 + 1  # 3025
         assert rows[-1].achieved is None
 
+    @pytest.mark.parametrize(
+        "split, stage, required",
+        [
+            (None, "stage-3 boundary-step (k=1 assumed)", 3025),
+            (SplitSpec(3, 1), "stage-3 boundary-step (k=1 assumed)", 3025),
+            (SplitSpec(2, 1), "stage-3 final", 2970),
+            (SplitSpec(2, 2), "stage-3 homogeneous-step", 3025),
+        ],
+        ids=["no-split", "3-1", "2-1", "2-2"],
+    )
+    def test_next_distance_row_for_each_kind(self, split, stage, required):
+        rows = thresholds(gs((1, 1), (9, 1)), split).rows
+        assert rows == (ThresholdRow("stage-2 boundary-base", 9, 9), ThresholdRow(stage, required, None))
+
     def test_final_requirement_for_tail_one(self):
         rows = thresholds(gs((1, 1), (9, 1)), SplitSpec(2, 1)).rows
         assert rows[-1].stage == "stage-3 final"
@@ -377,9 +391,9 @@ class TestThresholds:
         calls = []
         real = pipeline.min_height_rect
 
-        def spy(k, l, m, table=None):
+        def spy(k, l, m):
             calls.append((k, l, m))
-            return real(k, l, m, table=table)
+            return real(k, l, m)
 
         monkeypatch.setattr(pipeline, "min_height_rect", spy)
         rows = thresholds(gs((1, 7), (225, 1), (10**9, 8)), SplitSpec(2, 1)).rows

@@ -110,7 +110,7 @@ CORRUPTIONS = {"alias": alias, "duplicate": duplicate, "drop": drop, "swap": swa
 
 
 @st.composite
-def pipeline_runs(draw, table):
+def pipeline_runs(draw):
     """(run, flatten calls) for a construct of a small constructible gap set
     at split (2, 0) or (2, 1)."""
     d1, k1 = draw(st.integers(1, 3)), draw(st.integers(1, 2))
@@ -121,18 +121,16 @@ def pipeline_runs(draw, table):
     split = SplitSpec(2, p)
     if p:
         prefix = GapSet.from_pairs(pairs)
-        required = thresholds(prefix, split, table).rows[-1].required
+        required = thresholds(prefix, split).rows[-1].required
         pairs.append((required + draw(st.integers(0, 20)), draw(st.integers(1, 2))))
     gaps = GapSet.from_pairs(pairs)
-    return (lambda: construct(gaps, split, table)), 1 + p
+    return (lambda: construct(gaps, split)), 1 + p
 
 
 STEP_RUNS = {
     # boundary_base flattens once, then the step under test
-    "boundary-step": lambda d, table: boundary_step(boundary_base(1, 16, 2, 1, table), d, 1, table),
-    "homogeneous-step": lambda d, table: homogeneous_step(
-        homogeneous_base(boundary_base(1, 9, 1, 1, table)), d, 1, table
-    ),
+    "boundary-step": lambda d: boundary_step(boundary_base(1, 16, 2, 1), d, 1),
+    "homogeneous-step": lambda d: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), d, 1),
 }
 
 
@@ -173,8 +171,8 @@ def _assert_caught(run, target: int, corrupt, data, where=whole) -> None:
 
 @SETTINGS
 @given(data=st.data(), kind=st.sampled_from(sorted(CORRUPTIONS)))
-def test_corrupted_construct_rectangle_never_yields_a_tiling(data, kind, table):
-    run, flattens = data.draw(pipeline_runs(table))
+def test_corrupted_construct_rectangle_never_yields_a_tiling(data, kind):
+    run, flattens = data.draw(pipeline_runs())
     target = data.draw(st.integers(0, flattens - 1))
     _assert_caught(run, target, CORRUPTIONS[kind], data)
 
@@ -186,10 +184,10 @@ def test_corrupted_construct_rectangle_never_yields_a_tiling(data, kind, table):
     stage=st.sampled_from(sorted(STEP_RUNS)),
     extra=st.integers(0, 1),
 )
-def test_corrupted_step_rectangle_never_yields_a_tiling(data, kind, stage, extra, table):
+def test_corrupted_step_rectangle_never_yields_a_tiling(data, kind, stage, extra):
     # extra = 1 puts both block widths into the step's rectangle
     d = {"boundary-step": 4225, "homogeneous-step": 3025}[stage] + extra
-    _assert_caught(lambda: STEP_RUNS[stage](d, table), 1, CORRUPTIONS[kind], data)
+    _assert_caught(lambda: STEP_RUNS[stage](d), 1, CORRUPTIONS[kind], data)
 
 
 @SETTINGS
@@ -198,9 +196,9 @@ def test_corrupted_step_rectangle_never_yields_a_tiling(data, kind, stage, extra
     kind=st.sampled_from(sorted(CORRUPTIONS)),
     stage=st.sampled_from(sorted(STEP_RUNS)),
 )
-def test_corrupted_shared_block_never_yields_a_tiling(data, kind, stage, table):
+def test_corrupted_shared_block_never_yields_a_tiling(data, kind, stage):
     d = {"boundary-step": 4225, "homogeneous-step": 3025}[stage]
-    _assert_caught(lambda: STEP_RUNS[stage](d, table), 1, CORRUPTIONS[kind], data, shared)
+    _assert_caught(lambda: STEP_RUNS[stage](d), 1, CORRUPTIONS[kind], data, shared)
 
 
 

@@ -89,7 +89,7 @@ def test_benchmark_homogeneous_step_output_is_byte_identical():
     assert sha256(text.encode()) == "0d2cf5100902ac05f209f129ab6c54bd1d5089026c383b347c149fc2ccbb0ca0"
 
 
-def _lifted_plans_digest(table) -> tuple[int, str]:
+def _lifted_plans_digest() -> tuple[int, str]:
     """The number of plans tried and the SHA-256 over each one's kind, length,
     height, histogram, last cardinality and trace, or over the type and
     message of the error that refused it.
@@ -116,21 +116,21 @@ def _lifted_plans_digest(table) -> tuple[int, str]:
         return ((plan_homogeneous_step, (prev.L + 1) ** 2), (plan_final, prev.L * (prev.L + 1)))
 
     for d1, k1, k2 in itertools.product((1, 2), repeat=3):
-        base = plan_homogeneous_base(plan_boundary_base(d1, d1 * (k1 + k2 + 1) ** 2, k1, k2, table))
+        base = plan_homogeneous_base(plan_boundary_base(d1, d1 * (k1 + k2 + 1) ** 2, k1, k2))
         for plan, bound in bounds(base):
             for k, extra in itertools.product((1, 2, 3), (0, 1, 2)):
-                record(lambda: plan(base, bound + extra, k, table))
-        step = record(lambda: plan_homogeneous_step(base, (base.L + 1) ** 2 + 1, 1, table))
+                record(lambda: plan(base, bound + extra, k))
+        step = record(lambda: plan_homogeneous_step(base, (base.L + 1) ** 2 + 1, 1))
         for plan, bound in bounds(step):
             for k in (1, 2, 3):
-                record(lambda: plan(step, bound + 1, k, table))
+                record(lambda: plan(step, bound + 1, k))
     return tried, h.hexdigest()
 
 
-def test_lifted_stage_plans_are_unchanged(table):
+def test_lifted_stage_plans_are_unchanged():
     # pins the homogeneous steps' traces (h_full, h_removed, removed_blocks),
     # which no hash above covers, and the final stages' heights
-    assert _lifted_plans_digest(table) == (
+    assert _lifted_plans_digest() == (
         200,
         "3fe03317ef48e5fe74554d805a836a5fbe2089cee6e9765bb779686565703138",
     )
@@ -236,10 +236,10 @@ def test_search_node_counts_are_unchanged():
 
 RENDERED = {
     # 11,880 points in 2,970 tiles: only the first 200 (or 5,000) are drawn
-    "constructed": lambda table: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table).tiling,
-    "short": lambda table: IntervalTiling(6, Tiles.from_rows([[0, 1, 3], [2, 4, 5]])),
+    "constructed": lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1)).tiling,
+    "short": lambda: IntervalTiling(6, Tiles.from_rows([[0, 1, 3], [2, 4, 5]])),
     # point 0 three times, 2 twice, holes at 1, 4, 9, points at -1 and past the end
-    "broken": lambda table: IntervalTiling(
+    "broken": lambda: IntervalTiling(
         12, Tiles.from_rows([[-1, 0, 3], [0, 2, 5], [2, 7, 8], [0, 6], [10, 11, 40]])
     ),
 }
@@ -253,8 +253,8 @@ RENDERED = {
         ("broken", "17bc0d6c73cab658c4b93ba9a1a2c36bd43c25a698bcc84294789ec209ff136f"),
     ],
 )
-def test_interval_renders_are_byte_identical(table, name, digest):
-    tiling = RENDERED[name](table)
+def test_interval_renders_are_byte_identical(name, digest):
+    tiling = RENDERED[name]()
     specs = [RenderSpec(), RenderSpec(cell_size=10, seed=7, max_points=5000)]
     outs = [render_interval_svg(tiling, spec) for spec in specs]
     outs += [render_interval_ascii(tiling, m) for m in (200, 40, 5000)]

@@ -330,13 +330,11 @@ def stage_blocks(run):
 
 
 @pytest.fixture(scope="module")
-def seam_blocks(table):
+def seam_blocks():
     """The block list of every stage of a small construct, and of the
     windowed last stage of a homogeneous step, whose paths differ in length."""
-    lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
-    step = stage_blocks(
-        lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1, table)), 3025, 1, table)
-    )
+    lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1)))
+    step = stage_blocks(lambda: homogeneous_step(homogeneous_base(boundary_base(1, 9, 1, 1)), 3025, 1))
     return lists + step[-1:]
 
 
@@ -358,8 +356,8 @@ class TestFlattenSlices:
 
     # flatten gathers in the calling thread: its peak is the same at every pool width
     @pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
-    def test_scratch_memory_is_bounded_by_the_slice(self, table, monkeypatch, width):
-        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1), table))
+    def test_scratch_memory_is_bounded_by_the_slice(self, monkeypatch, width):
+        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1)))
         rect = concat_columns(lists[-1])
         assert rect.paths.xs.size >= 100_000
         monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
@@ -376,8 +374,8 @@ class TestFlattenSlices:
 
 
 class TestFlattenBlocks:
-    def test_scratch_is_bounded_by_the_distinct_blocks(self, table, monkeypatch):
-        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1), table))
+    def test_scratch_is_bounded_by_the_distinct_blocks(self, monkeypatch):
+        lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 2970]), SplitSpec(2, 1)))
         block = lists[-1][-1]
         blocks = [block] * 5000
         # the peak once the output is written, before Tiles checks its invariants

@@ -99,9 +99,9 @@ class TestIntervalTiling:
 
 
 @pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
-def test_interval_scratch_memory_is_bounded_by_the_blocks(table, monkeypatch, width):
+def test_interval_scratch_memory_is_bounded_by_the_blocks(monkeypatch, width):
     gs = T(1, 9, 30011)
-    t = construct(gs, SplitSpec(2, 1), table).tiling
+    t = construct(gs, SplitSpec(2, 1)).tiling
     assert t.tiles.values.size >= 100_000
     monkeypatch.setattr(verify, "_WINDOW_BLOCK", len(t.tiles) // 64)
     monkeypatch.setattr(_chunks, "_width", lambda: width)
@@ -117,9 +117,9 @@ def test_interval_scratch_memory_is_bounded_by_the_blocks(table, monkeypatch, wi
 
 
 @pytest.fixture(scope="module")
-def constructed_rows(table):
+def constructed_rows():
     gs = T(1, 9, 2970)
-    t = construct(gs, SplitSpec(2, 1), table).tiling
+    t = construct(gs, SplitSpec(2, 1)).tiling
     return gs, t.length, [t.tiles.row(i).tolist() for i in range(len(t.tiles))]
 
 
