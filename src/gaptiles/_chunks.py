@@ -4,7 +4,8 @@ The row printer and the read of a file's rows in pieces run their chunks
 with ordered_map. numpy releases the interpreter lock inside them, so
 threads run chunks side by side, and results come back in order, so the
 output never depends on the thread count. A threaded map shuts its own
-pool down as it ends: no thread outlives it, and a later fork copies none.
+pool down as it ends: no thread outlives it. These threads are the only
+concurrency in the package; it starts no process.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import ExitStack
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .errors import PreconditionError, SearchExhausted
+from .errors import SearchExhausted
 from .oracle import SearchConfig, min_interval
 from .serialize import dumps_canonical, gap_set_to_obj, interval_to_obj, write_json
 from .types import GapSet
@@ -42,23 +41,6 @@ def config_hash(max_distance: int, max_multiplicity: int, n_max: int, max_nodes:
         }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _solve_one(args) -> tuple[str, int | None, dict | str | None, float]:
-    """(outcome, min length, witness object or budget message, elapsed seconds)."""
-    entries, n_max, max_nodes = args
-    t0 = time.perf_counter()
-    gs = GapSet(entries)
-    try:
-        found = min_interval(gs, n_max, SearchConfig(max_nodes=max_nodes))
-    except SearchExhausted as exc:
-        result = ("budget-exceeded", None, str(exc))
-    else:
-        if found is None:
-            result = ("not-found", None, None)
-        else:
-            result = ("found", found[0], interval_to_obj(found[1], gs))
-    return (*result, time.perf_counter() - t0)
 
 
 def _load_completed(path: Path, chash: str) -> int:
@@ -94,14 +76,11 @@ def run_catalog(
     max_distance: int,
     max_multiplicity: int,
     n_max: int,
-    workers: int = 0,
     max_nodes: int = 10_000_000,
     timings: bool = False,
 ) -> dict:
     """Run (or resume) a catalog. Returns a summary dict; records are appended
     to `path` and witnesses written next to it."""
-    if workers < 0:
-        raise PreconditionError(f"workers must be >= 0, got {workers}")
     SearchConfig(max_nodes=max_nodes)  # refuses a budget below 1 before a file is touched
     path = Path(path)
     gap_sets = enumerate_gap_sets(max_distance, max_multiplicity)
@@ -112,8 +91,16 @@ def run_catalog(
     not_found: list[str] = []
     budget_exceeded: list[str] = []
 
-    def record_for(index: int, gs: GapSet, result) -> dict:
-        outcome, n, payload, elapsed = result
+    def record_for(index: int, gs: GapSet) -> dict:
+        t0 = time.perf_counter()
+        try:
+            found = min_interval(gs, n_max, SearchConfig(max_nodes=max_nodes))
+            outcome = "not-found" if found is None else "found"
+        except SearchExhausted as exc:
+            found, outcome = None, "budget-exceeded"
+            budget_exceeded.append(str(exc))
+        witness = None if found is None else interval_to_obj(found[1], gs)
+        elapsed = time.perf_counter() - t0
         rec = {
             "index": index,
             "gap_set": gap_set_to_obj(gs),
@@ -122,33 +109,21 @@ def run_catalog(
             "n_max": n_max,
             "wall_ms": round(elapsed * 1000.0, 3) if timings else None,
             "outcome": outcome,
-            "min_length": n,
+            "min_length": None if found is None else found[0],
             "witness": None,
         }
         if outcome == "found":
             witness_dir.mkdir(parents=True, exist_ok=True)
             name = f"{index:05d}_{str(gs).replace(':', '-').replace(',', '_')}.json"
-            write_json(witness_dir / name, payload)
+            write_json(witness_dir / name, witness)
             rec["witness"] = f"{witness_dir.name}/{name}"
         elif outcome == "not-found":
             not_found.append(str(gs))
-        else:
-            budget_exceeded.append(payload)
         return rec
 
-    args = [(gs.entries, n_max, max_nodes) for gs in todo]
-    with path.open("a", encoding="utf-8") as fh, ExitStack() as stack:
-        if workers and workers > 1 and todo:
-            # map yields in submission order as results arrive, so each record
-            # is written once it and every earlier one are done.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_solve_one, args)
-        else:
-            results = map(_solve_one, args)
-        for offset, (gs, result) in enumerate(zip(todo, results)):
-            fh.write(dumps_canonical(record_for(done + offset, gs, result)))
+    with path.open("a", encoding="utf-8") as fh:
+        for index, gs in enumerate(todo, done):
+            fh.write(dumps_canonical(record_for(index, gs)))
             fh.flush()
     return {
         "total": len(gap_sets),

@@ -66,10 +66,6 @@ _HYPOTHESIS_ERRORS = (
 
 
 _MAX_NODES_HELP = "search budget: DFS states entered per searched length (default %(default)s)"
-_PARALLEL_HELP = (
-    "worker processes that search the first tile's gap orders side by side; "
-    "the result is the serial search's (default %(default)s: serial)"
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,7 +158,7 @@ def cmd_construct(args) -> int:
 
 def cmd_solve(args) -> int:
     gaps = parse_gaps(args.gaps)
-    cfg = SearchConfig(max_nodes=args.max_nodes, parallel_width=args.parallel)
+    cfg = SearchConfig(max_nodes=args.max_nodes)
     outcome = solve_interval(gaps, args.len, cfg)
     if outcome.status is SearchStatus.FOUND:
         witness = outcome.witnesses[0]
@@ -176,7 +172,7 @@ def cmd_solve(args) -> int:
 
 def cmd_minlen(args) -> int:
     gaps = parse_gaps(args.gaps)
-    cfg = SearchConfig(max_nodes=args.max_nodes, parallel_width=args.parallel)
+    cfg = SearchConfig(max_nodes=args.max_nodes)
     found = min_interval(gaps, args.max, cfg)
     if found is None:
         print(f"not found within {args.max}")
@@ -248,7 +244,6 @@ def cmd_catalog(args) -> int:
             max_distance=args.max_distance,
             max_multiplicity=args.max_multiplicity,
             n_max=args.nmax,
-            workers=args.workers,
             max_nodes=args.max_nodes,
             timings=args.timings,
         )
@@ -297,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True)
     p.add_argument("--len", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
-    p.add_argument("--parallel", type=int, default=0, help=_PARALLEL_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -305,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
-    p.add_argument("--parallel", type=int, default=0, help=_PARALLEL_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_minlen)
 
@@ -329,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-multiplicity", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", default="catalog.jsonl")
-    p.add_argument("--workers", type=int, default=0)
     p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--timings", action="store_true", help="record wall time per record")
     p.set_defaults(func=cmd_catalog)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pipeline import auto_split, thresholds
+from .pipeline import auto_split, check_split, thresholds
 from .errors import NoFeasibleSplit, SearchExhausted, TilingError
 from .types import GapSet, SplitSpec
 
@@ -112,6 +112,7 @@ def check_two_value_representation(gap_set: GapSet) -> ConditionResult:
 def check_staged_growth(gap_set: GapSet, split: SplitSpec | None = None) -> list[ConditionResult]:
     """This package's own pipeline hypotheses: the multiplicity inequalities
     plus every per-stage distance threshold, evaluated per feasible split.
+    A given split must cover the gap set's distances, as construct requires.
     A height search that runs out of budget decides nothing, so its
     SearchExhausted propagates."""
     if len(gap_set.entries) < 2:
@@ -137,6 +138,7 @@ def check_staged_growth(gap_set: GapSet, split: SplitSpec | None = None) -> list
     for sp in splits:
         name = f"staged-growth(s={sp.s},p={sp.p})"
         try:
+            check_split(gap_set, sp)
             report = thresholds(gap_set, sp)
         except SearchExhausted:
             raise

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ConstructionError, PreconditionError, SearchExhausted
@@ -42,16 +42,17 @@ class SearchConfig:
     solve_interval or solve_rectangle call counts, as SearchOutcome counts
     them; min_interval gives the same bound to its frontier sweep, which
     counts settled states, and to the search at the length the sweep finds.
-    A value out of range raises PreconditionError."""
+    Every search is one serial DFS in the calling process, so a budget and
+    its witnesses do not depend on the host. A value out of range raises
+    PreconditionError."""
 
     max_nodes: int = 10_000_000
     max_solutions: int = 1
-    parallel_width: int = 0
 
     def __post_init__(self):
-        for name, least in (("max_nodes", 1), ("max_solutions", 1), ("parallel_width", 0)):
-            if getattr(self, name) < least:
-                raise PreconditionError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("max_nodes", "max_solutions"):
+            if getattr(self, name) < 1:
+                raise PreconditionError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +186,14 @@ def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_sol
     return False
 
 
-def _search(startable, runs, occupied: int, placements: list, cfg: SearchConfig, memo: bool):
-    """The DFS from the state where ``placements`` cover ``occupied``, from
-    point 0 on: (solutions, states counted, whether the budget ran out)."""
+def _search(startable, runs, cfg: SearchConfig, memo: bool):
+    """The DFS from the empty cover: (solutions, states counted, whether the
+    budget ran out)."""
     total = len(startable) - 1
-    c = (~occupied & (occupied + 1)).bit_length() - 1
     solutions: list = []
     budget = [0, cfg.max_nodes, 0]
     dead = [set() for _ in range(total)] if memo else None
-    _dfs(total, startable, runs, occupied >> c, c, placements, budget, solutions, cfg.max_solutions, dead)
+    _dfs(total, startable, runs, 0, 0, [], budget, solutions, cfg.max_solutions, dead)
     return solutions, budget[0], bool(budget[2])
 
 
@@ -208,14 +208,6 @@ def _outcome(witnesses: tuple, nodes: int, budget_hit: bool, verify) -> SearchOu
     return SearchOutcome(status, (), nodes)
 
 
-def _solve_root(gaps: tuple[int, ...], length: int, cfg: SearchConfig, root: int):
-    """The serial search below root order ``root`` placed at point 0, with its
-    own frontier memo and ``cfg.max_nodes`` budget."""
-    offsets, runs, startable = _interval_orders(gaps, length)
-    mask = sum(1 << o for o in offsets[root])
-    return _search(startable, runs, mask, [(0, root)], cfg, True)
-
-
 def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None) -> SearchOutcome:
     """Exact-cover search for tilings of {0..length-1} by tiles with the given gap set.
 
@@ -228,31 +220,7 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
     gaps = gap_set.expand()
     offsets, runs, startable = _interval_orders(gaps, length)
-    if cfg.parallel_width > 0 and len(offsets) > 1 and startable[0]:
-        # One task per root order (the gap order placed at point 0), taken
-        # in serial order: the first root with a solution runs to completion,
-        # so the witnesses are the serial search's. Leaving the pool
-        # terminates the roots still running. Where no order fits, the serial
-        # search below stops at its root.
-        # nodes starts at 1: the root state, as the serial search counts it
-        import multiprocessing
-
-        solutions, nodes, budget_hit = [], 1, False
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(cfg.parallel_width, len(offsets))) as pool:
-            for found, entered, _ in pool.imap(
-                partial(_solve_root, gaps, length, cfg), range(len(offsets))
-            ):
-                solutions += found
-                nodes += entered
-                if len(solutions) >= cfg.max_solutions:
-                    break
-                if nodes > cfg.max_nodes:
-                    budget_hit = True
-                    break
-        del solutions[cfg.max_solutions :]
-    else:
-        solutions, nodes, budget_hit = _search(startable, runs, 0, [], cfg, True)
+    solutions, nodes, budget_hit = _search(startable, runs, cfg, True)
     # placements come in order of their first points
     witnesses = tuple(
         IntervalTiling(length, tuple(Tile(tuple(c + o for o in offsets[oi])) for c, oi in p))
@@ -366,7 +334,7 @@ def solve_rectangle(
         c % width + kmax < width and c // width + lmax < height for c in range(width * height)
     ] + [True]
     # No memo: one on the rectangle states got no hits.
-    solutions, nodes, budget_hit = _search(startable, runs, 0, [], cfg, False)
+    solutions, nodes, budget_hit = _search(startable, runs, cfg, False)
     witnesses = []
     for p in solutions:
         paths = (LatticePath(tuple(((c + o) % width, (c + o) // width) for o in offsets[oi])) for c, oi in p)

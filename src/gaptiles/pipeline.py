@@ -704,6 +704,14 @@ class ConstructResult:
     trace: tuple[dict, ...]
 
 
+def check_split(gap_set: GapSet, split: SplitSpec) -> None:
+    """PreconditionError unless the split's s + p distances are the gap set's."""
+    if split.s + split.p != len(gap_set.entries):
+        raise PreconditionError(
+            f"split (s={split.s}, p={split.p}) does not cover {len(gap_set.entries)} distinct distances"
+        )
+
+
 def _check_hypotheses(ks: Sequence[int], s: int, p: int) -> None:
     head = sum(ks[2:s]) + 1
     if head > ks[0]:
@@ -786,11 +794,8 @@ def construct(gap_set: GapSet, split: SplitSpec) -> ConstructResult:
     With p = 0 the last boundary stage's tiling is returned directly, flagged
     "boundary-only" in the trace.
     """
+    check_split(gap_set, split)
     s, p = split.s, split.p
-    if s + p != len(gap_set.entries):
-        raise PreconditionError(
-            f"split (s={s}, p={p}) does not cover {len(gap_set.entries)} distinct distances"
-        )
     _check_hypotheses(gap_set.multiplicities(), s, p)
     state, trace = _walk(gap_set, s, p, build=True)
     if p == 0:

@@ -2,12 +2,10 @@
 in order, errors where their chunk's result would be, at most width + 1
 chunks in flight, no thread left alive once the map ends, and the same
 bytes for every thread count and chunk size; the gap and window checks, run
-in blocks, give the same reports for every block size and thread count. A
-forked child makes a pool of its own and inherits no chunk thread."""
+in blocks, give the same reports for every block size and thread count."""
 
 import hashlib
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -66,29 +64,20 @@ def serial():
         yield
 
 
-def run_python(code, tmp_path, *args, timeout=120):
-    """The stdout of `python -c code args` run against this tree's sources.
-
-    The child runs in a session of its own, so that on a timeout it is
-    killed with every process it forked, which would hold its pipes open.
-    """
-    out, err = tmp_path / "stdout", tmp_path / "stderr"
-    with open(out, "w") as fo, open(err, "w") as fe:
-        child = subprocess.Popen(
+def run_python(code, *args, timeout=120):
+    """The stdout of `python -c code args` run against this tree's sources."""
+    try:
+        child = subprocess.run(
             [sys.executable, "-c", textwrap.dedent(code), *args],
             env={**os.environ, "PYTHONPATH": SRC},
-            stdout=fo,
-            stderr=fe,
-            start_new_session=True,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
         )
-        try:
-            code = child.wait(timeout)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)
-            child.wait()
-            pytest.fail(f"the child hung for {timeout} s")
-    assert code == 0, err.read_text()
-    return out.read_text()
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the child hung for {timeout} s")
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def chunk_threads():
@@ -195,7 +184,7 @@ def test_small_outputs_never_import_the_pool(tmp_path):
         assert verify_interval_tiling(tiling, gs).ok
         assert "concurrent.futures" not in sys.modules
         """
-    assert run_python(code, tmp_path, str(tmp_path / "t.json")) == ""
+    assert run_python(code, str(tmp_path / "t.json")) == ""
 
 
 def sha256s(out):
@@ -312,51 +301,3 @@ def test_window_mismatches_are_blind_to_the_block(data, steps, width, block, thr
         if sorted(np.diff(seq[a:b])[o : o + width].tolist()) != expected.tolist()
     ]
     assert list(zip(*(x.tolist() for x in whole))) == naive
-
-
-def test_a_forked_child_makes_a_pool_of_its_own(tmp_path):
-    """Write a multi-chunk file, then fork through the parallel interval
-    search and the catalog's process pool; each child runs a multi-chunk map
-    first. No chunk thread is alive at the forks, so none is copied."""
-    code = """
-        import sys
-        import threading
-        from pathlib import Path
-        from gaptiles import GapSet, SearchConfig, _chunks, catalog, oracle, serialize, solve_interval
-        from gaptiles.serialize import interval_to_obj, write_json
-
-        _chunks._width = lambda: 2
-        serialize._CHUNK_POINTS = 3
-        real_root, real_one = oracle._solve_root, catalog._solve_one
-
-        def mapped():
-            assert list(_chunks.ordered_map(abs, range(-9, 0))) == list(range(9, 0, -1))
-
-        def solve_root(*args):
-            mapped()
-            return real_root(*args)
-
-        def solve_one(args):
-            mapped()
-            return real_one(args)
-
-        out = Path(sys.argv[1])
-        gs = GapSet.from_gaps([1, 2])
-        serial = solve_interval(gs, 6)
-        write_json(out / "warm.json", interval_to_obj(serial.witnesses[0], gs))
-        assert "concurrent.futures" in sys.modules  # the write ran on threads
-        assert not [t for t in threading.enumerate() if t.name.startswith("gaptiles-chunks")]
-        oracle._solve_root, catalog._solve_one = solve_root, solve_one
-        par = solve_interval(gs, 6, SearchConfig(parallel_width=2))
-        assert (par.status, par.witnesses) == (serial.status, serial.witnesses)
-        for name, workers in (("serial", 0), ("forked", 2)):
-            (out / name).mkdir()
-            catalog.run_catalog(out / name / "c.jsonl", 3, 2, 40, workers=workers)
-        files = sorted((out / "serial").rglob("*.json*"))
-        assert len(files) > 2
-        for a in files:
-            b = out / "forked" / a.relative_to(out / "serial")
-            assert a.read_bytes() == b.read_bytes(), a
-        print("ok")
-        """
-    assert run_python(code, tmp_path, str(tmp_path)) == "ok\n"

@@ -292,15 +292,13 @@ class TestSolveCommands:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("gaps, n", [("2:1,3:1,4:1", "32"), ("1:1,2:1,4:1,5:1", "20")])
-    def test_minlen_parallel_matches_serial(self, tmp_path, capsys, gaps, n):
-        # the least length found by the sweep, then searched in parallel
-        outs = []
-        for extra in ([], ["--parallel", "2"]):
-            out = tmp_path / f"w{len(extra)}.json"
-            assert run(["minlen", "--gaps", gaps, "--max", "120", "--out", str(out), *extra]) == 0
-            assert capsys.readouterr().out.strip() == n
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_minlen_out_writes_a_witness_of_the_least_length(self, tmp_path, capsys, gaps, n):
+        out = tmp_path / "w.json"
+        assert run(["minlen", "--gaps", gaps, "--max", "120", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == n
+        kind, tiling, parsed = tiling_from_obj(read_json(out))
+        assert (kind, tiling.length) == ("interval", int(n))
+        assert verify_interval_tiling(tiling, parsed).ok
 
     def test_minlen_not_found_exit_3(self, capsys):
         assert run(["minlen", "--gaps", "5:1,6:3", "--max", "120"]) == 3
@@ -324,14 +322,22 @@ class TestSolveCommands:
     def test_solve_not_found_exit_3(self):
         assert run(["solve", "--gaps", "1:1,2:1", "--len", "4"]) == 3
 
-    def test_solve_parallel_writes_the_serial_witness(self, tmp_path):
-        # {1,2,2,3} tiles length 10 in several ways
-        outs = []
-        for extra in ([], ["--parallel", "2"]):
-            out = tmp_path / f"w{len(extra)}.json"
-            assert run(["solve", "--gaps", "1:1,2:2,3:1", "--len", "10", "--out", str(out), *extra]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_solve_budget_exceeded_exit_3(self, capsys):
+        # {1,2,3} tiles length 8, but not within three states
+        assert run(["solve", "--gaps", "1:1,2:1,3:1", "--len", "8", "--max-nodes", "3"]) == 3
+        assert capsys.readouterr().out == "not found: budget-exceeded after 4 nodes\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--gaps", "1:1,2:1,3:1", "--len", "8", "--parallel", "2"],
+            ["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "8", "--workers", "2"],
+        ],
+    )
+    def test_an_unknown_option_is_an_error_exit_1(self, capsys, args):
+        # argparse would exit 2, which the exit-code contract keeps for hypothesis violations
+        assert run(args) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"gaptiles: error: unrecognized arguments: {args[-2]} 2"
 
     def test_minlen_budget_exceeded_is_an_error_exit_3(self, capsys):
         # {3,4,5,5} tiles length 70; the budget runs out long before that
@@ -347,7 +353,6 @@ class TestSolveCommands:
         [
             (["solve", "--len", "6", "--max-nodes", "0"], "max_nodes must be >= 1, got 0"),
             (["minlen", "--max", "30", "--max-nodes", "-1"], "max_nodes must be >= 1, got -1"),
-            (["solve", "--len", "6", "--parallel", "-1"], "parallel_width must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_budget_exit_1(self, capsys, args, message):
@@ -662,35 +667,22 @@ class TestCatalog:
             ["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "20", "--out", str(a)]
         ) == 1
 
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        d1 = tmp_path / "seq"
-        d2 = tmp_path / "par"
-        d1.mkdir()
-        d2.mkdir()
-        for d, workers in ((d1, "0"), (d2, "2")):
-            run(
-                ["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "20",
-                 "--workers", workers, "--out", str(d / "catalog.jsonl")]
-            )
-        assert (d1 / "catalog.jsonl").read_bytes() == (d2 / "catalog.jsonl").read_bytes()
-
-    def test_worker_pool_records_timings(self, tmp_path):
+    def test_timings_records_wall_time(self, tmp_path):
         out = tmp_path / "catalog.jsonl"
         run(
             ["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "20",
-             "--workers", "2", "--timings", "--out", str(out)]
+             "--timings", "--out", str(out)]
         )
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["index"] for r in records] == list(range(5))
         assert all(isinstance(r["wall_ms"], float) and r["wall_ms"] >= 0 for r in records)
 
-    @pytest.mark.parametrize("workers", ["0", "2"])
-    def test_budget_exceeded_is_its_own_outcome(self, tmp_path, capsys, workers):
+    def test_budget_exceeded_is_its_own_outcome(self, tmp_path, capsys):
         # one DFS state cannot reach a solution, so every search runs out
         out = tmp_path / "catalog.jsonl"
         assert run(
             ["catalog", "--max-distance", "1", "--max-multiplicity", "2", "--nmax", "12",
-             "--max-nodes", "1", "--workers", workers, "--out", str(out)]
+             "--max-nodes", "1", "--out", str(out)]
         ) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["outcome"], r["min_length"], r["witness"]) for r in records] == [
@@ -703,7 +695,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--workers", "-1", "workers must be >= 0, got -1"), ("--max-nodes", "0", "max_nodes must be >= 1, got 0")],
+        [("--max-nodes", "0", "max_nodes must be >= 1, got 0")],
     )
     def test_out_of_range_option_exit_1_without_a_file(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "catalog.jsonl"

@@ -1,6 +1,9 @@
+import pytest
+
 from gaptiles import GapSet, SplitSpec
 from gaptiles.conditions import (
     NOT_APPLICABLE,
+    NOT_SATISFIED,
     SATISFIED,
     check_sufficient_conditions,
     check_three_gap_quadratic,
@@ -124,6 +127,16 @@ class TestStagedGrowth:
         res = by_name(results, "staged-growth(s=2,p=0)")
         assert not res.satisfied
         assert "stage-2" in res.witness["reason"]
+
+    @pytest.mark.parametrize("split", [SplitSpec(5, 0), SplitSpec(2, 1)])
+    def test_a_split_over_more_distances_than_the_set_is_not_satisfied(self, split):
+        # construct refuses such a split; a dry run over a prefix accepts it
+        results = check_sufficient_conditions(gs((1, 1), (9, 1)), split)
+        res = by_name(results, f"staged-growth(s={split.s},p={split.p})")
+        assert res.status == NOT_SATISFIED
+        assert res.witness == {
+            "reason": f"split (s={split.s}, p={split.p}) does not cover 2 distinct distances"
+        }
 
     def test_infeasible_multiplicities(self):
         results = check_sufficient_conditions(gs((1, 1),))

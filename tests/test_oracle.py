@@ -52,9 +52,8 @@ class TestSolveInterval:
         assert out.status is SearchStatus.EXHAUSTED_NO_SOLUTION
         assert not naive_tilable((1, 2), 3)
 
-    @pytest.mark.parametrize("width", [0, 2])
-    def test_budget_status(self, width):
-        out = solve_interval(T(2, 3, 7), 36, SearchConfig(max_nodes=2, parallel_width=width))
+    def test_budget_status(self):
+        out = solve_interval(T(2, 3, 7), 36, SearchConfig(max_nodes=2))
         assert out.status is SearchStatus.BUDGET_EXCEEDED
 
     def test_deterministic_sequential(self):
@@ -69,22 +68,6 @@ class TestSolveInterval:
             assert verify_interval_tiling(wit, T(1, 2)).ok
         # leftmost-point branching reaches each unordered tiling exactly once
         assert len(set(out.witnesses)) == len(out.witnesses)
-
-    def test_parallel_agrees_with_sequential(self):
-        seq = solve_interval(T(1, 2), 6)
-        par = solve_interval(T(1, 2), 6, SearchConfig(parallel_width=2))
-        assert par.status is SearchStatus.FOUND
-        assert par.witnesses[0] == seq.witnesses[0]
-        none_seq = solve_interval(T(2, 2), 12)
-        none_par = solve_interval(T(2, 2), 12, SearchConfig(parallel_width=2))
-        assert none_seq.status == none_par.status
-        # several tilings each, whose roots can finish out of order
-        for gaps, n in [((1, 1, 2, 3), 10), ((1, 2, 2, 3), 10), ((1, 1, 3, 6), 20), ((2, 3, 5, 6), 20)]:
-            seq = solve_interval(T(*gaps), n)
-            assert seq.status is SearchStatus.FOUND
-            for _ in range(8):
-                par = solve_interval(T(*gaps), n, SearchConfig(parallel_width=2))
-                assert par.witnesses == seq.witnesses, (gaps, n)
 
 
 class TestMinInterval:

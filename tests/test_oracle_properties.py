@@ -3,7 +3,7 @@ tilability, and its exhaustive solution lists hold every tiling exactly once
 (counted here by a set-based cover over all placements). min_interval's
 frontier sweep finds the length that searching every length in turn finds.
 The interval search, with its memo, agrees with the memo-free rectangle
-search on the same interval as one row."""
+search on the same interval as one row. A budget only cuts a search short."""
 
 import itertools
 
@@ -15,6 +15,7 @@ from naive_oracle import naive_tilable
 from gaptiles import (
     GapSet,
     SearchConfig,
+    SearchOutcome,
     SearchStatus,
     min_interval,
     solve_interval,
@@ -136,13 +137,30 @@ def test_interval_memo_agrees_with_the_memo_free_rectangle_search(gaps, n):
     assert interval.nodes_explored <= rectangle.nodes_explored
 
 
-@pytest.mark.parametrize("gaps, n", [((1, 1, 3), 24), ((1, 2, 3), 8)])
-def test_parallel_solution_list_matches_sequential(gaps, n):
-    # At length 8 the first root of each worker's bucket has no solution but
-    # later roots of the same bucket do: a worker's dead-frontier memo must
-    # not record its roots.
+def assert_budget_only_cuts_short(search):
+    """``search(cfg)`` with every budget up to one past the states an
+    unbudgeted search counts: a budget that suffices changes nothing, and one
+    that does not stops the search at its first state past the budget."""
+    full = search(SearchConfig())
+    assert full.status is not SearchStatus.BUDGET_EXCEEDED
+    for max_nodes in range(1, full.nodes_explored + 2):
+        out = search(SearchConfig(max_nodes=max_nodes))
+        if max_nodes >= full.nodes_explored:
+            assert out == full, max_nodes
+        else:
+            assert out == SearchOutcome(SearchStatus.BUDGET_EXCEEDED, (), max_nodes + 1), max_nodes
+
+
+@SETTINGS
+@given(interval_cases())
+def test_an_interval_budget_only_cuts_the_search_short(case):
+    gaps, n = case
     gs = GapSet.from_gaps(gaps)
-    seq = solve_interval(gs, n, ALL)
-    par = solve_interval(gs, n, SearchConfig(max_solutions=10**6, parallel_width=2))
-    assert len(seq.witnesses) > 1
-    assert par.witnesses == seq.witnesses
+    assert_budget_only_cuts_short(lambda cfg: solve_interval(gs, n, cfg))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6))
+def test_a_rectangle_budget_only_cuts_the_search_short(k, l, width, height):
+    steps = {(1, 0): k, (0, 1): l}
+    assert_budget_only_cuts_short(lambda cfg: solve_rectangle(steps, width, height, cfg))
