@@ -3,7 +3,9 @@
 One record per gap set, appended in canonical enumeration order. A run is
 keyed by a hash of its configuration; rerunning with the same configuration
 appends only the records that are not already present, so an interrupted run
-resumed later produces the same file as an uninterrupted one.
+resumed later produces the same file as an uninterrupted one. The hash leaves
+the timings setting out, so a resume also checks that the records it keeps
+were timed, or untimed, as the rerun will time its own.
 """
 
 from __future__ import annotations
@@ -43,14 +45,17 @@ def config_hash(max_distance: int, max_multiplicity: int, n_max: int, max_nodes:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _load_completed(path: Path, chash: str) -> int:
+def _load_completed(path: Path, chash: str, timings: bool) -> int:
     """Count of valid leading records matching the config hash; truncates any
-    corrupt trailing line left by an interrupted write."""
+    corrupt trailing line left by an interrupted write. A record of another
+    configuration, or a kept one timed when `timings` is off or untimed when
+    it is on, is a ValueError, with the file left as it was."""
     if not path.exists():
         return 0
     raw = path.read_bytes().decode("utf-8", errors="replace")
     lines = raw.split("\n")
     good = []
+    different = f"existing catalog {path} was built with a different configuration"
     for line in lines:
         if not line:
             continue
@@ -59,11 +64,11 @@ def _load_completed(path: Path, chash: str) -> int:
         except json.JSONDecodeError:
             break
         if rec.get("config_hash") != chash:
-            raise ValueError(
-                f"existing catalog {path} was built with a different configuration"
-            )
+            raise ValueError(different)
         if rec.get("index") != len(good):
             break
+        if (rec.get("wall_ms") is None) == timings:
+            raise ValueError(different)
         good.append(line)
     keep = "".join(l + "\n" for l in good)
     if keep != raw:
@@ -85,7 +90,7 @@ def run_catalog(
     path = Path(path)
     gap_sets = enumerate_gap_sets(max_distance, max_multiplicity)
     chash = config_hash(max_distance, max_multiplicity, n_max, max_nodes)
-    done = _load_completed(path, chash)
+    done = _load_completed(path, chash, timings)
     todo = gap_sets[done:]
     witness_dir = path.parent / (path.stem + "-witnesses")
     not_found: list[str] = []

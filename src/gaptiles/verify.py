@@ -8,11 +8,12 @@ cover check with one boolean mark per point; only a failing cover is sorted,
 to report it. The gap and window checks run in blocks, one after another
 in the calling thread, and take each block's steps as differences of its
 own points, so the step arrays are bounded by the block, not the tiling.
-The window check does hold a row, an offset and a start for every window
-of every row. A rectangle's "points" for them are the prefix sums of its
-step codes. The checks start no thread, so their time does not hang on
-how many CPUs the host leaves free; with the steps gathered a column at a
-time, one thread runs them about as fast as two did the row-wise way.
+They count, for each distinct target value, the steps of a window equal
+to it, and compare the counts with the target's multiplicities, which is
+exact as the values are distinct (_windows_differ). The window check holds
+one start per window, and a row and an offset only for a failing one. A
+rectangle's "points" for them are the prefix sums of its step codes. The
+checks start no thread, so their time does not hang on free CPUs.
 
 Violations come in a fixed order: OutOfRange below 0, Overlap, Hole,
 OutOfRange above the range, then the per-tile or per-path mismatches by index.
@@ -22,7 +23,7 @@ its (x, y) cell, with Overlap and Hole in row-major order.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,80 +119,105 @@ def _in_blocks(differ: Callable[[int], np.ndarray], count: int) -> np.ndarray:
     return np.concatenate([differ(a) for a in range(0, count, _WINDOW_BLOCK)])
 
 
-def _windows_differ(seq: np.ndarray, starts: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """Whether the steps from each start s, the differences of
-    seq[s : s + expected.size + 1], sorted, differ from expected.
+def _counted(entries: Sequence[tuple[int, int]], points: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct values of (value, count) entries, as an int64 column,
+    their counts as a column, and the steps in a window of them. Counts
+    adding up to `points` or more fit no row: `points` stands in for them."""
+    counts = [k for _, k in entries]
+    values = as_int64([v for v, _ in entries]).reshape(-1, 1)
+    return values, np.array(counts).reshape(-1, 1), min(sum(counts), points)
 
-    The steps are gathered, and compared with expected, a column at a time:
-    numpy's gathers, differences and reductions along rows of a few steps
-    each took 1.7 times as long in all.
-    """
-    width = expected.size
-    windows = np.empty((starts.size, width), dtype=seq.dtype)
+
+def _steps(seq: np.ndarray, starts: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """The j-th step from each start s, seq[s + j + 1] - seq[s + j], for each j < width."""
     ahead = seq[starts]
     for j in range(width):
         behind, ahead = ahead, seq[starts + (j + 1)]
-        np.subtract(ahead, behind, out=windows[:, j])
-    windows.sort(axis=1)
-    bad = np.zeros(starts.size, dtype=bool)
-    for j in range(width):
-        bad |= windows[:, j] != expected[j]
-    return bad
+        yield ahead - behind
 
 
-def _row_mismatches(offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """Rows whose sorted steps differ from expected, rows of another length included.
+# Most distinct values a window's steps are counted against; past it, each
+# window is sorted instead (the timings are in CHANGES.md).
+_COUNT_MAX = 32
+
+
+def _windows_differ(
+    seq: np.ndarray, starts: np.ndarray, values: np.ndarray, counts: np.ndarray, width: int
+) -> np.ndarray:
+    """Whether the `width` steps from each start s, the differences of
+    seq[s : s + width + 1], differ as a multiset from the distinct values
+    taken their counts times (columns from _counted).
+
+    The steps are gathered a column at a time; each column is compared with
+    every value, and the matches are tallied per value and window in the
+    least unsigned type that holds width. This is exact: the values are
+    distinct, so a step adds to one tally at most and the tallies add up to
+    width at most; they equal the counts, which add up to width, only when
+    every step matched a value. A step that wraps around int64 is compared
+    as it wrapped. Past _COUNT_MAX values, each window is sorted instead.
+    """
+    if not starts.size:
+        return np.zeros(0, dtype=bool)
+    if values.size > _COUNT_MAX:
+        windows = np.column_stack(list(_steps(seq, starts, width)))
+        windows.sort(axis=1)
+        return (windows != np.repeat(values, counts.ravel())).any(axis=1)
+    tallies = np.zeros((values.size, starts.size), dtype=np.min_scalar_type(width))
+    match = np.empty(tallies.shape, dtype=bool)
+    hits = match.view(np.uint8)  # added to the tallies without a cast
+    for step in _steps(seq, starts, width):
+        np.equal(step, values, out=match)
+        tallies += hits
+    return (tallies != counts).any(axis=0)
+
+
+def _row_mismatches(
+    offsets: np.ndarray, seq: np.ndarray, entries: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Rows whose steps differ as a multiset from the (value, count) entries,
+    rows of another length included.
 
     A row's steps are the differences seq[j + 1] - seq[j] for each of its
     points j but the last. The rows are checked _WINDOW_BLOCK at a time.
     """
+    values, counts, width = _counted(entries, seq.size)
 
     def differ(a: int) -> np.ndarray:
         bounds = offsets[a : a + _WINDOW_BLOCK + 1]
-        bad = np.diff(bounds) != expected.size + 1
+        bad = np.diff(bounds) != width + 1
         fit = ~bad
-        bad[fit] = _windows_differ(seq, bounds[:-1][fit], expected)
+        bad[fit] = _windows_differ(seq, bounds[:-1][fit], values, counts, width)
         return bad
 
     return np.flatnonzero(_in_blocks(differ, offsets.size - 1))
 
 
 def _window_mismatches(
-    offsets: np.ndarray, seq: np.ndarray, expected: np.ndarray
+    offsets: np.ndarray, seq: np.ndarray, entries: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(row, offset) of every window of expected.size consecutive steps
-    within a row whose sorted steps differ from expected, in row then offset
-    order; the steps are as for _row_mismatches. The window starts are
-    checked _WINDOW_BLOCK at a time; every block size gives the same answer.
-    """
-    per_row = np.maximum(np.diff(offsets) - expected.size, 0)
-    row = np.repeat(np.arange(per_row.size), per_row)
-    off = np.arange(row.size) - np.repeat(offsets_from_sizes(per_row)[:-1], per_row)
-    starts = offsets[row] + off
+    """(row, offset) of every window of consecutive steps within a row, as
+    many as the entries' counts add up to, whose steps differ as a multiset
+    from the entries, in row then offset order (steps as for _row_mismatches).
+    One start is kept per window; every block size gives the same answer."""
+    values, counts, width = _counted(entries, seq.size)
+    per_row = np.maximum(np.diff(offsets) - width, 0)
+    first = offsets_from_sizes(per_row)
+    starts = np.repeat(offsets[:-1] - first[:-1], per_row)
+    starts += np.arange(starts.size)
 
     def differ(a: int) -> np.ndarray:
-        return _windows_differ(seq, starts[a : a + _WINDOW_BLOCK], expected)
+        return _windows_differ(seq, starts[a : a + _WINDOW_BLOCK], values, counts, width)
 
-    bad = _in_blocks(differ, starts.size)
-    return row[bad], off[bad]
-
-
-def _repeated(values: Sequence[int], counts: Sequence[int], points: int) -> np.ndarray:
-    """Each value repeated counts times, as the row and window checks compare
-    them. At least as many as there are points fit no row of them, and the
-    counts may be any integers: `points` zeros stand in for them, unexpanded,
-    with the same answer."""
-    values = as_int64(values)
-    if sum(counts) >= points:
-        return np.zeros(points, dtype=np.int64)
-    return np.repeat(values, counts)
+    bad = np.flatnonzero(_in_blocks(differ, starts.size))
+    row = np.searchsorted(first, bad, "right") - 1
+    return row, bad - first[row]
 
 
-def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, np.ndarray]:
+def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """The prefix sums of each step's index in step_type (-1 if undeclared),
     one per point with a leading 0, so that a step's index is the difference
-    of its ends' sums; and the sorted indices one path of the declared type
-    has. The sums stay within the number of points times the type's size.
+    of its ends' sums; and each index with the step's multiplicity. The sums
+    stay within the number of points times the type's size.
     """
     dx, dy = np.diff(paths.xs), np.diff(paths.ys)
     codes = np.full(dx.size + 1, -1, dtype=np.int64)
@@ -200,7 +226,7 @@ def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, np.ndarr
     for code, ((vx, vy), _) in enumerate(step_type):
         steps[(dx == vx) & (dy == vy)] = code
     np.cumsum(codes, out=codes)
-    return codes, _repeated(range(len(step_type)), [mult for _, mult in step_type], paths.xs.size)
+    return codes, [(code, mult) for code, (_, mult) in enumerate(step_type)]
 
 
 def verify_interval_tiling(
@@ -212,8 +238,7 @@ def verify_interval_tiling(
     rep = ReportBuilder(max_violations)
     tiles = tiling.tiles
     _cover(tiles.values, tiling.length, rep)
-    expected = _repeated(gap_set.distances(), gap_set.multiplicities(), tiles.values.size)
-    bad = _row_mismatches(tiles.offsets, tiles.values, expected)
+    bad = _row_mismatches(tiles.offsets, tiles.values, gap_set.entries)
     rep.add_all("GapMismatch", bad, "tile gap multiset differs from the target gap set")
     return rep.build()
 
@@ -257,8 +282,7 @@ def verify_homogeneous(
     rep = ReportBuilder(max_violations)
     seqs = Tiles.of(seqs)
     _cover(seqs.values, n_points, rep)
-    expected = _repeated(gap_set.distances(), gap_set.multiplicities(), seqs.values.size)
-    row, off = _window_mismatches(seqs.offsets, seqs.values, expected)
+    row, off = _window_mismatches(seqs.offsets, seqs.values, gap_set.entries)
     rep.add_all(
         "WindowMismatch",
         np.column_stack((row, off)),
@@ -288,13 +312,13 @@ def verify_rectangle_tiling(
         return np.column_stack((p % width, p // width))
 
     _cover(xs[inside] + ys[inside] * width, width * height, rep, cell)
-    codes, expected = _step_codes(paths, rect.step_type)
+    codes, entries = _step_codes(paths, rect.step_type)
     if window is None:
-        bad = _row_mismatches(paths.offsets, codes, expected)
+        bad = _row_mismatches(paths.offsets, codes, entries)
         rep.add_all("TypeMismatch", bad, "path step multiset differs from declared type")
         return rep.build()
     short = np.flatnonzero(paths.sizes() - 1 < window)
-    row, off = _window_mismatches(paths.offsets, codes, expected)
+    row, off = _window_mismatches(paths.offsets, codes, entries)
     rows = np.concatenate((short, row))
     # A short path has no windows, so sorting by path keeps each path's entries together.
     order = np.argsort(rows, kind="stable")

@@ -677,6 +677,20 @@ class TestCatalog:
         assert [r["index"] for r in records] == list(range(5))
         assert all(isinstance(r["wall_ms"], float) and r["wall_ms"] >= 0 for r in records)
 
+    @pytest.mark.parametrize("first, resumed", [([], ["--timings"]), (["--timings"], [])])
+    def test_resume_under_another_timings_setting_is_refused(self, tmp_path, capsys, first, resumed):
+        out = tmp_path / "catalog.jsonl"
+        argv = ["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "20",
+                "--out", str(out)]
+        assert run(argv + first) == 0
+        cut = "".join(out.read_text().splitlines(keepends=True)[:2])
+        out.write_text(cut)
+        capsys.readouterr()
+        assert run(argv + resumed) == 1
+        message = f"existing catalog {out} was built with a different configuration"
+        assert capsys.readouterr().err == f"catalog error: {message}\n"
+        assert out.read_text() == cut
+
     def test_budget_exceeded_is_its_own_outcome(self, tmp_path, capsys):
         # one DFS state cannot reach a solution, so every search runs out
         out = tmp_path / "catalog.jsonl"
