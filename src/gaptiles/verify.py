@@ -23,7 +23,7 @@ its (x, y) cell, with Overlap and Hole in row-major order.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,19 +128,6 @@ def _counted(entries: Sequence[tuple[int, int]], points: int) -> tuple[np.ndarra
     return values, np.array(counts).reshape(-1, 1), min(sum(counts), points)
 
 
-def _steps(seq: np.ndarray, starts: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """The j-th step from each start s, seq[s + j + 1] - seq[s + j], for each j < width."""
-    ahead = seq[starts]
-    for j in range(width):
-        behind, ahead = ahead, seq[starts + (j + 1)]
-        yield ahead - behind
-
-
-# Most distinct values a window's steps are counted against; past it, each
-# window is sorted instead (the timings are in CHANGES.md).
-_COUNT_MAX = 32
-
-
 def _windows_differ(
     seq: np.ndarray, starts: np.ndarray, values: np.ndarray, counts: np.ndarray, width: int
 ) -> np.ndarray:
@@ -154,19 +141,17 @@ def _windows_differ(
     distinct, so a step adds to one tally at most and the tallies add up to
     width at most; they equal the counts, which add up to width, only when
     every step matched a value. A step that wraps around int64 is compared
-    as it wrapped. Past _COUNT_MAX values, each window is sorted instead.
+    as it wrapped.
     """
     if not starts.size:
         return np.zeros(0, dtype=bool)
-    if values.size > _COUNT_MAX:
-        windows = np.column_stack(list(_steps(seq, starts, width)))
-        windows.sort(axis=1)
-        return (windows != np.repeat(values, counts.ravel())).any(axis=1)
     tallies = np.zeros((values.size, starts.size), dtype=np.min_scalar_type(width))
     match = np.empty(tallies.shape, dtype=bool)
     hits = match.view(np.uint8)  # added to the tallies without a cast
-    for step in _steps(seq, starts, width):
-        np.equal(step, values, out=match)
+    ahead = seq[starts]
+    for j in range(width):
+        behind, ahead = ahead, seq[starts + (j + 1)]
+        np.equal(ahead - behind, values, out=match)
         tallies += hits
     return (tallies != counts).any(axis=0)
 
