@@ -1,12 +1,12 @@
 """An ordered map over chunks, on a few threads that live for one map.
 
-The row printer and the read of a file's rows in pieces run their chunks
-with ordered_map. numpy releases the interpreter lock inside them, so
-threads run chunks side by side, and results come back in order, so the
-output never depends on the thread count. A threaded map shuts its own
-pool down as it ends: no thread outlives it. These threads are the only
-concurrency in the package; it starts no process.
-"""
+The read of a file's rows in pieces runs its chunks with ordered_map; it
+is the only pass left on threads (the row printer and the gap and window
+checks run in the calling thread). numpy releases the interpreter lock
+inside the pieces, so threads run them side by side, and results come back
+in order, so the output never depends on the thread count. A threaded map
+shuts its own pool down as it ends: no thread outlives it. These threads
+are the only concurrency in the package; it starts no process."""
 
 from __future__ import annotations
 

@@ -10,13 +10,12 @@ Dumps are canonical (sorted keys, fixed separators, trailing newline), so
 identical inputs always produce byte-identical files. The dicts that
 interval_to_obj and rectangle_to_obj return keep "tiles" or "paths" as the
 tiling's CSR view, and the rows are printed as bytes straight from its
-arrays, 65,536 points at a time: each number's digits come from a table of
-4-digit words, and one keep mask drops the leading zeros and unused
-separator bytes. The chunks are printed side by side on threads that live
-for the write (_chunks.ordered_map) and taken in order, so the bytes are
-the same for every thread count. write_json streams them into a temporary
-file in the target's directory and renames it over the target, so a failed
-write leaves the earlier file as it was and no temporary file behind.
+arrays, 16,384 points at a time in the calling thread: each number becomes
+a word holding the text before it and words of eight digits each, split by
+multiplying and shifting, and deleting the NUL bytes of those words leaves
+the text. write_json streams the chunks into a temporary file in the
+target's directory and renames it over the target, so a failed write
+leaves the earlier file as it was and no temporary file behind.
 
 read_json reads that layout back from the bytes, in pieces of about 256 KB
 side by side on threads that live for the read: a few array passes check
@@ -36,6 +35,7 @@ import errno
 import json
 import os
 import stat
+import sys
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -55,90 +55,112 @@ from .types import (
     normalize_steps,
 )
 
-_CHUNK_POINTS = 1 << 16
-# _WORDS[i] holds the four ASCII digits of i, zero-padded, in memory order
-# (built in uint16, so that the temporaries stay small).
-_PLACES = np.array([1000, 100, 10, 1], dtype=np.uint16)
-_WORDS = (
-    (np.arange(10_000, dtype=np.uint16)[:, None] // _PLACES % 10 + ord("0"))
-    .astype(np.uint8)
-    .view(np.uint32)
-    .ravel()
-)
+_CHUNK_POINTS = 1 << 14
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
+# _HIGH[k] keeps the last k bytes of a little-endian word: those that hold
+# a number's last k digits when its digits end with the word.
+_HIGH = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.uint64)
+_NIBBLES, _THREES, _SIXES = (np.uint64(0x0101010101010101 * b) for b in (0xF0, 0x30, 0x06))
 
 
-def _magnitude(v: np.ndarray) -> np.ndarray:
-    """|v| as uint64, exact for every int64 including its minimum."""
-    mag = v.astype(np.uint64)
-    np.negative(mag, out=mag, where=v < 0)
-    return mag
+def _text_word(text: str) -> int:
+    """text in the last bytes of a little-endian word, NULs before it."""
+    return int.from_bytes(text.encode("ascii").rjust(8, b"\0"), "little")
 
 
-def _points_bytes(cols: tuple[np.ndarray, ...], last: np.ndarray) -> bytes:
-    """Each point followed by its separator: "p," or "p],[" for one column,
-    "[x,y]," or "[x,y]],[" for two; "],[" ends a row.
+# The text before a number, by its place (see _rows_chunks), then with "-":
+# _PREFIX[place + negative], for an even place.
+_PLACES = (",", "],[", "", "],[", "]],[[", "[", ",")
+_PREFIX = np.array([_text_word(t + sign) for t in _PLACES for sign in ("", "-")], dtype=np.uint64)
+# _ZONED[k][i] turns the k words of digit values of a number of i + 1 digits
+# into ASCII: 0x30 on every digit byte, leading zeros left NUL.
+_ZONED = {
+    k: np.array(
+        [[_THREES & _HIGH[min(max(i + 1 - 8 * (k - 1 - j), 0), 8)] for j in range(k)] for i in range(8 * k)],
+        dtype=np.uint64,
+    )
+    for k in (1, 2, 3)
+}
+# A word of eight digits is split into lanes twice as narrow three times:
+# the high part q = g // d goes to the lower lane and the rest g - q * d to
+# the higher, so the word becomes (g << lane) - q * ((d << lane) - 1).
+# Halves of 4 digits divide by 10**4; pairs and digits take q as
+# (g * mul >> shift) & mask, exact below 10**4 and 10**2, as (mul, shift,
+# mask, lane, (d << lane) - 1).
+_E8 = np.uint64(10**8)
+_SPLIT = [tuple(map(np.uint64, step)) for step in (
+    (10_486, 20, 0x0000007F0000007F, 16, (100 << 16) - 1), (103, 10, 0x000F000F000F000F, 8, (10 << 8) - 1))]
 
-    Every point gets one row of a uint8 matrix: a sign byte, zero-padded
-    digits as wide as the chunk's largest magnitude needs, and the
-    punctuation; a boolean mask keeps the bytes that belong to the text. A
-    digit is kept when the magnitude reaches its place value, or it is the
-    units digit.
+
+def _numbers_bytes(v: np.ndarray, place: np.ndarray) -> bytes:
+    """The numbers v as JSON prints them, each after the text of its place,
+    an even index of _PREFIX (place is overwritten).
+
+    Each number gets one row of a uint64 matrix: a word holding the text
+    before it, then as many words of eight digit values as the chunk's
+    largest magnitude needs. Every byte that holds a digit gets 0x30 and
+    the leading zeros stay NUL, so deleting the NULs from the matrix's
+    bytes leaves the text.
     """
-    n = last.size
-    mags = [_magnitude(c) for c in cols]
-    words = (len(str(max(int(m.max()) for m in mags))) + 3) // 4
-    field = 1 + 4 * words  # sign byte, then the digits
-    pair = len(cols) == 2
-    width = len(cols) * field + 3 * pair + 3
-    text = np.empty((n, width), dtype=np.uint8)
-    keep = np.ones((n, width), dtype=bool)
-    pos = 0
-    if pair:
-        text[:, 0] = ord("[")
-        pos = 1
-    for i, (c, mag) in enumerate(zip(cols, mags)):
-        if i:
-            text[:, pos] = ord(",")
-            pos += 1
-        text[:, pos] = ord("-")
-        np.less(c, 0, out=keep[:, pos])
-        for j, place in enumerate(_POW10[4 * words - 2 :: -1], start=pos + 1):
-            np.greater_equal(mag, place, out=keep[:, j])
-        w = np.empty((n, words), dtype=np.uint32)
-        for j in range(words - 1, -1, -1):
-            mag, w[:, j] = np.divmod(mag, 10_000)
-        text[:, pos + 1 : pos + field] = _WORDS[w].view(np.uint8)
-        pos += field
-    if pair:
-        text[:, pos] = ord("]")
-        pos += 1
-    text[:, pos] = np.where(last, ord("]"), ord(","))
-    text[:, pos + 1] = ord(",")
-    text[:, pos + 2] = ord("[")
-    keep[:, pos + 1 :] = last[:, None]
-    return text[keep].tobytes()
+    n = v.size
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # exact for the int64 minimum too
+    top = len(str(int(mag.max())))  # the chunk's most digits
+    digits = np.zeros(n, dtype=np.uint8)  # one less than the digits
+    for p in _POW10[: top - 1]:
+        digits += mag >= p
+    k = (top + 7) // 8
+    words = np.empty((n, k + 1), dtype=np.uint64)
+    place += neg
+    np.take(_PREFIX, place, out=words[:, 0], mode="wrap")  # in range; "raise" would buffer out
+    g = np.empty((n, k), dtype=np.uint64)  # eight digits a word, the first most significant
+    for j in range(k - 1, 0, -1):
+        np.divmod(mag, _E8, out=(mag, g[:, j]))
+    g[:, 0] = mag
+    t = g // np.uint64(10_000)
+    g <<= np.uint64(32)
+    t *= np.uint64((10_000 << 32) - 1)
+    g -= t
+    for mul, shift, mask, lane, fold in _SPLIT:
+        np.multiply(g, mul, out=t)
+        t >>= shift
+        t &= mask
+        g <<= lane
+        t *= fold
+        g -= t
+    np.bitwise_or(g, _ZONED[k].take(digits, axis=0), out=words[:, 1:])
+    return words.tobytes().translate(None, b"\0")
 
 
 def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[bytes]:
     """The rows as json.dumps prints them, [[p,...],...] for tiles and
-    [[[x,y],...],...] for paths, in pieces of `chunk` points."""
+    [[[x,y],...],...] for paths, in pieces of `chunk` points, in the
+    calling thread.
+
+    A number's place picks the text before it (_PLACES): a tile's point
+    comes within its tile (place 0, ","), first in a later tile (2, "],["),
+    or first of all (4, nothing); a path's x likewise (6, "],["; 8,
+    "]],[["; 10, "["), and its y after a "," (12).
+    """
     cols = (rows.values,) if isinstance(rows, Tiles) else (rows.xs, rows.ys)
     n = cols[0].size
     if n == 0:
         yield b"[]"
         return
-    last = np.zeros(n, dtype=bool)
-    last[rows.offsets[1:] - 1] = True
-
-    def text(a: int) -> bytes:
-        return _points_bytes(tuple(c[a : a + chunk] for c in cols), last[a : a + chunk])
-
     yield b"[["
-    starts = range(0, n, chunk)
-    for a, part in zip(starts, ordered_map(text, starts)):
-        # the final point's separator is "],["; the rows close with "]]"
-        yield part if a + chunk < n else part[:-3] + b"]]"
+    within = 0 if len(cols) == 1 else 6
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        place = np.empty((b - a, len(cols)), dtype=np.intp)
+        place[:] = (within, 12)[: len(cols)]
+        lo, hi = np.searchsorted(rows.offsets, (a, b))
+        place[rows.offsets[lo:hi] - a, 0] = within + 2
+        if a == 0:
+            place[0, 0] = within + 4
+        v = cols[0][a:b] if len(cols) == 1 else np.stack([c[a:b] for c in cols], axis=1).ravel()
+        yield _numbers_bytes(v, place.ravel())
+    yield b"]" * (len(cols) + 1)
 
 
 def _rows_json(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> str:
@@ -195,7 +217,7 @@ def write_atomic(path: str | Path, parts: Iterable[bytes]) -> None:
     """
     path = Path(path)
     refuse_special_file(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = _temporary(path)
     try:
         fh = open(tmp, "xb")
     except OSError as exc:
@@ -210,6 +232,16 @@ def write_atomic(path: str | Path, parts: Iterable[bytes]) -> None:
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise _naming(exc, path) from None
         raise
+
+
+def _temporary(path: Path) -> Path:
+    """A new name beside path for the file that replaces it: ".{name}.{16
+    hex}.tmp", with the name cut short at a character so that the whole is
+    no longer than path's name or 42 bytes. So it fits wherever path's name
+    fits, up to the longest name the file system takes."""
+    name = os.fsencode(path.name)
+    stem = name[: max(len(name) - 22, min(len(name), 20))].decode(sys.getfilesystemencoding(), "ignore")
+    return path.with_name(f".{stem}.{os.urandom(8).hex()}.tmp")
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -247,10 +279,8 @@ def _read_plain(data: bytes) -> Any:
 # The key of the rows array of an interval and of a rectangle file, and how
 # deep its numbers sit in it.
 _ROW_ARRAYS = (("tiles", 2), ("paths", 3))
-# _HIGH[k] keeps the last k bytes of a little-endian word and _FILL[k] puts "0"
-# in the others; _COMBINE's steps add 8 digits up as 4 pairs, 2 fours, 1 eight.
-_HIGH = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.uint64)
-_NIBBLES, _THREES, _SIXES = (np.uint64(0x0101010101010101 * b) for b in (0xF0, 0x30, 0x06))
+# _FILL[k] puts "0" in the bytes before the last k of a word; _COMBINE's
+# steps add 8 digits up as 4 pairs, 2 fours, 1 eight.
 _FILL = _THREES & ~_HIGH
 _COMBINE = [tuple(map(np.uint64, step)) for step in (
     (8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))]

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,39 @@ def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
         # top. A piece's scratch is about 8 times its size, and width + 1
         # pieces may be in flight.
         assert peak < path.stat().st_size + arrays + 8 * (width + 1) * serialize._PIECE_BYTES
+
+
+def test_writing_holds_one_chunks_scratch_and_starts_no_thread(tmp_path, monkeypatch):
+    values = np.arange(1 << 20, dtype=np.int64) * 8 + 1_000_000
+    obj = {"kind": "interval", "length": 9_400_000, "tiles": Tiles(np.arange(0, values.size + 1, 4), values)}
+
+    def start(self):
+        raise AssertionError("a write started a thread")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_chunks, "_width", lambda: _chunks._MAX_WIDTH)  # CPUs to spare
+        patch.setattr(threading.Thread, "start", start)
+        tracemalloc.start()
+        try:
+            write_json(tmp_path / "t.json", obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read_json(tmp_path / "t.json") == obj
+    # A chunk of 16,384 of these points holds about 1.5 MB of scratch (words,
+    # their bytes, the text); the write holds less than three at once.
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("name", ["a" * 250 + ".json", "\u00e9" * 125 + ".json"])
+def test_a_name_of_255_bytes_is_written_with_no_temporary_left(tmp_path, name):
+    assert len(os.fsencode(name)) == 255
+    path = tmp_path / name
+    write_json(path, INTERVAL)
+    assert json.loads(path.read_text()) == INTERVAL
+    with pytest.raises(TypeError):
+        write_json(path, dict(INTERVAL, zz=object()))
+    assert [f.name for f in tmp_path.iterdir()] == [name]
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,9 @@ values = st.one_of(
     st.integers(-10_001, 10_001),
     st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 9, 10, 9999, 10_000, INT64_MAX]),
 )
+# magnitudes of 19 digits, the most an int64 has, of either sign
+nineteen = st.integers(10**18, INT64_MAX).flatmap(lambda m: st.sampled_from([m, -m]))
+wide = st.one_of(values, nineteen, st.sampled_from([INT64_MIN, INT64_MAX]))
 tile = st.lists(values, min_size=2, max_size=6, unique=True).map(sorted)
 tiles = st.lists(tile, max_size=8)
 
@@ -78,7 +81,7 @@ def test_tiles_print_as_json(rows):
 
 
 @SETTINGS
-@given(paths())
+@given(st.one_of(paths(), paths(wide)))
 def test_paths_print_as_json(rows):
     view = Paths.from_rows(rows)
     text = json.dumps(rows, separators=(",", ":"))
@@ -225,9 +228,6 @@ def assert_pieces_agree(text: bytes, sizes=None) -> None:
             assert type(got) is type(whole) and got == whole, piece
 
 
-# magnitudes of 19 digits, the most an int64 has, of either sign
-nineteen = st.integers(10**18, INT64_MAX).flatmap(lambda m: st.sampled_from([m, -m]))
-wide = st.one_of(values, nineteen, st.sampled_from([INT64_MIN, INT64_MAX]))
 few_tiles = st.lists(st.lists(wide, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
 
 
@@ -293,6 +293,18 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
         with read_in_pieces_of(piece):
             back = read_json(path)["tiles"]
         assert isinstance(back, Tiles) and back == want, piece
+
+
+def test_numbers_that_fill_each_word_print_as_json_dumps_prints_them():
+    edges = word_edges()
+    m = len(edges) - 1
+    tiles = [edges[i : i + 2] for i in range(m)]
+    # each number as a path's first and later x and y, beside numbers of other widths
+    paths = [[[edges[i], edges[m - 1 - i]], [edges[i + 1], edges[m - i]]] for i in range(m)]
+    for view, rows in ((Tiles.from_rows(tiles), tiles), (Paths.from_rows(paths), paths)):
+        text = json.dumps(rows, separators=(",", ":"))
+        for chunk in (1, 2, 3, serialize._CHUNK_POINTS):
+            assert _rows_json(view, chunk) == text, chunk
 
 
 def test_any_byte_in_place_of_a_digit_reads_as_json_loads_reads_it():
