@@ -70,8 +70,8 @@ def _text_word(text: str) -> int:
 
 # The text before a number, by its place (see _rows_chunks), then with "-":
 # _PREFIX[place + negative], for an even place.
-_PLACES = (",", "],[", "", "],[", "]],[[", "[", ",")
-_PREFIX = np.array([_text_word(t + sign) for t in _PLACES for sign in ("", "-")], dtype=np.uint64)
+_BEFORE = (",", "],[", "", "],[", "]],[[", "[", ",")
+_PREFIX = np.array([_text_word(t + sign) for t in _BEFORE for sign in ("", "-")], dtype=np.uint64)
 # _ZONED[k][i] turns the k words of digit values of a number of i + 1 digits
 # into ASCII: 0x30 on every digit byte, leading zeros left NUL.
 _ZONED = {
@@ -138,7 +138,7 @@ def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[by
     [[[x,y],...],...] for paths, in pieces of `chunk` points, in the
     calling thread.
 
-    A number's place picks the text before it (_PLACES): a tile's point
+    A number's place picks the text before it (_BEFORE): a tile's point
     comes within its tile (place 0, ","), first in a later tile (2, "],["),
     or first of all (4, nothing); a path's x likewise (6, "],["; 8,
     "]],[["; 10, "["), and its y after a "," (12).
@@ -149,15 +149,15 @@ def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[by
         yield b"[]"
         return
     yield b"[["
-    within = 0 if len(cols) == 1 else 6
+    within = (0,) if len(cols) == 1 else (6, 12)  # each column's place within a row
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
         place = np.empty((b - a, len(cols)), dtype=np.intp)
-        place[:] = (within, 12)[: len(cols)]
+        place[:] = within
         lo, hi = np.searchsorted(rows.offsets, (a, b))
-        place[rows.offsets[lo:hi] - a, 0] = within + 2
+        place[rows.offsets[lo:hi] - a, 0] = within[0] + 2
         if a == 0:
-            place[0, 0] = within + 4
+            place[0, 0] = within[0] + 4
         v = cols[0][a:b] if len(cols) == 1 else np.stack([c[a:b] for c in cols], axis=1).ravel()
         yield _numbers_bytes(v, place.ravel())
     yield b"]" * (len(cols) + 1)
@@ -235,10 +235,10 @@ def write_atomic(path: str | Path, parts: Iterable[bytes]) -> None:
 
 
 def _temporary(path: Path) -> Path:
-    """A new name beside path for the file that replaces it: ".{name}.{16
-    hex}.tmp", with the name cut short at a character so that the whole is
-    no longer than path's name or 42 bytes. So it fits wherever path's name
-    fits, up to the longest name the file system takes."""
+    """A new name beside path for the file that replaces it:
+    ".{name}.{16 hex digits}.tmp", the name cut short at a character so that
+    the whole is no longer than path's name or 42 bytes. So it fits wherever
+    path's name fits, up to the longest name the file system takes."""
     name = os.fsencode(path.name)
     stem = name[: max(len(name) - 22, min(len(name), 20))].decode(sys.getfilesystemencoding(), "ignore")
     return path.with_name(f".{stem}.{os.urandom(8).hex()}.tmp")

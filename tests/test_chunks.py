@@ -1,8 +1,8 @@
-"""The chunk map that the row printer and the row reader run on: results
-in order, errors where their chunk's result would be, at most width + 1
-chunks in flight, no thread left alive once the map ends, and the same
-bytes for every thread count and chunk size; the gap and window checks, run
-in blocks, give the same reports for every block size and thread count."""
+"""The chunk map that the row reader runs on: results in order, errors
+where their chunk's result would be, at most width + 1 chunks in flight, no
+thread left alive once the map ends; the same bytes for every thread count
+and printer chunk size; and the gap and window checks, run in blocks, give
+the same reports for every block size and thread count."""
 
 import hashlib
 import os
