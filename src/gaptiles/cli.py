@@ -109,19 +109,22 @@ def parse_split(text: str) -> SplitSpec:
 
 def cmd_construct(args) -> int:
     gaps = parse_gaps(args.gaps)
-    split = parse_split(args.split) if args.split else None
+    split = parse_split(args.split) if args.split is not None else None
     if args.thresholds_only:
         report = thresholds(gaps, split)
         for row in report.rows:
             achieved = "?" if row.achieved is None else str(row.achieved)
             print(f"{row.stage}: required >= {row.required}, achieved {achieved}")
         return 0
+    # refuse before a long build, not at its write; a directory first, as
+    # "", "." and "/" have no name to put the other files' suffixes on
     out = Path(args.out)
-    if not out.parent.is_dir():  # refuse before a long build, not at its write
+    refuse_special_file(out)
+    if not out.parent.is_dir():
         code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
         raise OSError(code, os.strerror(code), str(out))
     outputs = (out, out.with_suffix(".trace.json"), out.with_suffix(".thresholds.json"))
-    for path in outputs:
+    for path in outputs[1:]:
         refuse_special_file(path)
     splits = [split] if split else auto_split(gaps)
     result = None
@@ -162,7 +165,7 @@ def cmd_solve(args) -> int:
     outcome = solve_interval(gaps, args.len, cfg)
     if outcome.status is SearchStatus.FOUND:
         witness = outcome.witnesses[0]
-        if args.out:
+        if args.out is not None:
             write_json(args.out, interval_to_obj(witness, gaps))
         print(f"found: length {args.len}, tiles {[list(t.points) for t in witness.tiles]}")
         return 0
@@ -178,18 +181,22 @@ def cmd_minlen(args) -> int:
         print(f"not found within {args.max}")
         return 3
     n, witness = found
-    if args.out:
+    if args.out is not None:
         write_json(args.out, interval_to_obj(witness, gaps))
     print(n)
     return 0
 
 
 def cmd_verify(args) -> int:
+    boundary = None if args.boundary is None else _int_pair(args.boundary, "--boundary")
     try:
         kind, tiling, gaps = tiling_from_obj(read_json(args.file))
     except (OSError, ValueError, KeyError, PreconditionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    if kind != "interval" and (boundary is not None or args.homogeneous):
+        option = "--boundary" if boundary is not None else "--homogeneous"
+        raise PreconditionError(f"{option} checks an interval tiling; {args.file} holds a rectangle tiling")
     reports = {}
     if kind == "interval":
         homogeneous = args.homogeneous or tiling.annotations.homogeneous_for is not None
@@ -198,9 +205,8 @@ def cmd_verify(args) -> int:
             reports["homogeneous"] = verify_homogeneous(tiling.tiles, tiling.length, target)
         else:
             reports["interval"] = verify_interval_tiling(tiling, gaps)
-        if args.boundary:
-            d1, count = _int_pair(args.boundary, "--boundary")
-            reports["boundary"] = verify_boundary_prefix(tiling, d1, count)
+        if boundary is not None:
+            reports["boundary"] = verify_boundary_prefix(tiling, *boundary)
     else:
         reports["rectangle"] = verify_rectangle_tiling(tiling)
     ok = all(r.ok for r in reports.values())
@@ -229,7 +235,7 @@ def cmd_render(args) -> int:
     except (OSError, ValueError, KeyError, PreconditionError) as exc:
         print(f"render error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out) if args.out else Path(args.file).with_suffix(
+    out = Path(args.out) if args.out is not None else Path(args.file).with_suffix(
         ".svg" if args.format == "svg" else ".txt"
     )
     write_atomic(out, [text.encode("utf-8")])
@@ -263,7 +269,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_fvalue(args) -> int:
     f, witness = min_height_rect(args.k, args.l, args.m)
-    if args.out:
+    if args.out is not None:
         write_json(args.out, rectangle_to_obj(witness))
     print(f"f({args.k},{args.l},{args.m}) = {f}")
     return 0
@@ -271,7 +277,7 @@ def cmd_fvalue(args) -> int:
 
 def cmd_conditions(args) -> int:
     gaps = parse_gaps(args.gaps)
-    split = parse_split(args.split) if args.split else None
+    split = parse_split(args.split) if args.split is not None else None
     for res in check_sufficient_conditions(gaps, split):
         print(dumps_canonical({"name": res.name, "status": res.status, "witness": res.witness}), end="")
     return 0

@@ -77,6 +77,7 @@ from .types import (
     Tiles,
     TilingAnnotations,
     VerificationReport,
+    block_spans,
     normalize_steps,
 )
 from .verify import (
@@ -197,10 +198,9 @@ def _lifted_type(gaps: GapSet, k: int) -> StepType:
 
 def _endpoints(tiling: IntervalTiling, span: int) -> tuple[tuple[int, int], ...]:
     """Map each of the last `span` points to the index of the tile ending there."""
-    found: dict[int, int] = {}
-    ends = tiling.tiles.ends()
-    for i in np.flatnonzero(ends >= tiling.length - span).tolist():
-        found[int(ends[i])] = i
+    tiles = tiling.tiles
+    idx = tiles.ending_from(tiling.length - span)
+    found = dict(zip(tiles.values[tiles.offsets[idx + 1] - 1].tolist(), idx.tolist()))
     if len(found) != span:
         raise ConstructionError("each trailing anchor point must end a tile")
     return tuple(sorted(found.items()))
@@ -222,14 +222,18 @@ def _built(plan: StageState, tiling: IntervalTiling) -> StageState:
 
     Raises ConstructionError when the tiling's cardinality histogram, or the
     cardinality of the sequence ending at its last point, is not the plan's.
+    The histogram is counted a block of sequences at a time.
     """
     endpoint_index = _endpoints(tiling, plan.d1 if plan.kind == "boundary" else 1)
     if plan.card_counts is not None:
-        sizes = tiling.tiles.sizes()
-        per_card = np.bincount(sizes)
-        cards = np.flatnonzero(per_card)
-        counts = tuple(zip(cards.tolist(), per_card[cards].tolist()))
-        last = int(sizes[endpoint_index[-1][1]])
+        offsets = tiling.tiles.offsets
+        per_card: Counter = Counter()
+        for a, b in block_spans(len(tiling.tiles)):
+            part = np.bincount(np.diff(offsets[a : b + 1]))
+            cards = np.flatnonzero(part)
+            per_card.update(dict(zip(cards.tolist(), part[cards].tolist())))
+        counts = tuple(sorted(per_card.items()))
+        last = tiling.tiles.row(endpoint_index[-1][1]).size
         if counts != plan.card_counts or last != plan.last_card:
             raise ConstructionError(
                 f"{plan.stage_trace['stage']}: built cardinalities {counts} (last {last}) "

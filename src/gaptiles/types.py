@@ -19,7 +19,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -167,6 +167,19 @@ def _frozen(a) -> np.ndarray:
     return view
 
 
+# Items (points, elements or windows) that a pass over a whole tiling takes
+# per block: a block is the only scratch of such a pass that grows with the
+# tiling, and no pass's result depends on its size.
+_BLOCK = 1 << 15
+
+
+def block_spans(count: int) -> Iterator[tuple[int, int]]:
+    """The spans [a, b) of at most _BLOCK items that cover range(count), in order."""
+    step = _BLOCK
+    for a in range(0, count, step):
+        yield a, min(a + step, count)
+
+
 def offsets_from_sizes(sizes: np.ndarray) -> np.ndarray:
     """CSR offsets (length len(sizes)+1) of rows with the given sizes."""
     out = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -238,9 +251,26 @@ class _Rows(Sequence):
         rise = "offsets must rise from 0 to the number of points"
         if o.ndim != 1 or o.size == 0 or o[0] != 0 or o[-1] != n_values:
             raise PreconditionError(rise)
-        fewest = np.diff(o).min(initial=least)  # a negative size is a fall
+        # a negative size is a fall; each block's sizes are freed as they are read
+        blocks = block_spans(o.size - 1)
+        fewest = min(((o[a + 1 : b + 1] - o[a:b]).min() for a, b in blocks), default=least)
         if fewest < least:
             raise PreconditionError(rise if fewest < 0 else short)
+
+    def _require_steps(self, holds: Callable[[int, int], np.ndarray], message: str) -> None:
+        """PreconditionError(message) unless holds(a, b), the test of each
+        pair of consecutive points (j, j + 1) for j in [a, b), is true for
+        every pair within an element; the pairs are tested a block at a time."""
+        o = self.offsets
+        n = int(o[-1])
+        lo = 1  # offsets[lo:hi] lie in (a, b]: the pair before each straddles two elements
+        for a, b in block_spans(n - 1):
+            ok = holds(a, b)
+            hi = np.searchsorted(o, b + 1) if b + 1 < n else o.size - 1
+            ok[o[lo:hi] - (a + 1)] = True  # pairs that straddle two elements
+            if not ok.all():
+                raise PreconditionError(message)
+            lo = hi
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
@@ -299,10 +329,9 @@ class Tiles(_Rows):
         self.values = _frozen(values)
         self._init_offsets(offsets, self.values.size, 2, "a tile needs at least 2 points")
         v = self.values
-        rising = v[1:] > v[:-1]
-        rising[self.offsets[1:-1] - 1] = True  # pairs that straddle two tiles
-        if not rising.all():
-            raise PreconditionError("tile points must be strictly increasing")
+        self._require_steps(
+            lambda a, b: v[a + 1 : b + 1] > v[a:b], "tile points must be strictly increasing"
+        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Tiles":
@@ -328,9 +357,12 @@ class Tiles(_Rows):
         """The points of tile i as a read-only array."""
         return self.values[self.offsets[i] : self.offsets[i + 1]]
 
-    def ends(self) -> np.ndarray:
-        """The last point of each tile."""
-        return self.values[self.offsets[1:] - 1]
+    def ending_from(self, point: int) -> np.ndarray:
+        """The indices of the tiles whose last point is `point` or above,
+        ascending; the last points are read a block of tiles at a time."""
+        o, v = self.offsets, self.values
+        found = [np.flatnonzero(v[o[a + 1 : b + 1] - 1] >= point) + a for a, b in block_spans(len(self))]
+        return np.concatenate(found or [np.zeros(0, dtype=np.int64)])
 
     def with_row(self, i: int, points: Sequence[int]) -> "Tiles":
         """A copy with tile i replaced by the given points."""
@@ -356,11 +388,15 @@ class Paths(_Rows):
         if self.xs.shape != self.ys.shape:
             raise PreconditionError("xs and ys must have the same length")
         self._init_offsets(offsets, self.xs.size, 1, "a path needs at least one point")
-        x0, x1, y0, y1 = self.xs[:-1], self.xs[1:], self.ys[:-1], self.ys[1:]
-        monotone = (x1 >= x0) & (y1 >= y0) & ((x1 != x0) | (y1 != y0))
-        monotone[self.offsets[1:-1] - 1] = True  # pairs that straddle two paths
-        if not monotone.all():
-            raise PreconditionError("path steps must be nonzero and nondecreasing in both coordinates")
+        xs, ys = self.xs, self.ys
+
+        def monotone(a: int, b: int) -> np.ndarray:
+            x0, x1, y0, y1 = xs[a:b], xs[a + 1 : b + 1], ys[a:b], ys[a + 1 : b + 1]
+            return (x1 >= x0) & (y1 >= y0) & ((x1 != x0) | (y1 != y0))
+
+        self._require_steps(
+            monotone, "path steps must be nonzero and nondecreasing in both coordinates"
+        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[tuple[int, int]]]) -> "Paths":

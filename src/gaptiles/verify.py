@@ -11,9 +11,10 @@ own points, so the step arrays are bounded by the block, not the tiling.
 They count, for each distinct target value, the steps of a window equal
 to it, and compare the counts with the target's multiplicities, which is
 exact as the values are distinct (_windows_differ). The window check holds
-one start per window, and a row and an offset only for a failing one. A
-rectangle's "points" for them are the prefix sums of its step codes. The
-checks start no thread, so their time does not hang on free CPUs.
+the starts of one block of windows, and a row and an offset only for a
+failing window. A rectangle's "points" for them are the prefix sums of its
+step codes. The checks start no thread, so their time does not hang on free
+CPUs.
 
 Violations come in a fixed order: OutOfRange below 0, Overlap, Hole,
 OutOfRange above the range, then the per-tile or per-path mismatches by index.
@@ -40,6 +41,7 @@ from .types import (
     Tiles,
     VerificationReport,
     as_int64,
+    block_spans,
     offsets_from_sizes,
 )
 
@@ -107,18 +109,6 @@ def _cover(
     rep.add_all("OutOfRange", present[hi:], f"point outside [0, {n - 1}]")
 
 
-# Window starts, or rows, checked per block: a block's windows are the
-# check's only scratch that grows with the tiling.
-_WINDOW_BLOCK = 1 << 15
-
-
-def _in_blocks(differ: Callable[[int], np.ndarray], count: int) -> np.ndarray:
-    """differ(a) for the blocks of _WINDOW_BLOCK items from each a, joined in order."""
-    if count <= _WINDOW_BLOCK:
-        return differ(0)
-    return np.concatenate([differ(a) for a in range(0, count, _WINDOW_BLOCK)])
-
-
 def _counted(entries: Sequence[tuple[int, int]], points: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The distinct values of (value, count) entries, as an int64 column,
     their counts as a column, and the steps in a window of them. Counts
@@ -163,18 +153,17 @@ def _row_mismatches(
     rows of another length included.
 
     A row's steps are the differences seq[j + 1] - seq[j] for each of its
-    points j but the last. The rows are checked _WINDOW_BLOCK at a time.
+    points j but the last. The rows are checked a block at a time.
     """
     values, counts, width = _counted(entries, seq.size)
-
-    def differ(a: int) -> np.ndarray:
-        bounds = offsets[a : a + _WINDOW_BLOCK + 1]
-        bad = np.diff(bounds) != width + 1
-        fit = ~bad
-        bad[fit] = _windows_differ(seq, bounds[:-1][fit], values, counts, width)
-        return bad
-
-    return np.flatnonzero(_in_blocks(differ, offsets.size - 1))
+    bad = [np.zeros(0, dtype=np.int64)]
+    for a, b in block_spans(offsets.size - 1):
+        bounds = offsets[a : b + 1]
+        wrong = np.diff(bounds) != width + 1
+        fit = ~wrong
+        wrong[fit] = _windows_differ(seq, bounds[:-1][fit], values, counts, width)
+        bad.append(np.flatnonzero(wrong) + a)
+    return np.concatenate(bad)
 
 
 def _window_mismatches(
@@ -183,19 +172,28 @@ def _window_mismatches(
     """(row, offset) of every window of consecutive steps within a row, as
     many as the entries' counts add up to, whose steps differ as a multiset
     from the entries, in row then offset order (steps as for _row_mismatches).
-    One start is kept per window; every block size gives the same answer."""
+
+    The rows are taken a block at a time, and their windows, numbered row
+    after row from `first`, a block of windows at a time, so one long row is
+    split too; every block size gives the same answer.
+    """
     values, counts, width = _counted(entries, seq.size)
-    per_row = np.maximum(np.diff(offsets) - width, 0)
-    first = offsets_from_sizes(per_row)
-    starts = np.repeat(offsets[:-1] - first[:-1], per_row)
-    starts += np.arange(starts.size)
-
-    def differ(a: int) -> np.ndarray:
-        return _windows_differ(seq, starts[a : a + _WINDOW_BLOCK], values, counts, width)
-
-    bad = np.flatnonzero(_in_blocks(differ, starts.size))
-    row = np.searchsorted(first, bad, "right") - 1
-    return row, bad - first[row]
+    rows, offs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for i, j in block_spans(offsets.size - 1):
+        bounds = offsets[i : j + 1]
+        first = offsets_from_sizes(np.maximum(np.diff(bounds) - width, 0))
+        for a, b in block_spans(int(first[-1])):
+            # the rows holding windows a..b-1, and how many of them each holds
+            lo = np.searchsorted(first, a, "right") - 1
+            hi = np.searchsorted(first, b, "left")
+            held = np.minimum(first[lo + 1 : hi + 1], b) - np.maximum(first[lo:hi], a)
+            starts = np.repeat(bounds[lo:hi] - first[lo:hi], held)
+            starts += np.arange(a, b)
+            bad = np.flatnonzero(_windows_differ(seq, starts, values, counts, width)) + a
+            row = np.searchsorted(first, bad, "right") - 1
+            rows.append(row + i)
+            offs.append(bad - first[row])
+    return np.concatenate(rows), np.concatenate(offs)
 
 
 def _step_codes(paths: Paths, step_type: StepType) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -242,7 +240,7 @@ def verify_boundary_prefix(
         raise PreconditionError("d1 must be >= 1 and count >= 0")
     rep = ReportBuilder(max_violations)
     tiles = tiling.tiles
-    for idx in np.flatnonzero(tiles.ends() >= tiling.length - d1).tolist():
+    for idx in tiles.ending_from(tiling.length - d1).tolist():
         gaps = np.diff(tiles.row(idx)).tolist()
         if count > len(gaps):
             rep.add("BoundaryPrefixViolation", (idx, len(gaps)), f"tile has fewer than {count} gaps")

@@ -35,7 +35,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import _chunks, grid, serialize, verify
+from gaptiles import _chunks, grid, serialize, types, verify
 from gaptiles.cli import main
 from gaptiles.types import Paths, Tiles
 
@@ -52,7 +52,7 @@ def width(request, monkeypatch):
 @pytest.fixture
 def small_chunks(monkeypatch):
     """Chunk sizes small enough that a small tiling spans many chunks."""
-    monkeypatch.setattr(verify, "_WINDOW_BLOCK", 5)
+    monkeypatch.setattr(types, "_BLOCK", 5)
     monkeypatch.setattr(serialize, "_CHUNK_POINTS", 97)
 
 
@@ -60,7 +60,7 @@ def small_chunks(monkeypatch):
 def serial():
     """One thread and one chunk per pass, as before the chunk map."""
     with mock.patch.object(_chunks, "_width", lambda: 1), mock.patch.object(
-        verify, "_WINDOW_BLOCK", 1 << 62
+        types, "_BLOCK", 1 << 62
     ), mock.patch.object(serialize, "_CHUNK_POINTS", 1 << 62):
         yield
 
@@ -270,7 +270,7 @@ def test_reports_are_the_same_for_every_width_and_block(corrupted, width, small_
             want = check(*args, max_violations=10**6)
         assert got == want
         mismatches = [v for v in want.violations if v.kind in kinds]
-        assert len(mismatches) > 3 * verify._WINDOW_BLOCK
+        assert len(mismatches) > 3 * types._BLOCK
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,7 +290,7 @@ def test_window_mismatches_are_blind_to_the_block(data, steps, width, block, thr
     entries = sorted(Counter(expected).items())
     with serial():
         whole = verify._window_mismatches(offsets, seq, entries)
-    with mock.patch.object(verify, "_WINDOW_BLOCK", block), mock.patch.object(
+    with mock.patch.object(types, "_BLOCK", block), mock.patch.object(
         _chunks, "_width", lambda: threads
     ):
         blocked = verify._window_mismatches(offsets, seq, entries)

@@ -258,6 +258,21 @@ class TestConstructCommand:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [f.name for f in tmp_path.iterdir()] == [name]
 
+    @pytest.mark.parametrize("out", ["", ".", "/", ".."])
+    def test_out_that_names_a_directory_exits_1_before_building(self, tmp_path, capsys, monkeypatch, out):
+        # "", "." and "/" have no file name to put the other outputs' suffixes on
+        def build(*args):
+            raise AssertionError("built before --out was checked")
+
+        monkeypatch.setattr(cli, "construct", build)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i/o error: [Errno {errno.EISDIR}] Is a directory: '{Path(out)}'\n"
+        assert [f.name for f in tmp_path.rglob("*")] == ["cwd"]
+
     def test_exhausted_height_search_in_conditions_exit_3(self, capsys, monkeypatch):
         # an undecided height search is no evidence that staged growth fails
         def exhausted(k, l, m):
@@ -275,6 +290,31 @@ class TestConstructCommand:
         assert run(["construct", "--gaps", "1:1,9:1,2970:1", "--out", str(out)]) == 0
         kind, tiling, gaps = tiling_from_obj(read_json(out))
         assert verify_interval_tiling(tiling, gaps).ok
+
+
+IS_A_DIRECTORY = f"i/o error: [Errno {errno.EISDIR}] Is a directory: '.'"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["construct", "--gaps", "1:1,9:1", "--split", ""], "error: --split: expected two integers a,b, got ''"),
+        (["conditions", "--gaps", "1:1,9:1", "--split", ""], "error: --split: expected two integers a,b, got ''"),
+        (["verify", "t.json", "--boundary", ""], "error: --boundary: expected two integers a,b, got ''"),
+        (["solve", "--gaps", "1:1,2:1", "--len", "6", "--out", ""], IS_A_DIRECTORY),
+        (["minlen", "--gaps", "1:1,2:1", "--max", "30", "--out", ""], IS_A_DIRECTORY),
+        (["fvalue", "--k", "1", "--l", "1", "--m", "2", "--out", ""], IS_A_DIRECTORY),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_an_empty_option_value_is_malformed_not_absent(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    write_json("t.json", {"kind": "interval", "length": 4, "gap_set": [[1, 1]], "tiles": [[0, 1], [2, 3]]})
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["t.json"]
 
 
 class TestSolveCommands:
@@ -523,6 +563,15 @@ class TestVerifyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text("{}", encoding="utf-8")
         assert run(["verify", str(bad)]) == 1
+
+    @pytest.mark.parametrize("option", [["--boundary", "1,1"], ["--homogeneous"]])
+    def test_an_interval_option_on_a_rectangle_file_exits_1(self, tmp_path, capsys, option):
+        f = tmp_path / "r.json"
+        write_json(f, rectangle_to_obj(stair_tiling(3, 4)))
+        assert run(["verify", str(f), *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {option[0]} checks an interval tiling; {f} holds a rectangle tiling\n"
 
     def test_windowed_rectangle_file(self, tmp_path):
         from gaptiles import diagonal_stripe_tiling

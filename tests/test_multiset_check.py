@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaptiles import GapSet, IntervalTiling, verify, verify_homogeneous, verify_interval_tiling
+from gaptiles import GapSet, IntervalTiling, types, verify, verify_homogeneous, verify_interval_tiling
 from gaptiles.types import Tiles
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -117,7 +117,7 @@ def test_row_and_window_checks_match_the_sort_for_every_block(data, case, block)
     entries = list(zip(values, counts))
     width = sum(counts)
     expected = sorted(np.repeat(values, counts).tolist())
-    with mock.patch.object(verify, "_WINDOW_BLOCK", block):
+    with mock.patch.object(types, "_BLOCK", block):
         row, off = verify._window_mismatches(offsets, seq, entries)
         rows = verify._row_mismatches(offsets, seq, entries)
     assert list(zip(row.tolist(), off.tolist())) == naive_windows(offsets, seq, width, expected)
