@@ -168,8 +168,8 @@ def _frozen(a) -> np.ndarray:
 
 
 # Items (points, elements or windows) that a pass over a whole tiling takes
-# per block: a block is the only scratch of such a pass that grows with the
-# tiling, and no pass's result depends on its size.
+# at a time, so that its scratch is bounded by the block, not the tiling; no
+# pass's result depends on the block size.
 _BLOCK = 1 << 15
 
 
