@@ -189,6 +189,8 @@ def cmd_minlen(args) -> int:
 
 def cmd_verify(args) -> int:
     boundary = None if args.boundary is None else _int_pair(args.boundary, "--boundary")
+    if boundary is not None and (boundary[0] < 1 or boundary[1] < 0):  # refused before the read
+        raise PreconditionError("d1 must be >= 1 and count >= 0")
     try:
         kind, tiling, gaps = tiling_from_obj(read_json(args.file))
     except (OSError, ValueError, KeyError, PreconditionError) as exc:

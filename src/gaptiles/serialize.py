@@ -18,15 +18,15 @@ target's directory and renames it over the target, so a failed write
 leaves the earlier file as it was and no temporary file behind.
 
 read_json reads that layout back from the bytes, in pieces of about 256 KB
-side by side on threads that live for the read: a few array passes check
-each piece against the canonical grammar and find its numbers' bounds, and
-each number is read eight digits per word of the file's bytes straight
-into the CSR arrays. The scratch memory is bounded by the pieces in flight,
-not by the file, and the result is the same whatever the piece size and the
-thread count. json.loads parses the small rest of the object, and the whole
-of a file laid out any other way, which so reads exactly as before. Either
-way a point or a header number that is not a JSON integer is a parse error
-(PreconditionError), never truncated or read as 0 or 1.
+one after another in the calling thread: a few array passes check each
+piece against the canonical grammar and find its numbers' bounds, and each
+number is read eight digits per word of the file's bytes straight into the
+CSR arrays. The scratch memory is bounded by one piece, not by the file,
+and the result is the same whatever the piece size. json.loads parses the
+small rest of the object, and the whole of a file laid out any other way,
+which so reads exactly as before. Either way a point or a header number
+that is not a JSON integer is a parse error (PreconditionError), never
+truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from ._chunks import ordered_map
 from .errors import PreconditionError
 from .types import (
     GapSet,
@@ -285,9 +284,8 @@ _FILL = _THREES & ~_HIGH
 _COMBINE = [tuple(map(np.uint64, step)) for step in (
     (8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))]
 _LEAST = np.array([0, 0, *_POW10[:18]], dtype=np.uint64)  # of d digits, no leading zero
-# Bytes of the rows array checked and read by one chunk of ordered_map: the
-# most pieces that run at once (_chunks._MAX_WIDTH) hold about the scratch of
-# one 1 MB piece.
+# Bytes of the rows array checked and read as one piece: the read holds one
+# piece's scratch, about 8 times its size, beyond the file and its arrays.
 _PIECE_BYTES = 1 << 18
 
 
@@ -345,14 +343,13 @@ def _rows_from_bytes(
     accounts for every byte.
 
     The numbers are checked and read in pieces of about `piece` bytes, each
-    cut just after a comma, side by side on threads. One serial pass first
-    fixes the pieces and counts their commas, so each piece knows its
-    slice of the values, its parity within a point and where its first
-    number starts; then each piece writes its values into its slice and
-    returns its row breaks, or None. Only the values and the row breaks
-    outlive a piece. The bracket runs beside a comma are read from the whole
-    file, so a seam changes nothing: every piece size and thread count gives
-    the same view or the same None.
+    cut just after a comma, one after another. One pass first fixes the
+    pieces and counts their commas, so each piece knows its slice of the
+    values, its parity within a point and where its first number starts;
+    then each piece writes its values into its slice and returns its row
+    breaks, or None. Only the values and the row breaks outlive a piece.
+    The bracket runs beside a comma are read from the whole file, so a seam
+    changes nothing: every piece size gives the same view or the same None.
     """
     per_point = depth - 1  # numbers per point
     if end - a == 2:  # "[]"
@@ -399,7 +396,7 @@ def _rows_from_bytes(
         starts = np.concatenate(([start], commas + 1 + opened))[: ends.size]
         neg = u[starts] == ord("-")
         digits = ends - starts - neg
-        del commas, opened, run_shut, run_open, starts  # less scratch in the pieces in flight
+        del commas, opened, run_shut, run_open, starts  # less scratch held by the digit loop
         if digits.min() < 1 or digits.max() > 19:
             return None
         # Word j ends 8j bytes before each number's end, with "0" before its
@@ -433,7 +430,7 @@ def _rows_from_bytes(
         return (before + np.flatnonzero(shut == per_point) + 1) // per_point
 
     breaks = []  # points before each later row, per piece
-    for piece_breaks in ordered_map(read, range(len(bounds) - 1)):
+    for piece_breaks in map(read, range(len(bounds) - 1)):
         if piece_breaks is None:
             return None
         breaks.append(piece_breaks)

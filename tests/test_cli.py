@@ -410,12 +410,14 @@ class TestVerifyCommand:
         assert run(["verify", str(out), "--boundary", "1,+1"]) == 1
 
     @pytest.mark.parametrize("boundary", ["1,-1", "0,1"])
-    def test_out_of_range_boundary_exit_1(self, tmp_path, capsys, boundary):
-        out = tmp_path / "t.json"
-        run(["construct", "--gaps", "1:1,9:1", "--split", "2,0", "--out", str(out)])
-        capsys.readouterr()
-        assert run(["verify", str(out), "--boundary", boundary]) == 1
+    def test_out_of_range_boundary_exit_1(self, tmp_path, capsys, monkeypatch, boundary):
+        def read_json(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "read_json", read_json)  # refused before the file is read
+        assert run(["verify", str(tmp_path / "t.json"), "--boundary", boundary]) == 1
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err == "error: d1 must be >= 1 and count >= 0\n"
         assert "Traceback" not in captured.err
 

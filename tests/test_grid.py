@@ -29,7 +29,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import _chunks, grid, pipeline
+from gaptiles import grid, pipeline
 from gaptiles.errors import PreconditionError
 from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
@@ -354,14 +354,11 @@ class TestFlattenSlices:
                 assert np.array_equal(t.tiles.offsets, offsets)
                 assert np.array_equal(t.tiles.values, values)
 
-    # flatten gathers in the calling thread: its peak is the same at every pool width
-    @pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
-    def test_scratch_memory_is_bounded_by_the_slice(self, monkeypatch, width):
+    def test_scratch_memory_is_bounded_by_the_slice(self, monkeypatch):
         lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1)))
         rect = concat_columns(lists[-1])
         assert rect.paths.xs.size >= 100_000
         monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
-        monkeypatch.setattr(_chunks, "_width", lambda: width)
         tracemalloc.start()
         try:
             t = flatten(rect, rect.width)

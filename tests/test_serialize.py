@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_serialize_properties import assert_paths_agree, at_width, read_in_pieces_of
+from test_serialize_properties import assert_paths_agree, read_in_pieces_of
 
 from gaptiles import (
     GapSet,
@@ -16,7 +16,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import _chunks, serialize
+from gaptiles import serialize
 from gaptiles.serialize import (
     _rows_json,
     dumps_canonical,
@@ -267,39 +267,38 @@ def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
     path = tmp_path / "t.json"
     tiling = many_pieces_file(path)
     assert path.stat().st_size > 16 * serialize._PIECE_BYTES
-    for width in (1, _chunks._MAX_WIDTH):
-        with at_width(width):
-            tracemalloc.start()
-            try:
-                back = read_json(path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert back["tiles"] == tiling
-        arrays = back["tiles"].values.nbytes + back["tiles"].offsets.nbytes
-        # Reading the rows in one go took about 4.5 times the file's size on
-        # top. A piece's scratch is about 8 times its size, and width + 1
-        # pieces may be in flight.
-        assert peak < path.stat().st_size + arrays + 8 * (width + 1) * serialize._PIECE_BYTES
+    tracemalloc.start()
+    try:
+        back = read_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back["tiles"] == tiling
+    arrays = back["tiles"].values.nbytes + back["tiles"].offsets.nbytes
+    # Reading the rows in one go took about 4.5 times the file's size on
+    # top. A piece's scratch is about 8 times its size; the bound leaves
+    # room for two.
+    assert peak < path.stat().st_size + arrays + 8 * 2 * serialize._PIECE_BYTES
 
 
-def test_writing_holds_one_chunks_scratch_and_starts_no_thread(tmp_path, monkeypatch):
+def test_a_write_holds_one_chunks_scratch_and_no_write_or_read_starts_a_thread(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
     values = np.arange(1 << 20, dtype=np.int64) * 8 + 1_000_000
     obj = {"kind": "interval", "length": 9_400_000, "tiles": Tiles(np.arange(0, values.size + 1, 4), values)}
 
     def start(self):
-        raise AssertionError("a write started a thread")
+        raise AssertionError("a write or a read started a thread")
 
     with monkeypatch.context() as patch:
-        patch.setattr(_chunks, "_width", lambda: _chunks._MAX_WIDTH)  # CPUs to spare
         patch.setattr(threading.Thread, "start", start)
         tracemalloc.start()
         try:
-            write_json(tmp_path / "t.json", obj)
+            write_json(path, obj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert read_json(tmp_path / "t.json") == obj
+        assert path.stat().st_size > 16 * serialize._PIECE_BYTES  # read in many pieces
+        assert read_json(path) == obj
     # A chunk of 16,384 of these points holds about 1.5 MB of scratch (words,
     # their bytes, the text); the write holds less than three at once.
     assert peak < 4 << 20
@@ -323,10 +322,9 @@ def five_pieces(tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("width", [1, 2, _chunks._MAX_WIDTH])
 @pytest.mark.parametrize("bad", [b"*", b"01"])
 @pytest.mark.parametrize("where", [0.5, 0.99])
-def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five_pieces, width, bad, where):
+def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five_pieces, bad, where):
     # the number that starts after the first comma past `where` of the file
     i = five_pieces.index(b",", int(len(five_pieces) * where)) + 1
     assert i > 2 * serialize._PIECE_BYTES
@@ -335,10 +333,9 @@ def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five
     path.write_bytes(data)
     with pytest.raises(ValueError) as want:
         json.loads(data)
-    with at_width(width):
-        assert serialize._read_tiling(data) is None
-        with pytest.raises(type(want.value)) as got:
-            read_json(path)
+    assert serialize._read_tiling(data) is None
+    with pytest.raises(type(want.value)) as got:
+        read_json(path)
     assert str(got.value) == str(want.value)
 
 

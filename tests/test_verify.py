@@ -19,7 +19,8 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import _chunks, types
+from gaptiles import types
+from gaptiles.errors import PreconditionError
 from gaptiles.serialize import dumps_canonical, report_to_obj
 from gaptiles.types import Tiles, normalize_steps
 
@@ -98,13 +99,11 @@ class TestIntervalTiling:
         assert "Hole" in kinds and "Overlap" in kinds
 
 
-@pytest.mark.parametrize("width", [1, _chunks._MAX_WIDTH])
-def test_interval_scratch_memory_is_bounded_by_the_blocks(monkeypatch, width):
+def test_interval_scratch_memory_is_bounded_by_the_blocks(monkeypatch):
     gs = T(1, 9, 30011)
     t = construct(gs, SplitSpec(2, 1)).tiling
     assert t.tiles.values.size >= 100_000
     monkeypatch.setattr(types, "_BLOCK", len(t.tiles) // 64)
-    monkeypatch.setattr(_chunks, "_width", lambda: width)
     tracemalloc.start()
     try:
         rep = verify_interval_tiling(t, gs)
@@ -157,6 +156,11 @@ class TestBoundaryPrefix:
         rep = verify_boundary_prefix(tiling(6, (0, 2, 3), (1, 4, 5)), 1, 1)
         assert not rep.ok
         assert (1, 0) in kinds_at(rep, "BoundaryPrefixViolation")
+
+    @pytest.mark.parametrize("d1, count", [(0, 1), (1, -1)])
+    def test_out_of_range_arguments_are_refused(self, d1, count):
+        with pytest.raises(PreconditionError, match="d1 must be >= 1 and count >= 0"):
+            verify_boundary_prefix(tiling(6, (0, 2, 3), (1, 4, 5)), d1, count)
 
 
 class TestHomogeneous:
