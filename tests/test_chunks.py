@@ -32,11 +32,13 @@ from gaptiles.cli import main
 from gaptiles.types import Paths, Tiles
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    """Chunk sizes small enough that a small tiling spans many chunks."""
-    monkeypatch.setattr(types, "_BLOCK", 5)
-    monkeypatch.setattr(serialize, "_CHUNK_POINTS", 97)
+@pytest.fixture(params=[1, 2, 4])
+def width(request, monkeypatch):
+    """Chunk sizes small enough that a small tiling spans many chunks: blocks
+    of 5 * width items and printer chunks of 97 * width points."""
+    monkeypatch.setattr(types, "_BLOCK", 5 * request.param)
+    monkeypatch.setattr(serialize, "_CHUNK_POINTS", 97 * request.param)
+    return request.param
 
 
 @contextmanager
@@ -58,7 +60,7 @@ def write_construct(out):
     return sha256s(out)
 
 
-def test_construct_writes_the_same_bytes_for_every_chunk(tmp_path, small_chunks):
+def test_construct_writes_the_same_bytes_for_every_width_and_chunk(tmp_path, width):
     got = write_construct(tmp_path / "chunked.json")
     with serial():
         want = write_construct(tmp_path / "serial.json")
@@ -120,7 +122,7 @@ def corrupted():
     )
 
 
-def test_reports_are_the_same_for_every_block(corrupted, small_chunks):
+def test_reports_are_the_same_for_every_width_and_block(corrupted, width):
     kinds = {"GapMismatch", "WindowMismatch", "TypeMismatch"}
     for check, args in corrupted:
         got = check(*args, max_violations=10**6)

@@ -354,11 +354,12 @@ class TestFlattenSlices:
                 assert np.array_equal(t.tiles.offsets, offsets)
                 assert np.array_equal(t.tiles.values, values)
 
-    def test_scratch_memory_is_bounded_by_the_slice(self, monkeypatch):
+    @pytest.mark.parametrize("slices", [1, 4])
+    def test_scratch_memory_is_bounded_by_the_slice(self, monkeypatch, slices):
         lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1)))
         rect = concat_columns(lists[-1])
         assert rect.paths.xs.size >= 100_000
-        monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // 16)
+        monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // (16 * slices))
         tracemalloc.start()
         try:
             t = flatten(rect, rect.width)

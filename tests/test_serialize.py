@@ -322,9 +322,11 @@ def five_pieces(tmp_path_factory):
     return path.read_bytes()
 
 
+@pytest.mark.parametrize("split", [1, 2, 4])
 @pytest.mark.parametrize("bad", [b"*", b"01"])
 @pytest.mark.parametrize("where", [0.5, 0.99])
-def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five_pieces, bad, where):
+def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five_pieces, bad, where, split):
+    """The file read in pieces of _PIECE_BYTES // split bytes."""
     # the number that starts after the first comma past `where` of the file
     i = five_pieces.index(b",", int(len(five_pieces) * where)) + 1
     assert i > 2 * serialize._PIECE_BYTES
@@ -333,9 +335,10 @@ def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five
     path.write_bytes(data)
     with pytest.raises(ValueError) as want:
         json.loads(data)
-    assert serialize._read_tiling(data) is None
-    with pytest.raises(type(want.value)) as got:
-        read_json(path)
+    with read_in_pieces_of(serialize._PIECE_BYTES // split):
+        assert serialize._read_tiling(data) is None
+        with pytest.raises(type(want.value)) as got:
+            read_json(path)
     assert str(got.value) == str(want.value)
 
 

@@ -99,11 +99,12 @@ class TestIntervalTiling:
         assert "Hole" in kinds and "Overlap" in kinds
 
 
-def test_interval_scratch_memory_is_bounded_by_the_blocks(monkeypatch):
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_interval_scratch_memory_is_bounded_by_the_blocks(monkeypatch, blocks):
     gs = T(1, 9, 30011)
     t = construct(gs, SplitSpec(2, 1)).tiling
     assert t.tiles.values.size >= 100_000
-    monkeypatch.setattr(types, "_BLOCK", len(t.tiles) // 64)
+    monkeypatch.setattr(types, "_BLOCK", len(t.tiles) // (64 * blocks))
     tracemalloc.start()
     try:
         rep = verify_interval_tiling(t, gs)
