@@ -67,7 +67,6 @@ _EXPORTS = {
         "SearchOutcome",
         "SearchStatus",
         "min_interval",
-        "multiset_permutations",
         "solve_interval",
         "solve_rectangle",
     ),

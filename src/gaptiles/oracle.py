@@ -11,10 +11,11 @@ height-1 rectangle whose paths take steps (g, 0), one per gap.
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import ConstructionError, PreconditionError, SearchExhausted
 from .types import (
@@ -69,70 +70,43 @@ class SearchOutcome:
     nodes_explored: int
 
 
-def multiset_permutations(items: Sequence) -> list[tuple]:
-    """All distinct permutations of a multiset, in lexicographic order."""
-    items = sorted(items)
-    n = len(items)
-    out: list[tuple] = []
-    counts: dict = {}
-    for it in items:
-        counts[it] = counts.get(it, 0) + 1
-    keys = sorted(counts)
-    prefix: list = []
-
-    def rec():
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                prefix.append(k)
-                rec()
-                prefix.pop()
-                counts[k] += 1
-
-    rec()
-    return out
-
-
-def _first_step_runs(masks: Sequence[int]) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Orders grouped by their second point: ``(bit, ((index, mask), ...))``.
-
-    ``bit`` is the mask's lowest bit above bit 0. Orders are listed
-    lexicographically, so the orders that share a first step are contiguous
-    and the runs keep the order of the orders.
-    """
-    runs: list[tuple[int, list[tuple[int, int]]]] = []
-    for oi, mask in enumerate(masks):
-        bit = (mask ^ 1) & -(mask ^ 1)
-        if runs and runs[-1][0] == bit:
-            runs[-1][1].append((oi, mask))
-        else:
-            runs.append((bit, [(oi, mask)]))
-    return tuple((bit, tuple(orders)) for bit, orders in runs)
-
-
 @lru_cache(maxsize=512)  # room for a catalog's gap sets and the height searches' shapes
-def _orders(steps: tuple[tuple[int, int], ...], width: int):
-    """Point offsets per distinct step order, flattened at row width, and
-    their first-step runs. An interval's orders lie on one row, where any
-    width serves."""
-    offsets = []
-    for perm in multiset_permutations(steps):
-        offs = [0]
-        for dx, dy in perm:
-            offs.append(offs[-1] + dx + dy * width)
-        offsets.append(tuple(offs))
-    return tuple(offsets), _first_step_runs([sum(1 << o for o in offs) for offs in offsets])
+def _orders(steps: tuple[tuple[int, int], ...], width: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """One mask per distinct step order, in lexicographic order of the step
+    sequences, grouped by first step: ``(bit, (mask, ...))``, where ``bit``
+    is the second point's. Bit ``o`` of a mask is the order's point at
+    offset ``o`` from its first, flattened at row width. Steps are nonzero
+    and nonnegative, so an order's offsets are exactly its mask's bits, in
+    ascending order. An interval's orders lie on one row, where any width
+    serves."""
+    keys = sorted(set(steps))
+    moves = [dx + dy * width for dx, dy in keys]
+    counts = [steps.count(key) for key in keys]
+    masks: list[int] = []
+
+    def extend(mask: int, at: int, left: int) -> None:
+        if not left:
+            masks.append(mask)
+            return
+        for i, move in enumerate(moves):
+            if counts[i]:
+                counts[i] -= 1
+                extend(mask | 1 << (at + move), at + move, left - 1)
+                counts[i] += 1
+
+    runs = []
+    for i, move in enumerate(moves):
+        counts[i] -= 1
+        extend(1 | 1 << move, move, len(steps) - 1)
+        counts[i] += 1
+        runs.append((1 << move, tuple(masks)))
+        masks.clear()
+    return tuple(runs)
 
 
-def _interval_orders(gaps: tuple[int, ...], length: int):
-    """Offsets and runs of the gap orders as steps ``(g, 0)``, and the startable
-    table of ``length``: a tile starts at ``c`` when ``c + span < length``."""
-    offsets, runs = _orders(tuple((g, 0) for g in gaps), 1)
-    span = sum(gaps)
-    return offsets, runs, [c + span < length for c in range(length)] + [True]
+def _offsets(mask: int) -> list[int]:
+    """The set bits of ``mask``, in ascending order."""
+    return [o for o in range(mask.bit_length()) if mask >> o & 1]
 
 
 def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_solutions, dead) -> bool:
@@ -141,8 +115,9 @@ def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_sol
     A state is the leftmost free point ``c`` and ``rest``, the occupied points
     from ``c`` on, shifted down by ``c``; ``c == total`` is a full cover.
     ``startable[c]`` says whether a tile fits at ``c`` with the points ahead
-    free, and ``startable[total]`` is true. ``dead``, one set of rests per
-    ``c`` or None, holds the states whose subtrees held no solution.
+    free, and ``startable[total]`` is true. ``dead``, sets of rests keyed by
+    ``c`` (a set is made on the first rest to die at its ``c``) or None,
+    holds the states whose subtrees held no solution.
 
     Look-ahead: a child whose leftmost free point is not startable is not
     entered. It counts as one state against the budget, as it would if it
@@ -157,13 +132,13 @@ def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_sol
         return len(solutions) >= max_solutions
     if not startable[c]:  # only where a search starts; the look-ahead skips the rest
         return False
-    if dead is not None and rest in dead[c]:
+    if dead is not None and rest in dead.get(c, ()):
         return False
     found = len(solutions)
     for bit, orders in runs:
         if rest & bit:
             continue
-        for oi, mask in orders:
+        for mask in orders:
             if rest & mask:
                 continue
             occ = rest | mask
@@ -174,7 +149,7 @@ def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_sol
                     budget[2] = 1
                     return True
                 continue
-            placements.append((c, oi))
+            placements.append((c, mask))
             if _dfs(
                 total, startable, runs, occ >> step, c + step, placements, budget, solutions,
                 max_solutions, dead,
@@ -188,12 +163,22 @@ def _dfs(total, startable, runs, rest, c, placements, budget, solutions, max_sol
 
 def _search(startable, runs, cfg: SearchConfig, memo: bool):
     """The DFS from the empty cover: (solutions, states counted, whether the
-    budget ran out)."""
+    budget ran out).
+
+    _dfs takes one frame per placed tile, so up to ``total + 1`` frames on
+    top of the caller's. Python 3.11 keeps Python-to-Python calls off the C
+    stack, so the recursion limit is raised by that much for the search and
+    restored after it."""
     total = len(startable) - 1
     solutions: list = []
     budget = [0, cfg.max_nodes, 0]
-    dead = [set() for _ in range(total)] if memo else None
-    _dfs(total, startable, runs, 0, 0, [], budget, solutions, cfg.max_solutions, dead)
+    dead = defaultdict(set) if memo else None
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + total + 1)
+    try:
+        _dfs(total, startable, runs, 0, 0, [], budget, solutions, cfg.max_solutions, dead)
+    finally:
+        sys.setrecursionlimit(limit)
     return solutions, budget[0], bool(budget[2])
 
 
@@ -219,11 +204,12 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
     if length < 1 or length % ppt != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
     gaps = gap_set.expand()
-    offsets, runs, startable = _interval_orders(gaps, length)
-    solutions, nodes, budget_hit = _search(startable, runs, cfg, True)
+    span = sum(gaps)
+    startable = [c + span < length for c in range(length)] + [True]  # a tile at c ends at c + span
+    solutions, nodes, budget_hit = _search(startable, _orders(tuple((g, 0) for g in gaps), 1), cfg, True)
     # placements come in order of their first points
     witnesses = tuple(
-        IntervalTiling(length, tuple(Tile(tuple(c + o for o in offsets[oi])) for c, oi in p))
+        IntervalTiling(length, tuple(Tile(tuple(c + o for o in _offsets(mask))) for c, mask in p))
         for p in solutions
     )
     return _outcome(witnesses, nodes, budget_hit, lambda wit: verify_interval_tiling(wit, gap_set))
@@ -248,7 +234,7 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
     SearchExhausted names the least admissible length not yet decided.
     """
     span = sum(gaps)
-    _, runs = _orders(tuple((g, 0) for g in gaps), 1)
+    runs = _orders(tuple((g, 0) for g in gaps), 1)
     limit = n_max - span
     buckets: dict[int, list[int]] = {0: [0]}  # position -> rests not yet settled
     # rest -> position. A dict, not a set: on the catalog's largest sweep
@@ -268,7 +254,7 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
             for bit, orders in runs:
                 if rest & bit:
                     continue
-                for _, mask in orders:
+                for mask in orders:
                     if rest & mask:
                         continue
                     occ = rest | mask
@@ -322,10 +308,12 @@ def solve_rectangle(
     cfg = cfg or SearchConfig()
     st = normalize_steps(step_type)
     steps = expand_steps(st)
+    if not steps:  # as RectangleTiling refuses it; _orders would list no order
+        raise PreconditionError("step_type must be non-empty")
     ppp = len(steps) + 1
     if width < 1 or height < 1 or (width * height) % ppp != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
-    offsets, runs = _orders(steps, width)
+    runs = _orders(steps, width)
     # Steps are nonnegative, so every path's last point lies kmax columns
     # right of and lmax rows above its first, and no point lies farther.
     kmax = sum(dx for dx, _ in steps)
@@ -337,6 +325,6 @@ def solve_rectangle(
     solutions, nodes, budget_hit = _search(startable, runs, cfg, False)
     witnesses = []
     for p in solutions:
-        paths = (LatticePath(tuple(((c + o) % width, (c + o) // width) for o in offsets[oi])) for c, oi in p)
+        paths = (LatticePath(tuple(((c + o) % width, (c + o) // width) for o in _offsets(mask))) for c, mask in p)
         witnesses.append(RectangleTiling(width, height, tuple(paths), st))
     return _outcome(tuple(witnesses), nodes, budget_hit, verify_rectangle_tiling)

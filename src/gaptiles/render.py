@@ -31,8 +31,9 @@ class RenderSpec:
     def __post_init__(self):
         if self.target not in ("svg", "ascii"):
             raise PreconditionError("target must be 'svg' or 'ascii'")
-        if self.cell_size < 2 or self.max_points < 1:
-            raise PreconditionError("cell_size and max_points must be sensible")
+        for name, least in (("cell_size", 2), ("max_points", 1)):
+            if getattr(self, name) < least:
+                raise PreconditionError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def _palette(indices: Iterable[int], seed: int) -> dict[int, str]:

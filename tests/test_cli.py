@@ -359,6 +359,10 @@ class TestSolveCommands:
         assert run(["solve", "--gaps", "1:1", "--len", "2"]) == 0
         assert "[0, 1]" in capsys.readouterr().out
 
+    def test_solve_places_more_tiles_than_the_recursion_limit(self, capsys):
+        assert run(["solve", "--gaps", "1:1,2:1", "--len", "6000"]) == 0
+        assert capsys.readouterr().out.count("[") == 2001  # the tiles and their list
+
     def test_solve_not_found_exit_3(self):
         assert run(["solve", "--gaps", "1:1,2:1", "--len", "4"]) == 3
 
@@ -632,6 +636,17 @@ class TestRenderCommand:
         assert run(["render", str(t), "--format", "ascii", "--max-points", "20", "--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert "…" in text and "+34" in text
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--cell-size", "1", "cell_size must be >= 2, got 1"), ("--max-points", "0", "max_points must be >= 1, got 0")],
+    )
+    def test_out_of_range_option_names_its_bound(self, tmp_path, capsys, flag, value, message):
+        f = tmp_path / "stair.json"
+        write_json(f, rectangle_to_obj(stair_tiling(3, 4)))
+        assert run(["render", str(f), flag, value]) == 1
+        assert capsys.readouterr().err == f"render error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stair.json"]
 
     def test_empty_file_exit_1(self, tmp_path):
         f = tmp_path / "empty.json"

@@ -1,5 +1,9 @@
+import gc
 import itertools
+import math
 import re
+import sys
+import tracemalloc
 
 import pytest
 from naive_oracle import naive_tilable
@@ -10,25 +14,66 @@ from gaptiles import (
     SearchExhausted,
     SearchStatus,
     min_interval,
-    multiset_permutations,
     solve_interval,
     solve_rectangle,
     verify_interval_tiling,
 )
+from gaptiles.oracle import _orders
 
 
 def T(*gaps):
     return GapSet.from_gaps(gaps)
 
 
-class TestPermutations:
+def order_masks(steps, width=1) -> list[int]:
+    """The masks of _orders(steps, width), in the order the search tries them."""
+    return [mask for _, masks in _orders(tuple(steps), width) for mask in masks]
+
+
+def mask_of(order, width=1) -> int:
+    """The bits of an order's points, flattened at row width."""
+    at, mask = 0, 1
+    for dx, dy in order:
+        at += dx + dy * width
+        mask |= 1 << at
+    return mask
+
+
+def peak_of(fn) -> int:
+    """The tracemalloc peak of fn() above what was held before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestOrders:
     def test_lexicographic_and_distinct(self):
-        assert multiset_permutations([2, 1]) == [(1, 2), (2, 1)]
-        assert multiset_permutations([1, 1, 2]) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+        assert order_masks([(2, 0), (1, 0)]) == [0b1011, 0b1101]  # orders 1,2 and 2,1
+        assert order_masks([(1, 0), (1, 0), (2, 0)]) == [0b10111, 0b11011, 0b11101]
+        steps = [(1, 0)] * 3 + [(0, 1)] * 2 + [(2, 1)]
+        expected = [mask_of(order, 7) for order in sorted(set(itertools.permutations(steps)))]
+        assert order_masks(steps, 7) == expected
+        assert len(set(expected)) == len(expected)
+
+    def test_runs_group_the_orders_by_first_step(self):
+        for bit, masks in _orders(((0, 1), (0, 1), (1, 0), (1, 0)), 5):
+            assert all((mask ^ 1) & -(mask ^ 1) == bit for mask in masks)
 
     def test_counts_match_multinomial(self):
-        assert len(multiset_permutations([1] * 3 + [2] * 2)) == 10
-        assert len(multiset_permutations(list(range(5)))) == 120
+        assert len(order_masks([(1, 0)] * 3 + [(2, 0)] * 2)) == 10
+        assert len(order_masks([(g, 0) for g in range(1, 6)])) == 120
+        assert len(order_masks([(1, 0)] * 6 + [(0, 1)] * 5, 9)) == math.comb(11, 5)
+
+    def test_a_table_holds_one_mask_per_order(self):
+        # the 48,620 orders of 9 right and 9 up steps: about 3 MiB as masks
+        # alone, 26 MiB when each order also kept its steps and its offsets
+        steps = ((1, 0),) * 9 + ((0, 1),) * 9
+        assert peak_of(lambda: _orders.__wrapped__(steps, 18)) < 8 << 20
 
 
 class TestSolveInterval:
@@ -68,6 +113,20 @@ class TestSolveInterval:
             assert verify_interval_tiling(wit, T(1, 2)).ok
         # leftmost-point branching reaches each unordered tiling exactly once
         assert len(set(out.witnesses)) == len(out.witnesses)
+
+    def test_memo_holds_less_than_an_empty_set_per_point(self):
+        # the memo of dead frontiers gets a set only where one dies, not one
+        # per position before the first state
+        solve_interval(T(1, 2), 6)  # lists and caches the orders
+        n = 2400
+        assert peak_of(lambda: solve_interval(T(1, 2), n)) < n * sys.getsizeof(set())
+
+    def test_the_search_depth_is_not_bound_by_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        out = solve_interval(T(1, 2), 6 * limit)
+        assert out.status is SearchStatus.FOUND
+        assert len(out.witnesses[0].tiles) == 2 * limit
+        assert sys.getrecursionlimit() == limit
 
 
 class TestMinInterval:
