@@ -19,13 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "conditions": ("ConditionResult", "check_sufficient_conditions"),
     "pipeline": (
-        "BaseDecomposition",
         "ConstructResult",
         "StageState",
         "ThresholdReport",
         "ThresholdRow",
         "auto_split",
-        "base_decomposition",
         "boundary_base",
         "boundary_step",
         "construct",

@@ -107,60 +107,58 @@ def stair_tiling(k: int, l: int) -> RectangleTiling:
     )
 
 
-class HeightTable:
-    """Memoized map (k, l, m) -> (f, witness), optionally persisted to disk.
+_ENTRY_NAME = "f_{}_{}_{}.json"  # of the file holding the witness of (k, l, m)
 
-    The on-disk layout is an ``index.json`` mapping "k,l,m" to {"f", "witness_path"}
-    plus one rectangle-tiling JSON file per witness. Every file is written
-    with ``write_json``, through a temporary file and a rename, so readers
-    never observe a partial index or witness.
+
+def _key(witness: RectangleTiling) -> tuple[int, int, int]:
+    """(k, l, m) of a height witness: its counts of (1, 0) and (0, 1) steps
+    and its width. PreconditionError for another step or a window."""
+    steps = dict(witness.step_type)
+    if witness.window is not None or steps.keys() != {(1, 0), (0, 1)}:
+        raise PreconditionError(f"not a height witness: {witness.step_type}, window {witness.window}")
+    return steps[(1, 0)], steps[(0, 1)], witness.width
+
+
+class HeightTable:
+    """Memoized map (k, l, m) -> witness of f(k, l, m), persisted to disk
+    when given a directory; get returns (f, witness), f its height.
+
+    Each entry is its witness alone, the rectangle-tiling file
+    f_{k}_{l}_{m}.json, written with ``write_json`` through a temporary file
+    and a rename. On load a file is kept only when its witness verifies and
+    its name is the one that witness's steps and width give; any other file
+    is skipped and recomputed on demand. A kept height is trusted minimal.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
-        self._mem: dict[tuple[int, int, int], tuple[int, RectangleTiling]] = {}
+        self._mem: dict[tuple[int, int, int], RectangleTiling] = {}
         self._lock = threading.Lock()
         self._dir = Path(cache_dir) if cache_dir else None
         if self._dir:
             self._dir.mkdir(parents=True, exist_ok=True)
             self._load()
 
-    def _index_path(self) -> Path:
-        return self._dir / "index.json"
-
     def _load(self) -> None:
-        if not self._index_path().exists():
-            return
-        try:
-            index = read_json(self._index_path())
-        except Exception:
-            return
-        for key, entry in index.items():
+        for path in self._dir.glob(_ENTRY_NAME.format("*", "*", "*")):
             try:
-                k, l, m = (int(x) for x in key.split(","))
-                _, rect, _ = tiling_from_obj(read_json(self._dir / entry["witness_path"]))
-                if verify_rectangle_tiling(rect).ok:
-                    self._mem[(k, l, m)] = (int(entry["f"]), rect)
+                _, witness, _ = tiling_from_obj(read_json(path))
+                key = _key(witness)
+                if path.name == _ENTRY_NAME.format(*key) and verify_rectangle_tiling(witness).ok:
+                    self._mem[key] = witness
             except Exception:
-                continue  # corrupt entries are recomputed on demand
+                continue  # a file that is not a height witness is recomputed on demand
 
     def get(self, k: int, l: int, m: int) -> tuple[int, RectangleTiling] | None:
         with self._lock:
-            return self._mem.get((k, l, m))
+            witness = self._mem.get((k, l, m))
+        return None if witness is None else (witness.height, witness)
 
-    def put(self, k: int, l: int, m: int, f: int, witness: RectangleTiling) -> None:
+    def put(self, witness: RectangleTiling) -> None:
+        key = _key(witness)
         with self._lock:
-            self._mem[(k, l, m)] = (f, witness)
+            self._mem[key] = witness
             if self._dir:
-                name = f"f_{k}_{l}_{m}.json"
-                write_json(self._dir / name, rectangle_to_obj(witness))
-                index = {
-                    ",".join(str(x) for x in key): {
-                        "f": fv,
-                        "witness_path": f"f_{key[0]}_{key[1]}_{key[2]}.json",
-                    }
-                    for key, (fv, _) in sorted(self._mem.items())
-                }
-                write_json(self._index_path(), index)
+                write_json(self._dir / _ENTRY_NAME.format(*key), rectangle_to_obj(witness))
 
 
 _default_tables: dict[str | None, HeightTable] = {}
@@ -209,7 +207,7 @@ def min_height_rect(
         outcome = solve_rectangle({(1, 0): k, (0, 1): l}, m, f)
         if outcome.status is SearchStatus.FOUND:
             witness = outcome.witnesses[0]
-            table.put(k, l, m, f, witness)
+            table.put(witness)
             return f, witness
         if outcome.status is SearchStatus.BUDGET_EXCEEDED:
             raise SearchExhausted(f"height search budget exceeded at f={f} for ({k},{l},{m})")

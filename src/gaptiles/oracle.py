@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -70,6 +71,19 @@ class SearchOutcome:
     nodes_explored: int
 
 
+@contextmanager
+def _frames(n: int):
+    """The recursion limit raised by n frames inside the block, restored
+    after it. Python 3.11 keeps Python-to-Python calls off the C stack, so a
+    recursion of one frame per step or placed tile may go that deep."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @lru_cache(maxsize=512)  # room for a catalog's gap sets and the height searches' shapes
 def _orders(steps: tuple[tuple[int, int], ...], width: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """One mask per distinct step order, in lexicographic order of the step
@@ -95,12 +109,13 @@ def _orders(steps: tuple[tuple[int, int], ...], width: int) -> tuple[tuple[int, 
                 counts[i] += 1
 
     runs = []
-    for i, move in enumerate(moves):
-        counts[i] -= 1
-        extend(1 | 1 << move, move, len(steps) - 1)
-        counts[i] += 1
-        runs.append((1 << move, tuple(masks)))
-        masks.clear()
+    with _frames(len(steps)):  # extend recurses once per step
+        for i, move in enumerate(moves):
+            counts[i] -= 1
+            extend(1 | 1 << move, move, len(steps) - 1)
+            counts[i] += 1
+            runs.append((1 << move, tuple(masks)))
+            masks.clear()
     return tuple(runs)
 
 
@@ -166,19 +181,13 @@ def _search(startable, runs, cfg: SearchConfig, memo: bool):
     budget ran out).
 
     _dfs takes one frame per placed tile, so up to ``total + 1`` frames on
-    top of the caller's. Python 3.11 keeps Python-to-Python calls off the C
-    stack, so the recursion limit is raised by that much for the search and
-    restored after it."""
+    top of the caller's."""
     total = len(startable) - 1
     solutions: list = []
     budget = [0, cfg.max_nodes, 0]
     dead = defaultdict(set) if memo else None
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + total + 1)
-    try:
+    with _frames(total + 1):
         _dfs(total, startable, runs, 0, 0, [], budget, solutions, cfg.max_solutions, dead)
-    finally:
-        sys.setrecursionlimit(limit)
     return solutions, budget[0], bool(budget[2])
 
 

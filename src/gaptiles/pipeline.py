@@ -89,16 +89,6 @@ from .verify import (
 
 
 @dataclass(frozen=True)
-class BaseDecomposition:
-    """d2 = a*d1 + t with both a and a+1 written over the coins (w, w+1)."""
-
-    a: int
-    t: int
-    rep_a: tuple[int, int]
-    rep_a_plus_1: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class ThresholdRow:
     stage: str
     required: int
@@ -317,17 +307,6 @@ def represent_two_coins(
     return b, c
 
 
-def base_decomposition(d1: int, d2: int, k1: int, k2: int) -> BaseDecomposition:
-    w = k1 + k2
-    a, t = divmod(d2, d1)
-    return BaseDecomposition(
-        a=a,
-        t=t,
-        rep_a=represent_two_coins(a, w, w + 1, True),
-        rep_a_plus_1=represent_two_coins(a + 1, w, w + 1, True),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Boundary stages
 
@@ -340,16 +319,18 @@ def plan_boundary_base(d1: int, d2: int, k1: int, k2: int) -> StageState:
     required = d1 * (k1 + k2 + 1) ** 2
     if d2 < required:
         raise GrowthViolation(stage, required, d2)
-    dec = base_decomposition(d1, d2, k1, k2)
-    f, _ = min_height_rect(k1, k2, k1 + k2)
-    h = lcm(k2 + 1, f)
+    # d2 = a*d1 + t with both a and a+1 written over the coins (w, w+1)
+    w = k1 + k2
+    a, t = divmod(d2, d1)
     blocks = {
-        "a": dec.a,
-        "t": dec.t,
-        "rep_a": list(dec.rep_a),
-        "rep_a_plus_1": list(dec.rep_a_plus_1),
-        "f": f,
+        "a": a,
+        "t": t,
+        "rep_a": list(represent_two_coins(a, w, w + 1, True)),
+        "rep_a_plus_1": list(represent_two_coins(a + 1, w, w + 1, True)),
     }
+    f, _ = min_height_rect(k1, k2, w)
+    blocks["f"] = f
+    h = lcm(k2 + 1, f)
     return StageState(
         kind="boundary",
         tiling=None,

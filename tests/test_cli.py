@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaptiles
-from gaptiles import GapSet, Paths, RectangleTiling, cli, pipeline, stair_tiling, verify_interval_tiling
+from gaptiles import GapSet, Paths, RectangleTiling, cli, grid, pipeline, stair_tiling, verify_interval_tiling
 from gaptiles.catalog import enumerate_gap_sets
 from gaptiles.cli import main, parse_gaps
 from gaptiles.errors import PreconditionError, SearchExhausted
@@ -362,6 +362,19 @@ class TestSolveCommands:
     def test_solve_places_more_tiles_than_the_recursion_limit(self, capsys):
         assert run(["solve", "--gaps", "1:1,2:1", "--len", "6000"]) == 0
         assert capsys.readouterr().out.count("[") == 2001  # the tiles and their list
+
+    @pytest.mark.parametrize(
+        "args, out",
+        [
+            (["solve", "--gaps", "1:1500", "--len", "1501"], "found: length 1501, tiles [[0, 1, 2, "),
+            (["minlen", "--gaps", "1:1200", "--max", "5000"], "1201\n"),
+        ],
+    )
+    def test_a_tile_of_more_steps_than_the_recursion_limit(self, capsys, args, out):
+        limit = sys.getrecursionlimit()
+        assert run(args) == 0
+        assert capsys.readouterr().out.startswith(out)
+        assert sys.getrecursionlimit() == limit
 
     def test_solve_not_found_exit_3(self):
         assert run(["solve", "--gaps", "1:1,2:1", "--len", "4"]) == 3
@@ -804,13 +817,43 @@ def test_conditions_on_a_huge_ratio_fit_in_a_small_address_space():
     assert by_name["two-value-representation"]["status"] == "satisfied"
 
 
-def test_height_cache_env_round_trip(tmp_path, monkeypatch):
+def test_height_cache_env_round_trip(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "cache"
     monkeypatch.setenv("GAPTILES_CACHE", str(cache))
+    monkeypatch.setattr(grid, "_default_tables", {})
     assert run(["fvalue", "--k", "1", "--l", "2", "--m", "3"]) == 0
-    assert (cache / "index.json").exists()
-    # second run hits the persisted witness
+    assert sorted(f.name for f in cache.iterdir()) == ["f_1_2_3.json"]
+    # a new process-wide table, as in a new process: the second run reads
+    # the persisted witness and searches nothing
+    monkeypatch.setattr(grid, "_default_tables", {})
+
+    def no_search(*args):
+        raise AssertionError(f"searched {args}")
+
+    monkeypatch.setattr(grid, "solve_rectangle", no_search)
     assert run(["fvalue", "--k", "1", "--l", "2", "--m", "3"]) == 0
+    assert capsys.readouterr().out == "f(1,2,3) = 8\n" * 2
+
+
+def test_construct_over_swapped_height_cache_files(tmp_path, monkeypatch, capsys):
+    # each witness file verifies but holds the other shape's witness: neither
+    # is served, and both shapes are searched again
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("GAPTILES_CACHE", str(cache))
+    monkeypatch.setattr(grid, "_default_tables", {})
+    for k in ("1", "2"):
+        assert run(["fvalue", "--k", k, "--l", "2", "--m", "3"]) == 0
+    a, b = cache / "f_1_2_3.json", cache / "f_2_2_3.json"
+    a_bytes = a.read_bytes()
+    a.write_bytes(b.read_bytes())
+    b.write_bytes(a_bytes)
+    monkeypatch.setattr(grid, "_default_tables", {})
+    out = tmp_path / "t.json"
+    assert run(["construct", "--gaps", "1:1,16:2", "--split", "2,0", "--out", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    assert run(["fvalue", "--k", "1", "--l", "2", "--m", "3"]) == 0
+    assert capsys.readouterr().out.endswith("f(1,2,3) = 8\n")
+    assert sorted(f.name for f in cache.iterdir()) == ["f_1_2_3.json", "f_2_2_3.json"]
 
 
 def test_fvalue_errors(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from gaptiles import (
     SplitSpec,
     Tile,
     auto_split,
-    base_decomposition,
     boundary_base,
     boundary_step,
     construct,
@@ -77,8 +76,8 @@ class TestBoundaryBase:
         assert st.boundary_prefix_count == 1
         assert verify_interval_tiling(st.tiling, gs((1, 1), (9, 1))).ok
         assert verify_boundary_prefix(st.tiling, 1, 1).ok
-        dec = base_decomposition(1, 9, 1, 1)
-        assert (dec.a, dec.t) == (9, 0)
+        blocks = st.stage_trace["blocks"]
+        assert (blocks["a"], blocks["t"]) == (9, 0)
 
     def test_growth_violation(self):
         with pytest.raises(GrowthViolation) as err:
@@ -87,8 +86,8 @@ class TestBoundaryBase:
 
     def test_nonzero_residue_branch(self):
         st = boundary_base(2, 19, 1, 1)
-        dec = base_decomposition(2, 19, 1, 1)
-        assert (dec.a, dec.t) == (9, 1)
+        blocks = st.stage_trace["blocks"]
+        assert (blocks["a"], blocks["t"]) == (9, 1)
         assert verify_interval_tiling(st.tiling, gs((2, 1), (19, 1))).ok
         assert verify_boundary_prefix(st.tiling, 2, 1).ok
 

@@ -139,7 +139,49 @@ class TestMinHeightRect:
         table = HeightTable(tmp_path)
         min_height_rect(1, 2, 3, table=table)
         min_height_rect(2, 2, 3, table=table)
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["f_1_2_3.json", "f_2_2_3.json", "index.json"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["f_1_2_3.json", "f_2_2_3.json"]
+
+    def test_swapped_witness_files_are_not_served(self, tmp_path):
+        # each file's witness verifies, but under the other shape's name
+        table = HeightTable(tmp_path)
+        assert min_height_rect(1, 2, 3, table=table)[0] == 8
+        assert min_height_rect(2, 2, 3, table=table)[0] == 5
+        a, b = tmp_path / "f_1_2_3.json", tmp_path / "f_2_2_3.json"
+        a_bytes = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(a_bytes)
+        table = HeightTable(tmp_path)
+        assert table.get(1, 2, 3) is None and table.get(2, 2, 3) is None
+        f, wit = min_height_rect(1, 2, 3, table=table)
+        assert (f, wit.height, wit.width) == (8, 8, 3)
+        assert wit.step_type == normalize_steps({(1, 0): 1, (0, 1): 2})
+        assert HeightTable(tmp_path).get(1, 2, 3) == (8, wit)
+
+    def test_files_that_are_not_height_witnesses_are_skipped(self, tmp_path):
+        min_height_rect(1, 2, 3, table=HeightTable(tmp_path))
+        wit = HeightTable(tmp_path).get(1, 2, 3)[1]
+        (tmp_path / "f_1_2_3.json").write_text("{")
+        (tmp_path / "f_1_1_2.json").write_bytes(b"")
+        windowed = diagonal_stripe_tiling(2, 1, 3)
+        grid.write_json(tmp_path / "f_2_1_4.json", grid.rectangle_to_obj(windowed))
+        table = HeightTable(tmp_path)
+        assert [table.get(*key) for key in [(1, 2, 3), (1, 1, 2), (2, 1, 4)]] == [None] * 3
+        with pytest.raises(PreconditionError):
+            table.put(windowed)
+        grid.write_json(tmp_path / "f_1_2_3.json", grid.rectangle_to_obj(wit))
+        assert HeightTable(tmp_path).get(1, 2, 3) == (8, wit)
+
+    def test_a_directory_with_an_index_loads_and_keeps_it(self, tmp_path):
+        # the layout of earlier versions: an index of f and file names beside
+        # the witness files; the witnesses alone are read
+        table = HeightTable(tmp_path)
+        entries = {key: min_height_rect(*key, table=table) for key in [(1, 2, 3), (2, 2, 3)]}
+        index = b'{"1,2,3":{"f":8,"witness_path":"f_1_2_3.json"},"2,2,3":{"f":5,"witness_path":"f_2_2_3.json"}}\n'
+        (tmp_path / "index.json").write_bytes(index)
+        table = HeightTable(tmp_path)
+        assert {key: table.get(*key) for key in entries} == entries
+        assert min_height_rect(1, 1, 2, table=table)[0] == 3
+        assert (tmp_path / "index.json").read_bytes() == index
 
 class TestDiagonalStripes:
     def test_figure_instance(self):
