@@ -88,6 +88,15 @@ def _int(token: str, what: str) -> int:
     raise PreconditionError(f"{what}: {token!r} is not an integer")
 
 
+def _int_option(token: str) -> int:
+    """The type of the integer options: _int's grammar, refused with
+    argparse's own message (so with exit 1) otherwise."""
+    try:
+        return _int(token, "option")
+    except PreconditionError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+
+
 def _int_pair(text: str, what: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -298,15 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact-cover search at one length")
     p.add_argument("--gaps", required=True)
-    p.add_argument("--len", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
+    p.add_argument("--len", type=_int_option, required=True)
+    p.add_argument("--max-nodes", type=_int_option, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("minlen", help="least tilable length up to a bound")
     p.add_argument("--gaps", required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
+    p.add_argument("--max", type=_int_option, required=True)
+    p.add_argument("--max-nodes", type=_int_option, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_minlen)
 
@@ -320,24 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out")
     p.add_argument("--format", choices=["svg", "ascii"], default="svg")
-    p.add_argument("--cell-size", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=int, default=200)
+    p.add_argument("--cell-size", type=_int_option, default=24)
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--max-points", type=_int_option, default=200)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("catalog", help="minimal lengths over a family of gap sets (JSONL, resumable)")
-    p.add_argument("--max-distance", type=int, required=True)
-    p.add_argument("--max-multiplicity", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--max-distance", type=_int_option, required=True)
+    p.add_argument("--max-multiplicity", type=_int_option, required=True)
+    p.add_argument("--nmax", type=_int_option, required=True)
     p.add_argument("--out", default="catalog.jsonl")
-    p.add_argument("--max-nodes", type=int, default=10_000_000, help=_MAX_NODES_HELP)
+    p.add_argument("--max-nodes", type=_int_option, default=10_000_000, help=_MAX_NODES_HELP)
     p.add_argument("--timings", action="store_true", help="record wall time per record")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("fvalue", help="least rectangle height for a path type")
-    p.add_argument("--k", type=int, required=True, help="unit-right steps per path")
-    p.add_argument("--l", type=int, required=True, help="unit-up steps per path")
-    p.add_argument("--m", type=int, required=True, help="rectangle width in points")
+    p.add_argument("--k", type=_int_option, required=True, help="unit-right steps per path")
+    p.add_argument("--l", type=_int_option, required=True, help="unit-up steps per path")
+    p.add_argument("--m", type=_int_option, required=True, help="rectangle width in points")
     p.add_argument("--out", help="write the witness rectangle JSON here")
     p.set_defaults(func=cmd_fvalue)
 

@@ -13,10 +13,16 @@ StageState without a tiling, computed from the previous stage's shape and
 the new distance and multiplicity alone: it checks the stage's growth,
 multiplicity and cardinality hypotheses and fixes the output length, height,
 block counts and cardinality histogram. Each bound on the next distance is
-computed from the actual dimensions (L, h) of the preceding stage. A
-homogeneous step and the final stage each name once the witness they lift
-over a sequence of c points; _lift reads their heights, block counts,
-histogram and last cardinality off those witnesses, which the build lifts.
+computed from the actual dimensions (L, h) of the preceding stage.
+
+Three stages lift rectangle witnesses over the previous stage's tiles or
+sequences: a boundary step, a homogeneous step and the final stage. Each
+names once its witness for c points (_final_witnesses, which the boundary
+step shares with the final stage, or _stripe_witnesses), and one builder,
+_block, lifts them into every column block. _lift reads the homogeneous
+step's and final stage's heights, block counts, histogram and last
+cardinality off the same witnesses.
+
 One walk over the stage schedule (_walk) serves ``construct``, which builds
 each stage, and ``thresholds``, which plans them alone, so a dry run reports
 the bounds and raises the errors ``construct`` would. Of the final stage it
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from math import lcm
 from typing import Callable, Sequence
 
@@ -53,7 +59,6 @@ from .errors import (
     VerificationFailed,
 )
 from .grid import (
-    RaggedTiling,
     as_rectangle,
     concat_columns,
     diagonal_stripe_tiling,
@@ -184,6 +189,26 @@ def _lifted_type(gaps: GapSet, k: int) -> StepType:
     steps = {(dist, 0): mult for dist, mult in gaps.entries}
     steps[(0, 1)] = k
     return normalize_steps(steps)
+
+
+def _block(
+    seqs: Tiles, base, step_type: StepType, window: int | None, h: int, replaced: dict | None = None
+) -> RectangleTiling:
+    """One column block of a lifted stage, as wide as seqs' points: each
+    sequence of c points, or the points `replaced` gives for its index in
+    its place, carries base(c) stacked to height h (once for each c) and
+    lifted over those points with the step type and window given."""
+    stacked = cache(lambda c: stack_to_height(base(c), h))
+    replaced = replaced or {}
+    rows = (replaced.get(i, seqs.row(i)) for i in range(len(seqs)))
+    cols = [lift_over_points(stacked(len(r)), r, step_type, window) for r in rows]
+    return as_rectangle(merge_ragged(cols))
+
+
+def _final_witnesses(n: int, k: int) -> Callable[[int], RectangleTiling]:
+    """The final stage's witness for c points: the minimal-height rectangle of
+    width c, every path of n+k+1 points."""
+    return cache(lambda c: min_height_rect(n, k, c)[1])
 
 
 def _endpoints(tiling: IntervalTiling, span: int) -> tuple[tuple[int, int], ...]:
@@ -367,27 +392,6 @@ def boundary_base(d1: int, d2: int, k1: int, k2: int) -> StageState:
     return _checked_output([residue_interleave(column(c2, b2), column(c1, b1), d1, blocks["t"])], plan)
 
 
-def _extension_block(
-    points: Sequence[int], d1: int, k: int, step_type: StepType
-) -> RaggedTiling:
-    """Staircase-like block over a tile extended by k extra points spaced d1.
-
-    Path i climbs i, crosses all n original gap positions at height i, then
-    climbs the remaining k - i; together the k+1 paths tile the extended
-    support times [0, k].
-    """
-    v = [int(p) for p in points]
-    n = len(v) - 1
-    ext = v + [v[-1] + d1 * j for j in range(1, k + 1)]
-    paths = []
-    for i in range(k + 1):
-        pts = [(ext[k - i], y) for y in range(i + 1)]
-        pts += [(ext[x], i) for x in range(k - i + 1, k - i + n + 1)]
-        pts += [(ext[k - i + n], y) for y in range(i + 1, k + 1)]
-        paths.append(pts)
-    return RaggedTiling(tuple(ext), k + 1, Paths.from_rows(paths), step_type, None)
-
-
 def plan_boundary_step(prev: StageState, d: int, k: int) -> StageState:
     """The plan of boundary_step: checks k <= budget - 1 and the growth bound."""
     stage = _stage_name(prev, "boundary-step", k)
@@ -400,18 +404,12 @@ def plan_boundary_step(prev: StageState, d: int, k: int) -> StageState:
     if d < required:
         raise GrowthViolation(stage, required, d)
     L, n = prev.L, prev.gap_prefix.size()
-    f1, _ = min_height_rect(n, k, n + 1)
-    f2, _ = min_height_rect(n, k, n + 2)
-    h = lcm(k + 1, f1, f2)
-    extended = L + k * prev.d1 + 1
-    b, c = represent_two_coins(d - extended, L + 1, L + 2, False)
-    blocks = {
-        "f_narrow": f1,
-        "f_widened": f2,
-        "narrow_blocks": c,
-        "widened_blocks": b,
-        "extended_width": extended,
-    }
+    base = _final_witnesses(n, k)
+    f1, f2 = base(n + 1).height, base(n + 2).height
+    h = lcm(base(n + k + 1).height, f1, f2)
+    width = L + k * prev.d1 + 1
+    b, c = represent_two_coins(d - width, L + 1, L + 2, False)
+    blocks = dict(f_narrow=f1, f_widened=f2, narrow_blocks=c, widened_blocks=b, extended_width=width)
     return _next_plan(prev, stage, required, d, k, h, blocks, boundary_prefix_count=budget - k)
 
 
@@ -420,39 +418,28 @@ def boundary_step(prev: StageState, d: int, k: int) -> StageState:
 
     Requires k <= boundary budget - 1 and
     d >= (L+1)(L+2) + (L + k*d1 + 1), computed from the previous stage.
+
+    Its blocks lift the final stage's witnesses over prev's tiles as they
+    are (width L+1), with the tile ending at L-d1+1 widened by L+1 (width
+    L+2), and with each tile ending in the last d1 points extended by k
+    points spaced d1 (width L+k*d1+1). An extended tile carries the
+    staircase, whose top-right path starts k points into the tile and so
+    keeps all but k of its leading d1 gaps.
     """
     plan = plan_boundary_step(prev, d, k)
     _buildable(plan, prev)
-    L, d1, h = prev.L, prev.d1, plan.h
-    n = prev.gap_prefix.size()
-    _, wit1 = min_height_rect(n, k, n + 1)
-    _, wit2 = min_height_rect(n, k, n + 2)
-    step_type = _lifted_type(prev.gap_prefix, k)
-    tiles = prev.tiling.tiles
-    ends = dict(prev.endpoint_index)
-
-    def column(base: RectangleTiling, points) -> RaggedTiling:
-        return stack_to_height(lift_over_points(base, points, step_type), h)
-
-    plain_cols = [column(wit1, tiles.row(i)) for i in range(len(tiles))]
-    rect_narrow = as_rectangle(merge_ragged(plain_cols))  # width L+1
-
-    widened_cols = list(plain_cols)
+    L, d1, n = prev.L, prev.d1, prev.gap_prefix.size()
+    tiles, ends = prev.tiling.tiles, dict(prev.endpoint_index)
+    block = partial(_block, tiles, _final_witnesses(n, k), _lifted_type(prev.gap_prefix, k), None, plan.h)
     i = ends[L - d1 + 1]
-    widened_cols[i] = column(wit2, np.append(tiles.row(i), L + 1))
-    rect_widened = as_rectangle(merge_ragged(widened_cols))  # width L+2
-
-    ext_cols = list(plain_cols)
-    for t in range(d1):
-        i = ends[L - t]
-        ext_cols[i] = stack_to_height(_extension_block(tiles.row(i), d1, k, step_type), h)
-    rect_extended = as_rectangle(merge_ragged(ext_cols))  # width L + k*d1 + 1
-
+    widened = {i: np.append(tiles.row(i), L + 1)}
+    added = {ends[L - t]: L - t + d1 * np.arange(1, k + 1) for t in range(d1)}
+    extended = {j: np.append(tiles.row(j), points) for j, points in added.items()}
     blocks = plan.stage_trace["blocks"]
     return _checked_output(
-        [rect_narrow] * blocks["narrow_blocks"]
-        + [rect_widened] * blocks["widened_blocks"]
-        + [rect_extended],
+        [block()] * blocks["narrow_blocks"]
+        + [block(widened)] * blocks["widened_blocks"]
+        + [block(extended)],
         plan,
     )
 
@@ -558,12 +545,6 @@ def _lift(prev: StageState, d: int, base: Callable[[int], RectangleTiling]) -> t
     return trace, h, {"card_counts": tuple(sorted((+counts).items())), "last_card": last_card}
 
 
-def _final_witnesses(n: int, k: int) -> Callable[[int], RectangleTiling]:
-    """The final stage's witness for c points: the minimal-height rectangle of
-    width c, every path of n+k+1 points."""
-    return cache(lambda c: min_height_rect(n, k, c)[1])
-
-
 def _stripe_witnesses(n: int, k: int) -> Callable[[int], RectangleTiling]:
     """The homogeneous step's witness for c points: the final stage's for
     c = n+1, else the diagonal stripes of width c and height c+k."""
@@ -598,34 +579,18 @@ def plan_homogeneous_step(prev: StageState, d: int, k: int) -> StageState:
 def _lifted_blocks(
     prev: StageState, plan: StageState, k: int, base, window: int | None
 ) -> list[RectangleTiling]:
-    """The column blocks of a homogeneous step or final stage, left to right.
-
+    """The column blocks of a homogeneous step or final stage, left to right:
     `removed_blocks` copies of one block over prev's sequences with the last
-    point removed (width L), then `full_blocks` copies of one block over all
-    of them (width L+1). The list repeats those two block objects, so flatten
-    sorts each once and writes its copies straight into the output. In each
-    block, a sequence of c points carries base(c), the witness the plan was
-    read off (_lift), lifted over its points with the window given and
-    stacked to the plan's height.
+    point removed (width L), then `full_blocks` copies of one over all of
+    them (width L+1), each lifting base, the witnesses the plan was read off
+    (_lift). Repeating the two block objects lets flatten sort each once and
+    write its copies straight into the output.
     """
-    step_type = _lifted_type(prev.gap_prefix, k)
-
-    def block(seqs: Tiles) -> RectangleTiling:
-        cols = [
-            stack_to_height(lift_over_points(base(card), seqs.row(i), step_type, window), plan.h)
-            for i, card in enumerate(seqs.sizes().tolist())
-        ]
-        return as_rectangle(merge_ragged(cols))
-
-    blocks = plan.stage_trace["blocks"]
-    c = blocks["removed_blocks"]
-    tiles = prev.tiling.tiles
-    full = block(tiles)
-    removed = []
-    if c > 0:
-        idx = dict(prev.endpoint_index)[prev.L]
-        removed = [block(tiles.with_row(idx, tiles[idx].points[:-1]))] * c
-    return removed + [full] * blocks["full_blocks"]
+    tiles, blocks = prev.tiling.tiles, plan.stage_trace["blocks"]
+    block = partial(_block, tiles, base, _lifted_type(prev.gap_prefix, k), window, plan.h)
+    last, c = dict(prev.endpoint_index)[prev.L], blocks["removed_blocks"]
+    removed = [block({last: tiles.row(last)[:-1]})] * c if c > 0 else []
+    return removed + [block()] * blocks["full_blocks"]
 
 
 def homogeneous_step(prev: StageState, d: int, k: int) -> StageState:

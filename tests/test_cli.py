@@ -317,6 +317,30 @@ def test_an_empty_option_value_is_malformed_not_absent(tmp_path, capsys, monkeyp
     assert [f.name for f in tmp_path.iterdir()] == ["t.json"]
 
 
+@pytest.mark.parametrize(
+    "args, option, token",
+    [
+        (["solve", "--gaps", "1:1,2:1", "--len", "1_2"], "--len", "1_2"),
+        (["solve", "--gaps", "1:1,2:1", "--len", "+12"], "--len", "+12"),
+        (["solve", "--gaps", "1:1,2:1", "--len", "6", "--max-nodes", " 9"], "--max-nodes", " 9"),
+        (["minlen", "--gaps", "1:1,2:1", "--max", "3_0"], "--max", "3_0"),
+        (["fvalue", "--k", "1", "--l", "1", "--m", "٢"], "--m", "٢"),
+        (["catalog", "--max-distance", "2", "--max-multiplicity", "2", "--nmax", "+20"], "--nmax", "+20"),
+        (["render", "t.json", "--cell-size", "24 "], "--cell-size", "24 "),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_integer_options_take_only_ascii_digits(tmp_path, capsys, monkeypatch, args, option, token):
+    # int() would read each token as a number: underscores, a plus sign,
+    # padding, non-ASCII digits; --gaps refuses them all, and so do these
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {option}: invalid int value: {token!r}")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSolveCommands:
     def test_minlen(self, tmp_path, capsys):
         out = tmp_path / "w.json"

@@ -59,6 +59,20 @@ def sha256(data: bytes) -> str:
             "81fdc295a33f937eee81e3ecaf01383ccbe52753dcd9c207af04e85191a93cb6",
             "58d8f35de61eeb799a02b6d2fc7722921a0f90bd8fb7a5220fb206324585f680",
         ),
+        (  # a boundary step with k = 2: its extended tiles carry k + 1 = 3 paths
+            "1:3,25:1,63002:2",
+            "3,0",
+            "dce52a8a28c0c0d54c56be1b5da2339b4847b82673b82e5f8fefb810c740dd29",
+            "a94f57af2914f9bb1f5424dad4abc2ba3f36173fb54139668c2380416ec4aa86",
+            "2a8c6742ae14953a33214e6bfc6ce0c640fc7ff74f05ccdc22353ae339705f9e",
+        ),
+        (  # a boundary step with d1 = 2: two extended tiles, one per residue
+            "2:2,32:1,16642:1",
+            "3,0",
+            "25432a3a983512ed5cf0526cdd8c897e6e0ab9553b5b8e2636b6b3e64d0c6e29",
+            "741880535b3972275448bed0da7fe87916c02f1447e9dfead8aae5c71162fc1c",
+            "7a8291b17582175a8cd85bc05552e33f546406f1982f37b9016812ea23d97f06",
+        ),
         (  # the headline case: 1,201,156 points, printed in many chunks
             "1:1,9:1,300289:1",
             "2,1",
