@@ -216,6 +216,9 @@ def cmd_verify(args) -> int:
             reports["homogeneous"] = verify_homogeneous(tiling.tiles, tiling.length, target)
         else:
             reports["interval"] = verify_interval_tiling(tiling, gaps)
+        count = tiling.annotations.boundary_prefix_count
+        if boundary is None and count is not None:
+            boundary = (gaps.entries[0][0], count)
         if boundary is not None:
             reports["boundary"] = verify_boundary_prefix(tiling, *boundary)
     else:

@@ -24,10 +24,6 @@ class ConditionResult:
     status: str
     witness: dict
 
-    @property
-    def satisfied(self) -> bool:
-        return self.status == SATISFIED
-
 
 def check_three_gap_quadratic(gap_set: GapSet) -> ConditionResult:
     """Three-gap test: with r the largest gap and p, q the other two, the set

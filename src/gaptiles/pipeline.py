@@ -436,12 +436,9 @@ def boundary_step(prev: StageState, d: int, k: int) -> StageState:
     added = {ends[L - t]: L - t + d1 * np.arange(1, k + 1) for t in range(d1)}
     extended = {j: np.append(tiles.row(j), points) for j, points in added.items()}
     blocks = plan.stage_trace["blocks"]
-    return _checked_output(
-        [block()] * blocks["narrow_blocks"]
-        + [block(widened)] * blocks["widened_blocks"]
-        + [block(extended)],
-        plan,
-    )
+    c = blocks["narrow_blocks"]
+    narrow = [block()] * c if c > 0 else []
+    return _checked_output(narrow + [block(widened)] * blocks["widened_blocks"] + [block(extended)], plan)
 
 
 # ---------------------------------------------------------------------------

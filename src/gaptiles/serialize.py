@@ -10,23 +10,24 @@ Dumps are canonical (sorted keys, fixed separators, trailing newline), so
 identical inputs always produce byte-identical files. The dicts that
 interval_to_obj and rectangle_to_obj return keep "tiles" or "paths" as the
 tiling's CSR view, and the rows are printed as bytes straight from its
-arrays, 16,384 points at a time in the calling thread: each number becomes
-a word holding the text before it and words of eight digits each, split by
-multiplying and shifting, and deleting the NUL bytes of those words leaves
-the text. write_json streams the chunks into a temporary file in the
-target's directory and renames it over the target, so a failed write
-leaves the earlier file as it was and no temporary file behind.
+arrays, one block of types._BLOCK (16,384) points at a time in the calling
+thread: each number becomes a word holding the text before it and words of
+eight digits each, split by multiplying and shifting, and deleting the NUL
+bytes of those words leaves the text. write_json streams the chunks into a
+temporary file in the target's directory and renames it over the target,
+so a failed write leaves the earlier file as it was and no temporary file
+behind.
 
-read_json reads that layout back from the bytes, in pieces of about 256 KB
-one after another in the calling thread: a few array passes check each
-piece against the canonical grammar and find its numbers' bounds, and each
-number is read eight digits per word of the file's bytes straight into the
-CSR arrays. The scratch memory is bounded by one piece, not by the file,
-and the result is the same whatever the piece size. json.loads parses the
-small rest of the object, and the whole of a file laid out any other way,
-which so reads exactly as before. Either way a point or a header number
-that is not a JSON integer is a parse error (PreconditionError), never
-truncated or read as 0 or 1.
+read_json reads that layout back from the bytes, in pieces of about
+16 * types._BLOCK bytes (256 KB) one after another in the calling thread:
+a few array passes check each piece against the canonical grammar and find
+its numbers' bounds, and each number is read eight digits per word of the
+file's bytes straight into the CSR arrays. The scratch memory is bounded
+by one piece, not by the file, and the result is the same whatever the
+piece size. json.loads parses the small rest of the object, and the whole
+of a file laid out any other way, which so reads exactly as before. Either
+way a point or a header number that is not a JSON integer is a parse error
+(PreconditionError), never truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from . import types
 from .errors import PreconditionError
 from .types import (
     GapSet,
@@ -51,10 +53,10 @@ from .types import (
     Tiles,
     TilingAnnotations,
     VerificationReport,
+    block_spans,
     normalize_steps,
 )
 
-_CHUNK_POINTS = 1 << 14
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
 # _HIGH[k] keeps the last k bytes of a little-endian word: those that hold
 # a number's last k digits when its digits end with the word.
@@ -132,10 +134,10 @@ def _numbers_bytes(v: np.ndarray, place: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0")
 
 
-def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[bytes]:
+def _rows_chunks(rows: Tiles | Paths) -> Iterator[bytes]:
     """The rows as json.dumps prints them, [[p,...],...] for tiles and
-    [[[x,y],...],...] for paths, in pieces of `chunk` points, in the
-    calling thread.
+    [[[x,y],...],...] for paths, a piece per block of points
+    (types.block_spans), in the calling thread.
 
     A number's place picks the text before it (_BEFORE): a tile's point
     comes within its tile (place 0, ","), first in a later tile (2, "],["),
@@ -149,8 +151,7 @@ def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[by
         return
     yield b"[["
     within = (0,) if len(cols) == 1 else (6, 12)  # each column's place within a row
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
+    for a, b in block_spans(n):
         place = np.empty((b - a, len(cols)), dtype=np.intp)
         place[:] = within
         lo, hi = np.searchsorted(rows.offsets, (a, b))
@@ -162,17 +163,12 @@ def _rows_chunks(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> Iterator[by
     yield b"]" * (len(cols) + 1)
 
 
-def _rows_json(rows: Tiles | Paths, chunk: int = _CHUNK_POINTS) -> str:
-    """The rows as json.dumps prints them, formatted `chunk` points at a time."""
-    return b"".join(_rows_chunks(rows, chunk)).decode("ascii")
-
-
 def _chunks(obj: Any) -> Iterator[bytes]:
     """The canonical JSON of obj, without the trailing newline, as ASCII
     bytes in pieces; a dict holding a Tiles or Paths value yields its rows
     chunk by chunk."""
     if isinstance(obj, (Tiles, Paths)):
-        yield from _rows_chunks(obj, _CHUNK_POINTS)
+        yield from _rows_chunks(obj)
     elif isinstance(obj, dict) and any(isinstance(v, (Tiles, Paths)) for v in obj.values()):
         sep = b"{"
         for k in sorted(obj):
@@ -284,9 +280,6 @@ _FILL = _THREES & ~_HIGH
 _COMBINE = [tuple(map(np.uint64, step)) for step in (
     (8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))]
 _LEAST = np.array([0, 0, *_POW10[:18]], dtype=np.uint64)  # of d digits, no leading zero
-# Bytes of the rows array checked and read as one piece: the read holds one
-# piece's scratch, about 8 times its size, beyond the file and its arrays.
-_PIECE_BYTES = 1 << 18
 
 
 def _read_tiling(data: bytes) -> dict | None:
@@ -327,9 +320,7 @@ def _read_tiling(data: bytes) -> dict | None:
     return None
 
 
-def _rows_from_bytes(
-    data: bytes, a: int, end: int, depth: int, piece: int = _PIECE_BYTES
-) -> Tiles | Paths | None:
+def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths | None:
     """The rows array data[a:end], which ends in `depth` "]", as a Tiles
     (depth 2) or Paths (depth 3) view, or None if it is anything but
     canonical rows of int64 values that make a valid view.
@@ -342,14 +333,16 @@ def _rows_from_bytes(
     "-" is a digit; with the commas and the bracket runs beside them, that
     accounts for every byte.
 
-    The numbers are checked and read in pieces of about `piece` bytes, each
-    cut just after a comma, one after another. One pass first fixes the
-    pieces and counts their commas, so each piece knows its slice of the
-    values, its parity within a point and where its first number starts;
-    then each piece writes its values into its slice and returns its row
-    breaks, or None. Only the values and the row breaks outlive a piece.
-    The bracket runs beside a comma are read from the whole file, so a seam
-    changes nothing: every piece size gives the same view or the same None.
+    The numbers are checked and read in pieces of about 16 * types._BLOCK
+    bytes, each cut just after a comma, one after another: the read holds
+    one piece's scratch, about 8 times its size, beyond the file and its
+    arrays. One pass first fixes the pieces and counts their commas, so
+    each piece knows its slice of the values, its parity within a point and
+    where its first number starts; then each piece is checked, writes its
+    values into its slice and adds its row breaks. Only the values and the
+    row breaks outlive a piece. The bracket runs beside a comma are read
+    from the whole file, so a seam changes nothing: every piece size gives
+    the same view or the same None.
     """
     per_point = depth - 1  # numbers per point
     if end - a == 2:  # "[]"
@@ -359,6 +352,7 @@ def _rows_from_bytes(
         return None
     u = np.frombuffer(data, dtype=np.uint8)
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # no copy
+    piece = 16 * types._BLOCK
     bounds = [first]  # where each piece starts, then `last`
     commas_before = [0]  # commas before each piece, then all of them
     while bounds[-1] < last:
@@ -369,11 +363,8 @@ def _rows_from_bytes(
     if per_point == 2 and commas_before[-1] % 2 == 0:
         return None
     values = np.empty(commas_before[-1] + 1, dtype=np.int64)
-
-    def read(k: int) -> np.ndarray | None:
-        """Check piece k, write its values into its slice, and return the
-        points before each row it starts, or None."""
-        s, e, before = bounds[k], bounds[k + 1], commas_before[k]
+    breaks = []  # points before each later row, per piece
+    for s, e, before in zip(bounds, bounds[1:], commas_before):
         commas = np.flatnonzero(u[s:e] == ord(",")) + s
         # "]" closed just before and "[" opened just after each comma
         shut, opened = np.zeros((2, commas.size), dtype=np.int8)
@@ -427,13 +418,7 @@ def _rows_from_bytes(
         if (mag < _LEAST[digits]).any() or (mag[big] > np.uint64(2**63 - 1) + neg[big]).any():
             return None
         np.negative(mag, out=mag, where=neg)
-        return (before + np.flatnonzero(shut == per_point) + 1) // per_point
-
-    breaks = []  # points before each later row, per piece
-    for piece_breaks in map(read, range(len(bounds) - 1)):
-        if piece_breaks is None:
-            return None
-        breaks.append(piece_breaks)
+        breaks.append((before + np.flatnonzero(shut == per_point) + 1) // per_point)
     offsets = np.concatenate(([0], *breaks, [values.size // per_point]))
     breaks.clear()  # a copy of the offsets, dropped before the view's checks
     try:
@@ -513,8 +498,12 @@ def tiling_from_obj(obj: Any) -> tuple[str, Any, GapSet | None]:
             elif not isinstance(ann_obj, dict):
                 raise PreconditionError(f"annotations must be an object, not {ann_obj!r}")
             count = ann_obj.get("boundary_prefix_count")
+            if count is not None:
+                count = _integer(count, "boundary_prefix_count")
+                if count < 0:
+                    raise PreconditionError(f"boundary_prefix_count must be >= 0, not {count}")
             ann = TilingAnnotations(
-                boundary_prefix_count=None if count is None else _integer(count, "boundary_prefix_count"),
+                boundary_prefix_count=count,
                 homogeneous_for=(
                     gap_set_from_obj(ann_obj["homogeneous_for"])
                     if ann_obj.get("homogeneous_for") is not None

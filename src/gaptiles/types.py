@@ -169,8 +169,9 @@ def _frozen(a) -> np.ndarray:
 
 # Items (points, elements or windows) that a pass over a whole tiling takes
 # at a time, so that its scratch is bounded by the block, not the tiling; no
-# pass's result depends on the block size.
-_BLOCK = 1 << 15
+# pass's result depends on the block size. Flatten, the printer and the
+# reader (16 bytes an item) take their blocks from it too.
+_BLOCK = 1 << 14
 
 
 def block_spans(count: int) -> Iterator[tuple[int, int]]:

@@ -33,6 +33,7 @@ from gaptiles import (
 )
 from gaptiles.cli import main as cli_main
 from gaptiles.conditions import (
+    SATISFIED,
     check_three_gap_quadratic,
     check_two_value_cases,
     check_two_value_representation,
@@ -250,7 +251,7 @@ def test_criterion_10_condition_checkers():
             for r in (1, 62, 63, 251, 252, 253, 63 * max(p, q) ** 2, 10**4):
                 res = check_three_gap_quadratic(GapSet.from_gaps([p, q, r]))
                 a, b, c = sorted([p, q, r])
-                assert res.satisfied == (c >= 63 * max(a, b) ** 2)
+                assert (res.status == SATISFIED) == (c >= 63 * max(a, b) ** 2)
     for p in range(1, 5):
         for q in range(1, 5):
             for l in range(1, 4):
@@ -261,5 +262,5 @@ def test_criterion_10_condition_checkers():
                     for r in check_two_value_cases(GapSet.from_pairs([(p, 1), (q, l)]))
                     if r.name == "two-value-case-1"
                 )
-                assert case1.satisfied
+                assert case1.status == SATISFIED
     assert check_two_value_representation(GapSet.from_pairs([(5, 1), (10, 1)])).witness["a"] == 2

@@ -2,7 +2,8 @@
 of Tiles and Paths, the tile-end scans, a stage's cardinality histogram and
 the gap and window checks) work one block of types._BLOCK items at a time:
 they give the same values, errors and reports for every block size, and
-their scratch memory does not grow with the tiling."""
+their scratch memory does not grow with the tiling beyond the cover's one
+boolean mark per point."""
 
 import gc
 import tracemalloc
@@ -130,5 +131,8 @@ def passes(n: int) -> dict:
 @pytest.mark.parametrize("name", list(passes(8)))
 def test_scratch_does_not_grow_with_the_tiling(name):
     small, large = (scratch(passes(n)[name]) for n in (1 << 18, 1 << 20))
+    # A homogeneous check also marks each point once for the cover, one byte
+    # a point (verify._is_partition), which may outgrow one block's scratch.
+    cover = 1 << 20 if name.startswith("verify_homogeneous") else 0
     # passes over whole arrays grow about fourfold here (Tiles 0.5 -> 2 MB)
-    assert large <= small + (64 << 10), (small, large)
+    assert large <= max(small, cover) + (64 << 10), (small, large)

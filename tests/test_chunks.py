@@ -1,7 +1,7 @@
-"""The printer's chunk size and the checks' block size change nothing: a
-construct writes the same bytes for every printer chunk size, and the gap
-and window checks, run in blocks, give the same reports for every block
-size."""
+"""The block size (types._BLOCK) changes nothing: a construct, which
+flattens, checks and prints in blocks, writes the same bytes for every
+block size, which read back in pieces to the same tiling, and the gap and
+window checks give the same reports for every block size."""
 
 import hashlib
 from collections import Counter
@@ -34,17 +34,16 @@ from gaptiles.types import Paths, Tiles
 
 @pytest.fixture(params=[1, 2, 4])
 def width(request, monkeypatch):
-    """Chunk sizes small enough that a small tiling spans many chunks: blocks
-    of 5 * width items and printer chunks of 97 * width points."""
+    """Blocks of 5 * width items, small enough that a small tiling spans
+    many blocks."""
     monkeypatch.setattr(types, "_BLOCK", 5 * request.param)
-    monkeypatch.setattr(serialize, "_CHUNK_POINTS", 97 * request.param)
     return request.param
 
 
 @contextmanager
 def serial():
-    """One chunk or block per pass, as if the whole tiling were one."""
-    with mock.patch.object(types, "_BLOCK", 1 << 62), mock.patch.object(serialize, "_CHUNK_POINTS", 1 << 62):
+    """One block per pass, as if the whole tiling were one."""
+    with mock.patch.object(types, "_BLOCK", 1 << 62):
         yield
 
 
@@ -62,8 +61,10 @@ def write_construct(out):
 
 def test_construct_writes_the_same_bytes_for_every_width_and_chunk(tmp_path, width):
     got = write_construct(tmp_path / "chunked.json")
+    back = serialize.read_json(tmp_path / "chunked.json")
     with serial():
         want = write_construct(tmp_path / "serial.json")
+        assert back == serialize.read_json(tmp_path / "serial.json")
     assert got == want
 
 

@@ -470,6 +470,25 @@ class TestVerifyCommand:
         write_json(out, obj)
         assert run(["verify", str(out)]) == 4
 
+    def test_a_plain_verify_checks_the_boundary_annotation(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run(["construct", "--gaps", "2:2,32:1,16642:1", "--split", "3,0", "--out", str(out)]) == 0
+        obj = read_json(out)
+        count = obj["annotations"]["boundary_prefix_count"]
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert sorted(reports) == ["boundary", "interval"] and reports["boundary"]["ok"]
+        # one more leading gap of d1 = 2 than the extended tiles keep
+        obj["annotations"]["boundary_prefix_count"] = count + 1
+        write_json(out, obj)
+        assert run(["verify", str(out)]) == 4
+        reports = json.loads(capsys.readouterr().out)
+        assert reports["interval"]["ok"] and not reports["boundary"]["ok"]
+        assert {v["kind"] for v in reports["boundary"]["violations"]} == {"BoundaryPrefixViolation"}
+        # --boundary, when given, is checked in place of the annotation
+        assert run(["verify", str(out), "--boundary", f"2,{count}"]) == 0
+
     @pytest.mark.parametrize(
         "length, tiles",
         [(10**12, [[0, 1], [2, 3]]), (2**63 - 1, [[-5, -4]]), (2**63 - 1, [])],
@@ -570,6 +589,7 @@ class TestVerifyCommand:
             ({"length": "4"}, "length must be an integer, not '4'"),
             ({"annotations": {"boundary_prefix_count": "1"}}, "boundary_prefix_count must be an integer, not '1'"),
             ({"annotations": {"boundary_prefix_count": 1.0}}, "boundary_prefix_count must be an integer, not 1.0"),
+            ({"annotations": {"boundary_prefix_count": -1}}, "boundary_prefix_count must be >= 0, not -1"),
             ({"annotations": {"homogeneous_for": [[1.0, 1]]}}, "a gap distance must be an integer, not 1.0"),
             ({"annotations": [1]}, "annotations must be an object, not [1]"),
             ({"annotations": []}, "annotations must be an object, not []"),
@@ -583,7 +603,8 @@ class TestVerifyCommand:
         ],
         ids=[
             "float-length-and-gap", "float-length", "bool-length", "bool-multiplicity", "string-length",
-            "string-boundary-count", "float-boundary-count", "float-homogeneous-gap", "list-annotations",
+            "string-boundary-count", "float-boundary-count", "negative-boundary-count", "float-homogeneous-gap",
+            "list-annotations",
             "empty-list-annotations", "false-annotations", "float-width",
             "bool-height", "string-window", "float-step", "bool-step-multiplicity", "three-coordinate-step",
         ],

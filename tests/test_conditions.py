@@ -24,12 +24,12 @@ def by_name(results, name):
 class TestThreeGapQuadratic:
     def test_not_satisfied_example(self):
         res = check_three_gap_quadratic(gs((1, 1), (2, 1), (63, 1)))
-        assert not res.satisfied
+        assert res.status != SATISFIED
         assert res.witness["bound"] == 63 * 4
 
     def test_satisfied_example(self):
         res = check_three_gap_quadratic(gs((1, 2), (63, 1)))
-        assert res.satisfied
+        assert res.status == SATISFIED
         assert res.witness == {"p": 1, "q": 1, "r": 63, "bound": 63}
 
     def test_predicate_exact_on_grid(self):
@@ -39,7 +39,7 @@ class TestThreeGapQuadratic:
                     res = check_three_gap_quadratic(GapSet.from_gaps([p, q, r]))
                     gaps = sorted([p, q, r])
                     expect = gaps[2] >= 63 * max(gaps[0], gaps[1]) ** 2
-                    assert res.satisfied == expect
+                    assert (res.status == SATISFIED) == expect
 
     def test_not_applicable(self):
         assert check_three_gap_quadratic(gs((1, 2),)).status == NOT_APPLICABLE
@@ -56,19 +56,19 @@ class TestTwoValueCases:
                         check_two_value_cases(GapSet.from_pairs([(p, 1), (q, l)])),
                         "two-value-case-1",
                     )
-                    assert res.satisfied
+                    assert res.status == SATISFIED
 
     def test_case2(self):
         res = by_name(check_two_value_cases(gs((1, 2), (6, 1))), "two-value-case-2")
-        assert res.satisfied  # k(k+1)p = 6 <= 6
+        assert res.status == SATISFIED  # k(k+1)p = 6 <= 6
         res = by_name(check_two_value_cases(gs((1, 2), (5, 2))), "two-value-case-2")
-        assert not res.satisfied
+        assert res.status != SATISFIED
 
     def test_case3(self):
         res = by_name(check_two_value_cases(gs((1, 2), (3, 2))), "two-value-case-3")
-        assert res.satisfied  # k=2 <= l=2 and 3p=3 <= q=3
+        assert res.status == SATISFIED  # k=2 <= l=2 and 3p=3 <= q=3
         res = by_name(check_two_value_cases(gs((1, 3), (3, 2))), "two-value-case-3")
-        assert not res.satisfied
+        assert res.status != SATISFIED
 
     def test_not_applicable(self):
         for r in check_two_value_cases(gs((1, 1), (2, 1), (3, 1))):
@@ -96,28 +96,28 @@ class TestRepresentation:
         found = [
             a
             for a in range(1, 11)
-            if check_two_value_representation(gs((10, 1), (10 * a + 1, 1))).satisfied
+            if check_two_value_representation(gs((10, 1), (10 * a + 1, 1))).status == SATISFIED
         ]
         assert found == [2, 3, 4, 5, 6, 7, 8, 9, 10]
 
     def test_window_includes_a_equals_two(self):
         assert check_two_value_representation(gs((10, 1), (21, 1))).witness["a"] == 2
         res = check_two_value_representation(gs((3, 1), (7, 1)))
-        assert res.satisfied  # a=2: 6 <= 7 <= 9
+        assert res.status == SATISFIED  # a=2: 6 <= 7 <= 9
         assert res.witness["a"] == 2
         assert res.witness["window"] == [6, 9]
 
     def test_not_satisfied_below_window(self):
         # q < 2p and a=1 is not representable over coins {2, 3}
         res = check_two_value_representation(gs((3, 1), (4, 1)))
-        assert not res.satisfied
+        assert res.status != SATISFIED
 
 
 class TestStagedGrowth:
     def test_satisfied_pipeline(self):
         results = check_sufficient_conditions(gs((1, 1), (9, 1), (2970, 1)))
         res = by_name(results, "staged-growth(s=2,p=1)")
-        assert res.satisfied
+        assert res.status == SATISFIED
         stages = res.witness["stages"]
         assert stages[0]["required"] == 9
         assert stages[-1]["required"] == 2970
@@ -125,7 +125,7 @@ class TestStagedGrowth:
     def test_unsatisfied_distance(self):
         results = check_sufficient_conditions(gs((1, 1), (8, 1)), SplitSpec(2, 0))
         res = by_name(results, "staged-growth(s=2,p=0)")
-        assert not res.satisfied
+        assert res.status != SATISFIED
         assert "stage-2" in res.witness["reason"]
 
     @pytest.mark.parametrize("split", [SplitSpec(5, 0), SplitSpec(2, 1)])

@@ -157,6 +157,21 @@ class TestBoundaryStep:
         assert verify_interval_tiling(st3.tiling, gs((1, 2), (16, 1), (4226, 1))).ok
         assert verify_boundary_prefix(st3.tiling, 1, 1).ok
 
+    def test_step_at_its_bound_builds_no_narrow_block(self, monkeypatch):
+        built = []
+        real = pipeline._block
+
+        def block(*args):
+            built.append(args[5:])
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_block", block)
+        st3 = boundary_step(boundary_base(2, 32, 2, 1), 16642, 1)
+        assert st3.stage_trace["blocks"]["narrow_blocks"] == 0
+        # the widened block and the extended one, each given its replaced tiles
+        assert len(built) == 2 and all(replaced for (replaced,) in built)
+        assert verify_interval_tiling(st3.tiling, gs((2, 2), (32, 1), (16642, 1))).ok
+
 
 class TestHomogeneousBase:
     def test_one_long_sequence(self):

@@ -29,7 +29,7 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import grid, pipeline
+from gaptiles import grid, pipeline, types
 from gaptiles.errors import PreconditionError
 from gaptiles.grid import HeightTable
 from gaptiles.oracle import SearchStatus
@@ -382,16 +382,17 @@ def seam_blocks():
 
 class TestFlattenSlices:
     @pytest.mark.parametrize("tiles", [1, 2, 3, 7, 1 << 30])
-    def test_every_slice_size_flattens_alike(self, seam_blocks, monkeypatch, tiles):
+    def test_every_slice_size_flattens_alike(self, seam_blocks, tiles):
         ragged = seam_blocks[-1][0]
         assert ragged.window is not None and len(set(ragged.paths.sizes().tolist())) > 1
         assert max(len(blocks) for blocks in seam_blocks) > 1
-        monkeypatch.setattr(grid, "_FLATTEN_TILES", tiles)
         for blocks in seam_blocks:
             rect = concat_columns(blocks)
             offsets, values = flatten_by_argsort(rect, rect.width)
             # the stage's block list, and the rectangle they concatenate to
-            for t in flatten(blocks, rect.width), flatten(rect, rect.width):
+            with mock.patch.object(types, "_BLOCK", tiles):
+                got = flatten(blocks, rect.width), flatten(rect, rect.width)
+            for t in got:
                 assert t.length == rect.width * rect.height
                 assert np.array_equal(t.tiles.offsets, offsets)
                 assert np.array_equal(t.tiles.values, values)
@@ -401,7 +402,7 @@ class TestFlattenSlices:
         lists = stage_blocks(lambda: construct(GapSet.from_gaps([1, 9, 30011]), SplitSpec(2, 1)))
         rect = concat_columns(lists[-1])
         assert rect.paths.xs.size >= 100_000
-        monkeypatch.setattr(grid, "_FLATTEN_TILES", len(rect.paths) // (16 * slices))
+        monkeypatch.setattr(types, "_BLOCK", len(rect.paths) // (16 * slices))
         tracemalloc.start()
         try:
             t = flatten(rect, rect.width)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_serialize_properties import assert_paths_agree, read_in_pieces_of
+from test_serialize_properties import assert_paths_agree, blocks_of
 
 from gaptiles import (
     GapSet,
@@ -16,9 +16,8 @@ from gaptiles import (
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles import serialize
+from gaptiles import serialize, types
 from gaptiles.serialize import (
-    _rows_json,
     dumps_canonical,
     interval_to_obj,
     read_json,
@@ -74,7 +73,7 @@ def test_homogeneous_annotation_round_trip():
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
 def test_rows_print_as_json_lists(chunk):
     # The rows are formatted from the CSR arrays; they must read exactly as
-    # json.dumps prints the same rows as lists, wherever a chunk ends.
+    # json.dumps prints the same rows as lists, wherever a block ends.
     st = boundary_base(1, 9, 1, 1)
     for rows, lists in [
         (st.tiling.tiles, [list(t.points) for t in st.tiling.tiles]),
@@ -82,7 +81,8 @@ def test_rows_print_as_json_lists(chunk):
         (stair_tiling(3, 2).paths, [[list(pt) for pt in p.points] for p in stair_tiling(3, 2).paths]),
         (Paths.from_rows([[(0, 0)], [(1, 0), (1, 1)]]), [[[0, 0]], [[1, 0], [1, 1]]]),
     ]:
-        assert _rows_json(rows, chunk) == json.dumps(lists, separators=(",", ":"))
+        with blocks_of(chunk):
+            assert dumps_canonical(rows) == json.dumps(lists, separators=(",", ":")) + "\n"
 
 
 def test_canonical_dump_matches_json_dumps():
@@ -248,10 +248,15 @@ def test_rectangle_files_read_as_json_loads_reads_them(text):
     ids=[*(f"interval-{k}" for k in INTERVAL_FILES), *(f"rectangle-{k}" for k in RECTANGLE_FILES)],
 )
 def test_named_files_read_the_same_in_small_pieces(text):
-    # pieces of a few bytes put seams beside every "],[" and "]],[["
-    for piece in range(1, 9):
-        with read_in_pieces_of(piece):
+    # pieces of 16 to 128 bytes put seams beside "],[" and "]],[["
+    for block in range(1, 9):
+        with blocks_of(block):
             assert_paths_agree(text.encode("utf-8"))
+
+
+def piece_bytes() -> int:
+    """The size of the pieces the reader cuts, at the present block size."""
+    return 16 * types._BLOCK
 
 
 def many_pieces_file(path, points=1 << 20):
@@ -266,7 +271,7 @@ def many_pieces_file(path, points=1 << 20):
 def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
     path = tmp_path / "t.json"
     tiling = many_pieces_file(path)
-    assert path.stat().st_size > 16 * serialize._PIECE_BYTES
+    assert path.stat().st_size > 16 * piece_bytes()
     tracemalloc.start()
     try:
         back = read_json(path)
@@ -278,7 +283,7 @@ def test_reading_holds_little_beyond_the_file_and_its_arrays(tmp_path):
     # Reading the rows in one go took about 4.5 times the file's size on
     # top. A piece's scratch is about 8 times its size; the bound leaves
     # room for two.
-    assert peak < path.stat().st_size + arrays + 8 * 2 * serialize._PIECE_BYTES
+    assert peak < path.stat().st_size + arrays + 8 * 2 * piece_bytes()
 
 
 def test_a_write_holds_one_chunks_scratch_and_no_write_or_read_starts_a_thread(tmp_path, monkeypatch):
@@ -297,7 +302,7 @@ def test_a_write_holds_one_chunks_scratch_and_no_write_or_read_starts_a_thread(t
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 16 * serialize._PIECE_BYTES  # read in many pieces
+        assert path.stat().st_size > 16 * piece_bytes()  # read in many pieces
         assert read_json(path) == obj
     # A chunk of 16,384 of these points holds about 1.5 MB of scratch (words,
     # their bytes, the text); the write holds less than three at once.
@@ -318,7 +323,7 @@ def test_a_name_of_255_bytes_is_written_with_no_temporary_left(tmp_path, name):
 @pytest.fixture(scope="module")
 def five_pieces(tmp_path_factory):
     path = tmp_path_factory.mktemp("five") / "t.json"
-    many_pieces_file(path, 5 * serialize._PIECE_BYTES // 8)
+    many_pieces_file(path, 5 * piece_bytes() // 8)
     return path.read_bytes()
 
 
@@ -326,16 +331,16 @@ def five_pieces(tmp_path_factory):
 @pytest.mark.parametrize("bad", [b"*", b"01"])
 @pytest.mark.parametrize("where", [0.5, 0.99])
 def test_a_bad_byte_in_a_later_piece_reads_as_json_loads_reads_it(tmp_path, five_pieces, bad, where, split):
-    """The file read in pieces of _PIECE_BYTES // split bytes."""
+    """The file read in pieces of piece_bytes() // split bytes."""
     # the number that starts after the first comma past `where` of the file
     i = five_pieces.index(b",", int(len(five_pieces) * where)) + 1
-    assert i > 2 * serialize._PIECE_BYTES
+    assert i > 2 * piece_bytes()
     data = five_pieces[:i] + bad + five_pieces[i + 1 :]
     path = tmp_path / "t.json"
     path.write_bytes(data)
     with pytest.raises(ValueError) as want:
         json.loads(data)
-    with read_in_pieces_of(serialize._PIECE_BYTES // split):
+    with blocks_of(types._BLOCK // split):
         assert serialize._read_tiling(data) is None
         with pytest.raises(type(want.value)) as got:
             read_json(path)

@@ -1,11 +1,12 @@
-"""Property tests: the canonical dump, printed from the CSR arrays chunk by
-chunk, is exactly json.dumps of the same rows as lists, for any int64
-values and wherever a chunk ends; read_json gives the arrays back by its
+"""Property tests: the canonical dump, printed from the CSR arrays block by
+block, is exactly json.dumps of the same rows as lists, for any int64
+values and wherever a block ends; read_json gives the arrays back by its
 byte pass, whatever size the pieces it reads them in; and any file,
-canonical or not, reads the same by the byte pass as by json.loads alone."""
+canonical or not, reads the same by the byte pass as by json.loads alone.
+Both sizes follow types._BLOCK (a piece is 16 bytes an item), which the
+tests patch."""
 
 import contextlib
-import functools
 import io
 import json
 import tempfile
@@ -15,9 +16,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaptiles import serialize
+from gaptiles import serialize, types
 from gaptiles.cli import main
-from gaptiles.serialize import _rows_json, dumps_canonical, read_json, tiling_from_obj, write_json
+from gaptiles.serialize import dumps_canonical, read_json, tiling_from_obj, write_json
 from gaptiles.types import INT64_MAX, Paths, Tiles
 
 INT64_MIN = -INT64_MAX - 1
@@ -51,8 +52,14 @@ def paths(draw, coords=values):
     return rows
 
 
+def blocks_of(size: int):
+    """Blocks of `size` items for every pass: the printer's chunks of `size`
+    points and the reader's pieces of about 16 * `size` bytes."""
+    return mock.patch.object(types, "_BLOCK", size)
+
+
 def chunk_sizes(rows):
-    """Chunks that end mid-row, at each row's end and at the last point."""
+    """Blocks that end mid-row, at each row's end and at the last point."""
     n = sum(map(len, rows))
     ends = [sum(map(len, rows[: i + 1])) for i in range(len(rows))]
     return sorted({1, 2, 3, max(n, 1), n + 1, 1 << 16, *ends} - {0})
@@ -64,7 +71,8 @@ def test_tiles_print_as_json(rows):
     view = Tiles.from_rows(rows)
     text = json.dumps(rows, separators=(",", ":"))
     for chunk in chunk_sizes(rows):
-        assert _rows_json(view, chunk) == text
+        with blocks_of(chunk):
+            assert dumps_canonical(view) == text + "\n"
     obj = {"kind": "interval", "tiles": view, "length": 1}
     plain = dict(obj, tiles=rows)
     assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
@@ -76,7 +84,8 @@ def test_paths_print_as_json(rows):
     view = Paths.from_rows(rows)
     text = json.dumps(rows, separators=(",", ":"))
     for chunk in chunk_sizes(rows):
-        assert _rows_json(view, chunk) == text
+        with blocks_of(chunk):
+            assert dumps_canonical(view) == text + "\n"
     obj = {"paths": view, "width": 2, "window": None}
     plain = dict(obj, paths=rows)
     assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
@@ -175,9 +184,9 @@ def spliced(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(spliced(), st.sampled_from([1, 2, 5, serialize._PIECE_BYTES]))
-def test_spliced_files_read_the_same_on_both_paths(text, piece):
-    with read_in_pieces_of(piece):
+@given(spliced(), st.sampled_from([1, 2, 5, 1 << 62]))
+def test_spliced_files_read_the_same_on_both_paths(text, block):
+    with blocks_of(block):
         assert_paths_agree(text)
 
 
@@ -196,14 +205,16 @@ def rows_reads(text: bytes) -> list[tuple]:
     return calls
 
 
-def assert_pieces_agree(text: bytes, sizes=None) -> None:
+def assert_pieces_agree(text: bytes) -> None:
     """The rows of the file read to the same view, or the same None, in
-    pieces of every size (of each of `sizes`) as in one piece."""
+    pieces of every size as in one piece."""
     for data, a, end, depth in rows_reads(text):
-        whole = serialize._rows_from_bytes(data, a, end, depth, end - a)
-        for piece in sizes or range(1, end - a + 2):
-            got = serialize._rows_from_bytes(data, a, end, depth, piece)
-            assert type(got) is type(whole) and got == whole, piece
+        with blocks_of(1 << 62):
+            whole = serialize._rows_from_bytes(data, a, end, depth)
+        for block in range(1, (end - a) // 16 + 2):
+            with blocks_of(block):
+                got = serialize._rows_from_bytes(data, a, end, depth)
+            assert type(got) is type(whole) and got == whole, block
 
 
 few_tiles = st.lists(st.lists(wide, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
@@ -223,7 +234,7 @@ def split_rows(draw):
     else:
         key, view = b'"paths":', Paths.from_rows(draw(paths(wide).filter(lambda rows: len(rows) <= 3)))
         obj = {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]], "paths": view}
-    rows = _rows_json(view).encode()
+    rows = dumps_canonical(view).encode()[:-1]
     split = rows
     if draw(st.booleans()):
         i = draw(st.integers(0, len(rows)))
@@ -236,12 +247,6 @@ def split_rows(draw):
 @given(split_rows())
 def test_every_piece_size_reads_the_rows_as_one_piece(text):
     assert_pieces_agree(text)
-
-
-def read_in_pieces_of(piece: int):
-    """read_json with the rows read in pieces of `piece` bytes."""
-    real = serialize._rows_from_bytes
-    return mock.patch.object(serialize, "_rows_from_bytes", functools.partial(real, piece=piece))
 
 
 def word_edges() -> list[int]:
@@ -266,10 +271,10 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
     text = dumps_canonical({"tiles": [edges[i : i + 2] for i in range(len(edges) - 1)]}).encode()
     path.write_bytes(text)
     want = Tiles.from_rows(json.loads(text)["tiles"])
-    for piece in range(1, len(text)):
-        with read_in_pieces_of(piece):
+    for block in range(1, len(text) // 16 + 2):
+        with blocks_of(block):
             back = read_json(path)["tiles"]
-        assert isinstance(back, Tiles) and back == want, piece
+        assert isinstance(back, Tiles) and back == want, block
 
 
 def test_numbers_that_fill_each_word_print_as_json_dumps_prints_them():
@@ -280,8 +285,9 @@ def test_numbers_that_fill_each_word_print_as_json_dumps_prints_them():
     paths = [[[edges[i], edges[m - 1 - i]], [edges[i + 1], edges[m - i]]] for i in range(m)]
     for view, rows in ((Tiles.from_rows(tiles), tiles), (Paths.from_rows(paths), paths)):
         text = json.dumps(rows, separators=(",", ":"))
-        for chunk in (1, 2, 3, serialize._CHUNK_POINTS):
-            assert _rows_json(view, chunk) == text, chunk
+        for chunk in (1, 2, 3, 5, 1 << 62):
+            with blocks_of(chunk):
+                assert dumps_canonical(view) == text + "\n", chunk
 
 
 def test_any_byte_in_place_of_a_digit_reads_as_json_loads_reads_it():
