@@ -419,6 +419,7 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
             return None
         np.negative(mag, out=mag, where=neg)
         breaks.append((before + np.flatnonzero(shut == per_point) + 1) // per_point)
+        del shut, ends, neg, digits, mag, spare, k, t, big  # freed before the next piece
     offsets = np.concatenate(([0], *breaks, [values.size // per_point]))
     breaks.clear()  # a copy of the offsets, dropped before the view's checks
     try:

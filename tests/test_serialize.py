@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import threading
 import tracemalloc
@@ -248,10 +249,46 @@ def test_rectangle_files_read_as_json_loads_reads_them(text):
     ids=[*(f"interval-{k}" for k in INTERVAL_FILES), *(f"rectangle-{k}" for k in RECTANGLE_FILES)],
 )
 def test_named_files_read_the_same_in_small_pieces(text):
-    # pieces of 16 to 128 bytes put seams beside "],[" and "]],[["
+    # with 19-digit numbers, pieces of 16 bytes (blocks of 1) cut the rows
+    # just after every comma, beside every "],[" and "]],[["
+    text = padded(text)
     for block in range(1, 9):
         with blocks_of(block):
             assert_paths_agree(text.encode("utf-8"))
+
+
+# a number of one to three digits with no sign, no leading zero and no
+# fraction or exponent: raised by 10**18 it stays as canonical as it was
+SMALL = re.compile(r"(?<![-\d.eE])(0|[1-9]\d{0,2})(?![\d.eE])")
+
+
+def padded(text: str) -> str:
+    """The file with each SMALL number inside a "tiles" or "paths" array
+    raised by 10**18 to 19 digits, and every other byte as it was."""
+    out, at = [], 0
+    for key in re.finditer(r'"(?:tiles|paths)":', text):
+        if key.start() < at:
+            continue
+        a = b = key.end()
+        depth = 0
+        while b < len(text) and text[b] not in "{}":
+            depth += (text[b] == "[") - (text[b] == "]")
+            b += 1
+            if depth <= 0:
+                break
+        out += [text[at:a], SMALL.sub(lambda m: str(int(m[0]) + 10**18), text[a:b])]
+        at = b
+    return "".join(out) + text[at:]
+
+
+def test_padding_keeps_each_named_file_as_canonical_as_it_was():
+    assert padded(tiles("[[0,1],[2,-03]]")) == tiles(
+        "[[1000000000000000000,1000000000000000001],[1000000000000000002,-03]]"
+    )
+    assert padded(tiles("[[-0,01],[1e3,1.0]]")) == tiles("[[-0,01],[1e3,1.0]]")
+    assert padded(paths("[[[0,0],[0,1]]]")) == paths(
+        "[[[1000000000000000000,1000000000000000000],[1000000000000000000,1000000000000000001]]]"
+    )
 
 
 def piece_bytes() -> int:

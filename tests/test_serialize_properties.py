@@ -217,9 +217,6 @@ def assert_pieces_agree(text: bytes) -> None:
             assert type(got) is type(whole) and got == whole, block
 
 
-few_tiles = st.lists(st.lists(wide, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
-
-
 # bracket runs longer than the rows' depth, and after a bare minus sign
 BRACKET_RUNS = [b"]]]", b"[[[", b"]]],[[[", b"-]", b"-]]", b"-]]]", b"-]],[-", b"-]]],[[[-"]
 
@@ -227,12 +224,16 @@ BRACKET_RUNS = [b"]]]", b"[[[", b"]]],[[[", b"-]", b"-]]", b"-]]]", b"-]],[-", b
 @st.composite
 def split_rows(draw):
     """A canonical interval or rectangle file, its rows left whole or with
-    one of SPLICES or BRACKET_RUNS put somewhere inside them."""
+    one of SPLICES or BRACKET_RUNS put somewhere inside them. Its numbers
+    are at times all of 19 digits: pieces of 16 bytes then cut the rows
+    just after every comma."""
+    numbers = draw(st.sampled_from([wide, nineteen]))
     if draw(st.booleans()):
+        few_tiles = st.lists(st.lists(numbers, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
         key, view = b'"tiles":', Tiles.from_rows(draw(few_tiles))
         obj = {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": view}
     else:
-        key, view = b'"paths":', Paths.from_rows(draw(paths(wide).filter(lambda rows: len(rows) <= 3)))
+        key, view = b'"paths":', Paths.from_rows(draw(paths(numbers).filter(lambda rows: len(rows) <= 3)))
         obj = {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]], "paths": view}
     rows = dumps_canonical(view).encode()[:-1]
     split = rows
@@ -267,7 +268,7 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
         path.write_bytes(text)
         back = read_json(path)["tiles"]
         assert isinstance(back, Tiles) and back == Tiles.from_rows(json.loads(text)["tiles"]), v
-    # each number at a piece's start and at its end, at every piece size
+    # the numbers side by side, at every block size
     text = dumps_canonical({"tiles": [edges[i : i + 2] for i in range(len(edges) - 1)]}).encode()
     path.write_bytes(text)
     want = Tiles.from_rows(json.loads(text)["tiles"])
@@ -275,6 +276,15 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
         with blocks_of(block):
             back = read_json(path)["tiles"]
         assert isinstance(back, Tiles) and back == want, block
+    # each number beside one of 19 digits, which fills a piece of 16 bytes
+    # (a block of 1): the piece before each number ends just before it,
+    # after "],[" in rows [v, INT64_MAX] and after "," in rows [INT64_MIN, v]
+    for rows in ([[v, INT64_MAX] for v in edges if v < INT64_MAX], [[INT64_MIN, v] for v in edges if v > INT64_MIN]):
+        path.write_bytes(dumps_canonical({"tiles": rows}).encode())
+        for block in (1, 2, 3):
+            with blocks_of(block):
+                back = read_json(path)["tiles"]
+            assert isinstance(back, Tiles) and back == Tiles.from_rows(rows), block
 
 
 def test_numbers_that_fill_each_word_print_as_json_dumps_prints_them():
