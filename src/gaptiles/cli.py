@@ -211,9 +211,8 @@ def cmd_verify(args) -> int:
     reports = {}
     if kind == "interval":
         homogeneous = args.homogeneous or tiling.annotations.homogeneous_for is not None
-        target = tiling.annotations.homogeneous_for or gaps
-        if homogeneous:
-            reports["homogeneous"] = verify_homogeneous(tiling.tiles, tiling.length, target)
+        if homogeneous:  # for the gap set, which a homogeneous_for annotation must be
+            reports["homogeneous"] = verify_homogeneous(tiling.tiles, tiling.length, gaps)
         else:
             reports["interval"] = verify_interval_tiling(tiling, gaps)
         count = tiling.annotations.boundary_prefix_count

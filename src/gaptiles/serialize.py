@@ -19,15 +19,21 @@ so a failed write leaves the earlier file as it was and no temporary file
 behind.
 
 read_json reads that layout back from the bytes, in pieces of about
-16 * types._BLOCK bytes (256 KB) one after another in the calling thread:
-a few array passes check each piece against the canonical grammar and find
-its numbers' bounds, and each number is read eight digits per word of the
-file's bytes straight into the CSR arrays. The scratch memory is bounded
-by one piece, not by the file, and the result is the same whatever the
-piece size. json.loads parses the small rest of the object, and the whole
-of a file laid out any other way, which so reads exactly as before. Either
-way a point or a header number that is not a JSON integer is a parse error
-(PreconditionError), never truncated or read as 0 or 1.
+16 * types._BLOCK bytes (256 KB) one after another in the calling thread,
+after one pass that counts each piece's commas and row breaks: each piece
+finds its commas two bytes at a time, tests the bracket byte on each side
+of each, takes every number's digit count from the distance between
+commas, and reads each number from the word of the file's bytes that ends
+with it, "0" taken from every byte, masked to its digits, tested to hold
+digits only and added up by three mask, multiply and shift steps straight
+into the CSR arrays. Signs, second words and the 2**63 bound are looked at
+only in a piece that holds a "-", a number of more than 8 digits or one
+of 19. The scratch memory is bounded by one piece, not by the file, and
+the result is the same whatever the piece size. json.loads parses the
+small rest of the object, and the whole of a file laid out any other way,
+which so reads exactly as before. Either way a point or a header number
+that is not a JSON integer is a parse error (PreconditionError), never
+truncated or read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -274,11 +280,16 @@ def _read_plain(data: bytes) -> Any:
 # The key of the rows array of an interval and of a rectangle file, and how
 # deep its numbers sit in it.
 _ROW_ARRAYS = (("tiles", 2), ("paths", 3))
-# _FILL[k] puts "0" in the bytes before the last k of a word; _COMBINE's
-# steps add 8 digits up as 4 pairs, 2 fours, 1 eight.
-_FILL = _THREES & ~_HIGH
+# A word of eight digit values, the first most significant, is added up in
+# lanes twice as wide three times: a multiply by _TENS puts each byte plus
+# ten times the byte before it in the byte; a shift, a mask and a multiply
+# by _COMBINE's (shift, mask, multiplier) then keep the pairs in every other
+# byte and add them into fours, and the fours into the eight, which a last
+# shift by 32 leaves in the low half. Every byte of the word must hold a
+# digit value or 0.
+_TENS, _HALF = np.uint64(10 << 8 | 1), np.uint64(32)
 _COMBINE = [tuple(map(np.uint64, step)) for step in (
-    (8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10_000, 0xFFFFFFFF))]
+    (8, 0x00FF00FF00FF00FF, 100 << 16 | 1), (16, 0x0000FFFF0000FFFF, 10_000 << 32 | 1))]
 _LEAST = np.array([0, 0, *_POW10[:18]], dtype=np.uint64)  # of d digits, no leading zero
 
 
@@ -335,14 +346,27 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
 
     The numbers are checked and read in pieces of about 16 * types._BLOCK
     bytes, each cut just after a comma, one after another: the read holds
-    one piece's scratch, about 8 times its size, beyond the file and its
-    arrays. One pass first fixes the pieces and counts their commas, so
-    each piece knows its slice of the values, its parity within a point and
-    where its first number starts; then each piece is checked, writes its
-    values into its slice and adds its row breaks. Only the values and the
-    row breaks outlive a piece. The bracket runs beside a comma are read
-    from the whole file, so a seam changes nothing: every piece size gives
-    the same view or the same None.
+    one piece's scratch, about 5 times its size, beyond the file and its
+    arrays. One pass first fixes the pieces and counts the commas and the
+    row breaks ("]" before a comma, "]]" for paths) of each, which sizes the
+    values and the offsets. Then each piece, with a running count of the
+    commas before it:
+
+    - finds its commas a pair of bytes at a time (_commas);
+    - compares the bytes on each side of each comma with "]" and "[" (and
+      the next ones out, for paths), and writes its row breaks;
+    - takes each number's end from its comma and its digit count from the
+      distance to the end before it; only a piece that holds a "-" reads
+      the byte before each number's digits for a sign;
+    - reads each number from the word of the file's bytes that ends with
+      it: "0" taken from every byte, the bytes before its digits masked
+      off, a test that every byte is 0-9, and three mask, multiply and
+      shift steps that add the digits up straight into the values. Only a
+      piece with a number of more than 8 digits reads a second and third
+      word, and only one with a number of 19 checks it against 2**63.
+
+    The bytes beside a comma are read from the whole file, so a seam
+    changes nothing: every piece size gives the same view or the same None.
     """
     per_point = depth - 1  # numbers per point
     if end - a == 2:  # "[]"
@@ -351,81 +375,142 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
     if not data.startswith(b"[" * depth, a) or first >= last:
         return None
     u = np.frombuffer(data, dtype=np.uint8)
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # no copy
     piece = 16 * types._BLOCK
-    bounds = [first]  # where each piece starts, then `last`
-    commas_before = [0]  # commas before each piece, then all of them
-    while bounds[-1] < last:
-        s = bounds[-1]
+    pieces = []  # (start, end, commas, row breaks) of each piece
+    s = first
+    while s < last:
         cut = data.find(b",", s + piece - 1, last)
-        bounds.append(last if cut < 0 else cut + 1)
-        commas_before.append(commas_before[-1] + np.count_nonzero(u[s : bounds[-1]] == ord(",")))
-    if per_point == 2 and commas_before[-1] % 2 == 0:
+        e = last if cut < 0 else cut + 1
+        closed = u[s:e] == ord("]")
+        if depth == 3:
+            closed = closed[:-1] & closed[1:]  # "]]"
+        pieces.append((s, e, np.count_nonzero(u[s:e] == ord(",")), np.count_nonzero(closed)))
+        s = e
+    del closed  # not held by the pieces' loop
+    commas = sum(p[2] for p in pieces)
+    if per_point == 2 and commas % 2 == 0:
         return None
-    values = np.empty(commas_before[-1] + 1, dtype=np.int64)
-    breaks = []  # points before each later row, per piece
-    for s, e, before in zip(bounds, bounds[1:], commas_before):
-        commas = np.flatnonzero(u[s:e] == ord(",")) + s
+    values = np.empty(commas + 1, dtype=np.int64)
+    offsets = np.empty(sum(p[3] for p in pieces) + 2, dtype=np.int64)
+    offsets[0], offsets[-1] = 0, values.size // per_point
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # no copy
+    before = rows = 0  # the commas and the row breaks before the piece
+    for s, e, count, breaks in pieces:
+        c = _commas(u[s:e])
+        if c.size != count:
+            return None
         # "]" closed just before and "[" opened just after each comma
-        shut, opened = np.zeros((2, commas.size), dtype=np.int8)
-        run_shut, run_open = np.ones((2, commas.size), dtype=bool)
-        for i in range(1, depth):
-            run_shut &= u[commas - i] == ord("]")
-            run_open &= u[commas + i] == ord("[")
-            shut += run_shut
-            opened += run_open
+        shut, opened = ((u[s + i : e + i].take(c) == ord(b)).view(np.int8) for i, b in ((-1, "]"), (1, "[")))
+        if depth == 3:
+            shut += shut.view(np.bool_) & (u[s - 2 : e - 2].take(c) == ord("]"))
+            opened += opened.view(np.bool_) & (u[s + 2 : e + 2].take(c) == ord("["))
         if not np.array_equal(shut, opened):
             return None
         # within a point (an even comma overall) nothing closes, between points something does
         within = before % 2
         if per_point == 2 and (shut[within::2].any() or not shut[1 - within :: 2].all()):
             return None
-        # the first number starts after the "[" run that follows the comma before the piece
-        head = data[s : s + per_point]
-        start = s if s == first else s + len(head) - len(head.lstrip(b"["))
-        ends = commas - shut if e < last else np.append(commas - shut, last)  # only the last ends in a number
-        starts = np.concatenate(([start], commas + 1 + opened))[: ends.size]
-        neg = u[starts] == ord("-")
-        digits = ends - starts - neg
-        del commas, opened, run_shut, run_open, starts  # less scratch held by the digit loop
-        if digits.min() < 1 or digits.max() > 19:
+        # a row break after each comma that closes a row (a path, for paths)
+        found = np.flatnonzero(shut == per_point)
+        if found.size != breaks:
             return None
-        # Word j ends 8j bytes before each number's end, with "0" before its
-        # digits. One that holds a digit starts at byte 4 or later, as the rows
-        # start after '{"tiles":[['; one that holds none is read at byte 0.
-        mag = values[before : before + ends.size].view(np.uint64)
-        mag[...], spare = 0, np.empty_like(mag)
-        for j in range(-(-int(digits.max()) // 8)):
-            k = np.clip(digits - 8 * j, 0, 8)
-            t = words[np.maximum(ends - 8 * (j + 1), 0)]
-            t &= _HIGH[k]
-            t |= _FILL[k]
-            # a digit, 0x30-0x39, has a high nibble of 3, and still 3 after adding 6
-            np.add(t, _SIXES, out=spare)
-            spare ^= _THREES
-            t ^= _THREES  # each digit byte now holds its value
-            spare |= t
-            if np.bitwise_and(spare, _NIBBLES, out=spare).any():
+        found += before + 1
+        np.right_shift(found, per_point - 1, out=offsets[1 + rows : 1 + rows + breaks])  # halved for paths
+        rows += breaks
+        # each number's end, from s: its comma less the "]" before it, and for the last, `last`
+        n = c.size + (e == last)
+        x = np.empty(n, dtype=np.int64)
+        np.subtract(c, shut, out=x[: c.size])
+        if e == last:
+            x[-1] = last - s
+        # its digits: from the end before it, less the comma and the brackets between
+        digits = np.empty_like(x)
+        head = data[s : s + per_point]  # the "[" run that opens the first number, if any
+        digits[0] = x[0] if s == first else x[0] - len(head) + len(head.lstrip(b"["))
+        np.subtract(x[1:], x[:-1], out=digits[1:])
+        gap = shut[: n - 1] * np.int8(2)
+        gap += 1
+        digits[1:] -= gap
+        if digits.min() < 1:
+            return None
+        neg = None
+        if data.find(b"-", s, e) >= 0:
+            neg = u[s:e].take(x - digits) == ord("-")
+            digits -= neg
+            if digits.min() < 1:
                 return None
-            for shift, scale, mask in _COMBINE:
-                np.right_shift(t, shift, out=spare)
-                t *= scale
-                t += spare
-                t &= mask
-            t *= np.uint64(10 ** (8 * j))
-            mag += t
-        big = digits == 19  # only these reach 2**63, which only a negative may
-        if (mag < _LEAST[digits]).any() or (mag[big] > np.uint64(2**63 - 1) + neg[big]).any():
+        del c, shut, opened, found, gap  # less scratch held by the word loop
+        top = int(digits.max())
+        if top > 19:
             return None
-        np.negative(mag, out=mag, where=neg)
-        breaks.append((before + np.flatnonzero(shut == per_point) + 1) // per_point)
-        del shut, ends, neg, digits, mag, spare, k, t, big  # freed before the next piece
-    offsets = np.concatenate(([0], *breaks, [values.size // per_point]))
-    breaks.clear()  # a copy of the offsets, dropped before the view's checks
+        mag = values[before : before + n].view(np.uint64)
+        if not _read_numbers(words, s, x, digits, top, mag):
+            return None
+        if (mag < _LEAST.take(digits)).any():
+            return None
+        if top == 19:  # only these reach 2**63, which only a negative may
+            big = digits == 19
+            if (mag[big] > np.uint64(2**63 - 1) + (0 if neg is None else neg[big])).any():
+                return None
+        if neg is not None:
+            np.negative(mag, out=mag, where=neg)
+        del x, digits, neg, mag  # freed before the next piece
+        before += count
     try:
         return Tiles(offsets, values) if depth == 2 else Paths(offsets, values[::2], values[1::2])
     except PreconditionError:
         return None
+
+
+def _commas(piece: np.ndarray) -> np.ndarray:
+    """The index of each comma in the bytes `piece`, found a pair of bytes
+    at a time: a pair that holds two (an empty number) gives one."""
+    pairs = np.empty((piece.size + 1) // 2, dtype="<u2")
+    pairs[-1] = 0
+    np.equal(piece, ord(","), out=pairs.view(np.bool_)[: piece.size])
+    c = np.flatnonzero(pairs != 0)  # numpy's fast path wants booleans
+    odd = pairs.take(c)
+    odd >>= 8  # 1 for a comma in the pair's second byte
+    c <<= 1
+    c += odd
+    return c
+
+
+def _read_numbers(
+    words: np.ndarray, s: int, x: np.ndarray, digits: np.ndarray, top: int, out: np.ndarray
+) -> bool:
+    """Reads into out the unsigned numbers of `digits` digits, at most
+    `top`, that end at s + x in the file whose little-endian words (words[i]
+    the eight bytes from i) are `words`; False if a byte among their digits
+    is not a digit.
+
+    Word j of a number ends 8j bytes before it. One that holds a digit
+    starts at byte 4 or later, as the rows start after '{"tiles":[['; one
+    that holds none is read at byte 0.
+    """
+    for j in range(-(-top // 8)):
+        if top <= 8:
+            k, t = digits, words[s - 8 :][x]
+        else:
+            k = np.clip(digits - 8 * j, 0, 8)
+            t = words[np.maximum(x + (s - 8 * (j + 1)), 0)]
+        t ^= _THREES  # each digit byte now holds its value
+        t &= _HIGH.take(k)  # and each byte before the number's digits 0
+        # a byte of 0-9 keeps a high nibble of 0 after adding 6; any other has one before or after
+        spare = t + _SIXES
+        spare |= t
+        if np.bitwise_and(spare, _NIBBLES, out=spare).any():
+            return False
+        t *= _TENS
+        for shift, mask, scale in _COMBINE:
+            t >>= shift
+            t &= mask
+            t *= scale
+        np.right_shift(t, _HALF, out=out if j == 0 else t)
+        if j > 0:
+            t *= np.uint64(10 ** (8 * j))
+            out += t
+    return True
 
 
 def gap_set_to_obj(gs: GapSet) -> list[list[int]]:
@@ -483,9 +568,10 @@ def tiling_from_obj(obj: Any) -> tuple[str, Any, GapSet | None]:
     """Parse a tiling file object. Returns (kind, tiling, gap_set or None).
 
     Points go straight into the CSR arrays; a point beyond int64, a
-    non-list where a list belongs, or a header number (length, width,
-    height, window, a gap_set or step_type entry, an annotation) that is not
-    an integer is a PreconditionError like any other malformed input.
+    non-list where a list belongs, a header number (length, width, height,
+    window, a gap_set or step_type entry, an annotation) that is not an
+    integer, or a homogeneous_for annotation that is not the gap_set is a
+    PreconditionError like any other malformed input.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise PreconditionError("not a tiling file: missing 'kind'")
@@ -503,14 +589,15 @@ def tiling_from_obj(obj: Any) -> tuple[str, Any, GapSet | None]:
                 count = _integer(count, "boundary_prefix_count")
                 if count < 0:
                     raise PreconditionError(f"boundary_prefix_count must be >= 0, not {count}")
-            ann = TilingAnnotations(
-                boundary_prefix_count=count,
-                homogeneous_for=(
-                    gap_set_from_obj(ann_obj["homogeneous_for"])
-                    if ann_obj.get("homogeneous_for") is not None
-                    else None
-                ),
-            )
+            homogeneous_for = ann_obj.get("homogeneous_for")
+            if homogeneous_for is not None:
+                homogeneous_for = gap_set_from_obj(homogeneous_for)
+                if homogeneous_for != gs:  # verify checks the one gap set
+                    raise PreconditionError(
+                        f"homogeneous_for {gap_set_to_obj(homogeneous_for)}"
+                        f" differs from gap_set {gap_set_to_obj(gs)}"
+                    )
+            ann = TilingAnnotations(boundary_prefix_count=count, homogeneous_for=homogeneous_for)
             length = _integer(obj["length"], "length")
             return kind, IntervalTiling(length, _rows(Tiles, obj["tiles"]), ann), gs
         if kind == "rectangle":

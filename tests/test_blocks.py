@@ -3,7 +3,8 @@ of Tiles and Paths, the tile-end scans, a stage's cardinality histogram and
 the gap and window checks) work one block of types._BLOCK items at a time:
 they give the same values, errors and reports for every block size, and
 their scratch memory does not grow with the tiling beyond the cover's one
-boolean mark per point."""
+boolean mark per point. Nor does the scratch of reading a tiling file (one
+piece of 16 bytes a block item at a time) beyond the arrays it returns."""
 
 import gc
 import tracemalloc
@@ -24,6 +25,7 @@ from gaptiles import (
     construct,
     homogeneous_base,
     pipeline,
+    serialize,
     types,
     verify,
     verify_boundary_prefix,
@@ -96,13 +98,14 @@ def test_stages_and_boundary_reports_are_blind_to_the_block(block):
 
 
 def scratch(fn) -> int:
-    """The tracemalloc peak of fn() above what was held before it."""
+    """The tracemalloc peak of fn() above what was held before it and what
+    its result holds after it (a read's arrays)."""
     gc.collect()
     tracemalloc.start()
     try:
-        held = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - held
+        result = fn()  # noqa: F841 (held while the memory is read)
+        held, peak = tracemalloc.get_traced_memory()
+        return peak - held
     finally:
         tracemalloc.stop()
 
@@ -120,12 +123,21 @@ def passes(n: int) -> dict:
     def homogeneous(seqs):
         assert verify_homogeneous(seqs, n, GapSet(((1, 3),))).ok
 
+    # a file of pairs, which has the most row breaks for its points
+    text = serialize.dumps_canonical({"tiles": Tiles(np.arange(0, n + 1, 2), values)}).encode()
+
+    def read():
+        rows = serialize._read_tiling(text)["tiles"]
+        assert isinstance(rows, Tiles) and len(rows) == n // 2  # by the byte pass
+        return rows
+
     return {
         "Tiles": lambda: Tiles(offsets, values),
         "Paths": lambda: Paths(offsets, values, values),
         "verify_homogeneous": lambda: homogeneous(tiles),
         "_built": lambda: pipeline._built(plan, IntervalTiling(n, tiles)),
         "verify_homogeneous, one sequence": lambda: homogeneous(Tiles([0, n], values)),
+        "_read_tiling": read,
     }
 
 

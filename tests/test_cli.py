@@ -591,6 +591,10 @@ class TestVerifyCommand:
             ({"annotations": {"boundary_prefix_count": 1.0}}, "boundary_prefix_count must be an integer, not 1.0"),
             ({"annotations": {"boundary_prefix_count": -1}}, "boundary_prefix_count must be >= 0, not -1"),
             ({"annotations": {"homogeneous_for": [[1.0, 1]]}}, "a gap distance must be an integer, not 1.0"),
+            (
+                {"annotations": {"homogeneous_for": [[1, 1]]}, "gap_set": [[5, 1]]},
+                "homogeneous_for [[1, 1]] differs from gap_set [[5, 1]]",
+            ),
             ({"annotations": [1]}, "annotations must be an object, not [1]"),
             ({"annotations": []}, "annotations must be an object, not []"),
             ({"annotations": False}, "annotations must be an object, not False"),
@@ -604,6 +608,7 @@ class TestVerifyCommand:
         ids=[
             "float-length-and-gap", "float-length", "bool-length", "bool-multiplicity", "string-length",
             "string-boundary-count", "float-boundary-count", "negative-boundary-count", "float-homogeneous-gap",
+            "homogeneous-for-other-gaps",
             "list-annotations",
             "empty-list-annotations", "false-annotations", "float-width",
             "bool-height", "string-window", "float-step", "bool-step-multiplicity", "three-coordinate-step",

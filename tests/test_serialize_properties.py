@@ -134,8 +134,13 @@ def outcome(path):
     return value, code, out.getvalue(), err.getvalue()
 
 
-def assert_paths_agree(text: bytes) -> None:
-    """The file reads the same by the byte pass as by json.loads alone."""
+def assert_paths_agree(text: bytes, byte_pass: bool | None = None) -> None:
+    """The file reads the same by the byte pass as by json.loads alone, and
+    the byte pass reads it, or declines it, as byte_pass says (if given).
+    A reader that wrongly declines a file shows only here: json.loads then
+    gives the same outcome."""
+    if byte_pass is not None:
+        assert (serialize._read_tiling(text) is not None) == byte_pass
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.json"
         path.write_bytes(text)
@@ -159,21 +164,30 @@ SPLICES = [
 ]
 
 
+# canonical files
+bases = st.one_of(
+    st.sampled_from([INTERVAL, RECTANGLE]),
+    tiles.map(lambda rows: dumps_canonical(
+        {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": Tiles.from_rows(rows)}
+    ).encode()),
+    paths().map(lambda rows: dumps_canonical(
+        {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]],
+         "paths": Paths.from_rows(rows)}
+    ).encode()),
+)
+
+
+@SETTINGS
+@given(bases, st.sampled_from([1, 2, 5, 1 << 62]))
+def test_canonical_files_are_read_by_the_byte_pass(text, block):
+    with blocks_of(block):
+        assert_paths_agree(text, byte_pass=True)
+
+
 @st.composite
 def spliced(draw):
     """A canonical file with a few bytes replaced by one of SPLICES, or cut short."""
-    base = draw(
-        st.one_of(
-            st.sampled_from([INTERVAL, RECTANGLE]),
-            tiles.map(lambda rows: dumps_canonical(
-                {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": Tiles.from_rows(rows)}
-            ).encode()),
-            paths().map(lambda rows: dumps_canonical(
-                {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]],
-                 "paths": Paths.from_rows(rows)}
-            ).encode()),
-        )
-    )
+    base = draw(bases)
     for _ in range(draw(st.integers(1, 2))):
         i = draw(st.integers(0, len(base)))
         j = draw(st.integers(i, min(i + 3, len(base))))
@@ -205,12 +219,15 @@ def rows_reads(text: bytes) -> list[tuple]:
     return calls
 
 
-def assert_pieces_agree(text: bytes) -> None:
+def assert_pieces_agree(text: bytes, canonical: bool = False) -> None:
     """The rows of the file read to the same view, or the same None, in
-    pieces of every size as in one piece."""
-    for data, a, end, depth in rows_reads(text):
+    pieces of every size as in one piece; to a view if they are canonical."""
+    reads = rows_reads(text)
+    assert reads or not canonical
+    for data, a, end, depth in reads:
         with blocks_of(1 << 62):
             whole = serialize._rows_from_bytes(data, a, end, depth)
+        assert whole is not None or not canonical
         for block in range(1, (end - a) // 16 + 2):
             with blocks_of(block):
                 got = serialize._rows_from_bytes(data, a, end, depth)
@@ -224,9 +241,9 @@ BRACKET_RUNS = [b"]]]", b"[[[", b"]]],[[[", b"-]", b"-]]", b"-]]]", b"-]],[-", b
 @st.composite
 def split_rows(draw):
     """A canonical interval or rectangle file, its rows left whole or with
-    one of SPLICES or BRACKET_RUNS put somewhere inside them. Its numbers
-    are at times all of 19 digits: pieces of 16 bytes then cut the rows
-    just after every comma."""
+    one of SPLICES or BRACKET_RUNS put somewhere inside them, and whether
+    they were left whole. Its numbers are at times all of 19 digits: pieces
+    of 16 bytes then cut the rows just after every comma."""
     numbers = draw(st.sampled_from([wide, nineteen]))
     if draw(st.booleans()):
         few_tiles = st.lists(st.lists(numbers, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
@@ -241,13 +258,14 @@ def split_rows(draw):
         i = draw(st.integers(0, len(rows)))
         j = draw(st.integers(i, min(i + 3, len(rows))))
         split = rows[:i] + draw(st.sampled_from(SPLICES + BRACKET_RUNS)) + rows[j:]
-    return dumps_canonical(obj).encode().replace(key + rows, key + split)
+    return dumps_canonical(obj).encode().replace(key + rows, key + split), split == rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(split_rows())
-def test_every_piece_size_reads_the_rows_as_one_piece(text):
-    assert_pieces_agree(text)
+def test_every_piece_size_reads_the_rows_as_one_piece(file):
+    text, whole = file
+    assert_pieces_agree(text, canonical=whole)
 
 
 def word_edges() -> list[int]:
