@@ -21,19 +21,19 @@ behind.
 read_json reads that layout back from the bytes, in pieces of about
 16 * types._BLOCK bytes (256 KB) one after another in the calling thread,
 after one pass that counts each piece's commas and row breaks: each piece
-finds its commas two bytes at a time, tests the bracket byte on each side
-of each, takes every number's digit count from the distance between
-commas, and reads each number from the word of the file's bytes that ends
-with it, "0" taken from every byte, masked to its digits, tested to hold
-digits only and added up by three mask, multiply and shift steps straight
-into the CSR arrays. Signs, second words and the 2**63 bound are looked at
-only in a piece that holds a "-", a number of more than 8 digits or one
-of 19. The scratch memory is bounded by one piece, not by the file, and
-the result is the same whatever the piece size. json.loads parses the
-small rest of the object, and the whole of a file laid out any other way,
-which so reads exactly as before. Either way a point or a header number
-that is not a JSON integer is a parse error (PreconditionError), never
-truncated or read as 0 or 1.
+finds its commas, tests the bracket byte on each side of each, takes every
+number's digit count from the distance between commas, and reads each
+number from the word of the file's bytes that ends with it, "0" taken from
+every byte, masked to its digits, tested to hold digits only and added up
+by three mask, multiply and shift steps straight into the CSR arrays.
+Signs, second words and the 2**63 bound are looked at only in a piece that
+holds a "-", a number of more than 8 digits or one of 19. The scratch
+memory is bounded by one piece, not by the file, and the result is the
+same whatever the piece size. json.loads parses the small rest of the
+object, and the whole of a file laid out any other way, which so reads
+exactly as before. Either way a point or a header number that is not a
+JSON integer is a parse error (PreconditionError), never truncated or read
+as 0 or 1.
 """
 
 from __future__ import annotations
@@ -352,7 +352,7 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
     values and the offsets. Then each piece, with a running count of the
     commas before it:
 
-    - finds its commas a pair of bytes at a time (_commas);
+    - finds its commas;
     - compares the bytes on each side of each comma with "]" and "[" (and
       the next ones out, for paths), and writes its row breaks;
     - takes each number's end from its comma and its digit count from the
@@ -396,7 +396,7 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # no copy
     before = rows = 0  # the commas and the row breaks before the piece
     for s, e, count, breaks in pieces:
-        c = _commas(u[s:e])
+        c = np.flatnonzero(u[s:e] == ord(","))
         if c.size != count:
             return None
         # "]" closed just before and "[" opened just after each comma
@@ -450,7 +450,8 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
             return None
         if top == 19:  # only these reach 2**63, which only a negative may
             big = digits == 19
-            if (mag[big] > np.uint64(2**63 - 1) + (0 if neg is None else neg[big])).any():
+            over = mag[big] if neg is None else mag[big] - neg[big]  # uint64 throughout
+            if (over > np.uint64(2**63 - 1)).any():
                 return None
         if neg is not None:
             np.negative(mag, out=mag, where=neg)
@@ -460,20 +461,6 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
         return Tiles(offsets, values) if depth == 2 else Paths(offsets, values[::2], values[1::2])
     except PreconditionError:
         return None
-
-
-def _commas(piece: np.ndarray) -> np.ndarray:
-    """The index of each comma in the bytes `piece`, found a pair of bytes
-    at a time: a pair that holds two (an empty number) gives one."""
-    pairs = np.empty((piece.size + 1) // 2, dtype="<u2")
-    pairs[-1] = 0
-    np.equal(piece, ord(","), out=pairs.view(np.bool_)[: piece.size])
-    c = np.flatnonzero(pairs != 0)  # numpy's fast path wants booleans
-    odd = pairs.take(c)
-    odd >>= 8  # 1 for a comma in the pair's second byte
-    c <<= 1
-    c += odd
-    return c
 
 
 def _read_numbers(
