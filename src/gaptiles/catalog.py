@@ -16,7 +16,7 @@ import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .errors import SearchExhausted
+from .errors import PreconditionError, SearchExhausted
 from .oracle import SearchConfig, min_interval
 from .serialize import dumps_canonical, gap_set_to_obj, interval_to_obj, write_json
 from .types import GapSet
@@ -81,12 +81,17 @@ def run_catalog(
     max_distance: int,
     max_multiplicity: int,
     n_max: int,
-    max_nodes: int = 10_000_000,
+    max_nodes: int = SearchConfig.max_nodes,
     timings: bool = False,
 ) -> dict:
     """Run (or resume) a catalog. Returns a summary dict; records are appended
-    to `path` and witnesses written next to it."""
-    SearchConfig(max_nodes=max_nodes)  # refuses a budget below 1 before a file is touched
+    to `path` and witnesses written next to it. A bound or budget below 1
+    is a PreconditionError, raised before a file is touched."""
+    bounds = {"max_distance": max_distance, "max_multiplicity": max_multiplicity, "n_max": n_max}
+    for name, value in bounds.items():
+        if value < 1:
+            raise PreconditionError(f"{name} must be >= 1, got {value}")
+    SearchConfig(max_nodes=max_nodes)
     path = Path(path)
     gap_sets = enumerate_gap_sets(max_distance, max_multiplicity)
     chash = config_hash(max_distance, max_multiplicity, n_max, max_nodes)

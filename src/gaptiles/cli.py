@@ -97,6 +97,13 @@ def _int_option(token: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
+def _at_least_one(value: int, option: str) -> None:
+    """Refuse a value below 1 as malformed input: a search of an empty
+    interval would report a proof claim about no interval at all."""
+    if value < 1:
+        raise PreconditionError(f"{option} must be >= 1, got {value}")
+
+
 def _int_pair(text: str, what: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -170,6 +177,7 @@ def cmd_construct(args) -> int:
 
 def cmd_solve(args) -> int:
     gaps = parse_gaps(args.gaps)
+    _at_least_one(args.len, "--len")
     cfg = SearchConfig(max_nodes=args.max_nodes)
     outcome = solve_interval(gaps, args.len, cfg)
     if outcome.status is SearchStatus.FOUND:
@@ -184,6 +192,7 @@ def cmd_solve(args) -> int:
 
 def cmd_minlen(args) -> int:
     gaps = parse_gaps(args.gaps)
+    _at_least_one(args.max, "--max")
     cfg = SearchConfig(max_nodes=args.max_nodes)
     found = min_interval(gaps, args.max, cfg)
     if found is None:
@@ -310,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact-cover search at one length")
     p.add_argument("--gaps", required=True)
     p.add_argument("--len", type=_int_option, required=True)
-    p.add_argument("--max-nodes", type=_int_option, default=10_000_000, help=_MAX_NODES_HELP)
+    p.add_argument("--max-nodes", type=_int_option, default=SearchConfig.max_nodes, help=_MAX_NODES_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("minlen", help="least tilable length up to a bound")
     p.add_argument("--gaps", required=True)
     p.add_argument("--max", type=_int_option, required=True)
-    p.add_argument("--max-nodes", type=_int_option, default=10_000_000, help=_MAX_NODES_HELP)
+    p.add_argument("--max-nodes", type=_int_option, default=SearchConfig.max_nodes, help=_MAX_NODES_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_minlen)
 
@@ -341,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-multiplicity", type=_int_option, required=True)
     p.add_argument("--nmax", type=_int_option, required=True)
     p.add_argument("--out", default="catalog.jsonl")
-    p.add_argument("--max-nodes", type=_int_option, default=10_000_000, help=_MAX_NODES_HELP)
+    p.add_argument("--max-nodes", type=_int_option, default=SearchConfig.max_nodes, help=_MAX_NODES_HELP)
     p.add_argument("--timings", action="store_true", help="record wall time per record")
     p.set_defaults(func=cmd_catalog)
 

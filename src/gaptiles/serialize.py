@@ -7,33 +7,35 @@ Rectangle tilings:
   (plus an optional "window" key for windowed-mode tilings)
 
 Dumps are canonical (sorted keys, fixed separators, trailing newline), so
-identical inputs always produce byte-identical files. The dicts that
-interval_to_obj and rectangle_to_obj return keep "tiles" or "paths" as the
-tiling's CSR view, and the rows are printed as bytes straight from its
-arrays, one block of types._BLOCK (16,384) points at a time in the calling
-thread: each number becomes a word holding the text before it and words of
-eight digits each, split by multiplying and shifting, and deleting the NUL
-bytes of those words leaves the text. write_json streams the chunks into a
-temporary file in the target's directory and renames it over the target,
-so a failed write leaves the earlier file as it was and no temporary file
-behind.
+identical inputs always produce byte-identical files. The dict that
+interval_to_obj returns keeps "tiles" as the tiling's CSR view, and the
+rows are printed as bytes straight from its arrays, one block of
+types._BLOCK (16,384) points at a time in the calling thread: each number
+becomes a word holding the text before it and words of eight digits each,
+split by multiplying and shifting, and deleting the NUL bytes of those
+words leaves the text. rectangle_to_obj returns "paths" as lists, which
+json.dumps prints: a rectangle file is a height witness of a few hundred
+points at most. write_json streams the chunks into a temporary file in the
+target's directory and renames it over the target, so a failed write
+leaves the earlier file as it was and no temporary file behind.
 
-read_json reads that layout back from the bytes, in pieces of about
-16 * types._BLOCK bytes (256 KB) one after another in the calling thread,
-after one pass that counts each piece's commas and row breaks: each piece
-finds its commas, tests the bracket byte on each side of each, takes every
-number's digit count from the distance between commas, and reads each
-number from the word of the file's bytes that ends with it, "0" taken from
-every byte, masked to its digits, tested to hold digits only and added up
-by three mask, multiply and shift steps straight into the CSR arrays.
-Signs, second words and the 2**63 bound are looked at only in a piece that
-holds a "-", a number of more than 8 digits or one of 19. The scratch
-memory is bounded by one piece, not by the file, and the result is the
-same whatever the piece size. json.loads parses the small rest of the
-object, and the whole of a file laid out any other way, which so reads
-exactly as before. Either way a point or a header number that is not a
-JSON integer is a parse error (PreconditionError), never truncated or read
-as 0 or 1.
+read_json reads the "tiles" of an interval file laid out that way, with no
+"-", back from the bytes, in pieces of about 16 * types._BLOCK bytes
+(256 KB) one after another in the calling thread, after one pass that
+counts each piece's commas and row breaks: each piece finds its commas,
+tests the bracket byte on each side of each, takes every number's digit
+count from the distance between commas, and reads each number from the
+word of the file's bytes that ends with it, "0" taken from every byte,
+masked to its digits, tested to hold digits only and added up by three
+mask, multiply and shift steps straight into the CSR arrays. Second words
+and the 2**63 bound are looked at only in a piece that holds a number of
+more than 8 digits or one of 19. The scratch memory is bounded by one
+piece, not by the file, and the result is the same whatever the piece
+size. json.loads parses the small rest of the object, and the whole of any
+other file (a rectangle file, rows with a "-", any other layout), which so
+reads exactly as before. Either way a point or a header number that is not
+a JSON integer is a parse error (PreconditionError), never truncated or
+read as 0 or 1.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _text_word(text: str) -> int:
 
 # The text before a number, by its place (see _rows_chunks), then with "-":
 # _PREFIX[place + negative], for an even place.
-_BEFORE = (",", "],[", "", "],[", "]],[[", "[", ",")
+_BEFORE = (",", "],[", "")
 _PREFIX = np.array([_text_word(t + sign) for t in _BEFORE for sign in ("", "-")], dtype=np.uint64)
 # _ZONED[k][i] turns the k words of digit values of a number of i + 1 digits
 # into ASCII: 0x30 on every digit byte, leading zeros left NUL.
@@ -140,42 +142,36 @@ def _numbers_bytes(v: np.ndarray, place: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0")
 
 
-def _rows_chunks(rows: Tiles | Paths) -> Iterator[bytes]:
-    """The rows as json.dumps prints them, [[p,...],...] for tiles and
-    [[[x,y],...],...] for paths, a piece per block of points
-    (types.block_spans), in the calling thread.
+def _rows_chunks(tiles: Tiles) -> Iterator[bytes]:
+    """The tiles as json.dumps prints them, [[p,...],...], a piece per
+    block of points (types.block_spans), in the calling thread.
 
-    A number's place picks the text before it (_BEFORE): a tile's point
-    comes within its tile (place 0, ","), first in a later tile (2, "],["),
-    or first of all (4, nothing); a path's x likewise (6, "],["; 8,
-    "]],[["; 10, "["), and its y after a "," (12).
+    A point's place picks the text before it (_BEFORE): it comes within its
+    tile (place 0, ","), first in a later tile (2, "],["), or first of all
+    (4, nothing).
     """
-    cols = (rows.values,) if isinstance(rows, Tiles) else (rows.xs, rows.ys)
-    n = cols[0].size
+    n = tiles.values.size
     if n == 0:
         yield b"[]"
         return
     yield b"[["
-    within = (0,) if len(cols) == 1 else (6, 12)  # each column's place within a row
     for a, b in block_spans(n):
-        place = np.empty((b - a, len(cols)), dtype=np.intp)
-        place[:] = within
-        lo, hi = np.searchsorted(rows.offsets, (a, b))
-        place[rows.offsets[lo:hi] - a, 0] = within[0] + 2
+        place = np.zeros(b - a, dtype=np.intp)
+        lo, hi = np.searchsorted(tiles.offsets, (a, b))
+        place[tiles.offsets[lo:hi] - a] = 2
         if a == 0:
-            place[0, 0] = within[0] + 4
-        v = cols[0][a:b] if len(cols) == 1 else np.stack([c[a:b] for c in cols], axis=1).ravel()
-        yield _numbers_bytes(v, place.ravel())
-    yield b"]" * (len(cols) + 1)
+            place[0] = 4
+        yield _numbers_bytes(tiles.values[a:b], place)
+    yield b"]]"
 
 
 def _chunks(obj: Any) -> Iterator[bytes]:
     """The canonical JSON of obj, without the trailing newline, as ASCII
-    bytes in pieces; a dict holding a Tiles or Paths value yields its rows
-    chunk by chunk."""
-    if isinstance(obj, (Tiles, Paths)):
+    bytes in pieces; a dict holding a Tiles value yields its rows chunk by
+    chunk."""
+    if isinstance(obj, Tiles):
         yield from _rows_chunks(obj)
-    elif isinstance(obj, dict) and any(isinstance(v, (Tiles, Paths)) for v in obj.values()):
+    elif isinstance(obj, dict) and any(isinstance(v, Tiles) for v in obj.values()):
         sep = b"{"
         for k in sorted(obj):
             yield sep + json.dumps(k).encode("ascii") + b":"
@@ -187,7 +183,7 @@ def _chunks(obj: Any) -> Iterator[bytes]:
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Canonical JSON text of obj; a Tiles or Paths value prints as its list of rows."""
+    """Canonical JSON text of obj; a Tiles value prints as its list of rows."""
     return b"".join(_chunks(obj)).decode("ascii") + "\n"
 
 
@@ -260,12 +256,12 @@ def _naming(exc: OSError, path: Path) -> OSError:
 def read_json(path: str | Path) -> Any:
     """The JSON value in the file at path.
 
-    The "tiles" of an interval file or the "paths" of a rectangle file, if
-    laid out as write_json prints them, are read from the bytes straight
-    into a Tiles or Paths view, the CSR view that interval_to_obj and
-    rectangle_to_obj return too; only the rest of the object goes through
-    json.loads. Any other file or layout is read by json.loads alone, so
-    every reader gets the value or the error json.loads gives.
+    The "tiles" of an interval file, if laid out as write_json prints them
+    with no "-", are read from the bytes straight into a Tiles view, the CSR
+    view that interval_to_obj returns too; only the rest of the object goes
+    through json.loads. Any other file is read by json.loads alone, a
+    rectangle file's "paths" as lists, so every reader gets the value or
+    the error json.loads gives.
     """
     data = Path(path).read_bytes()
     obj = _read_tiling(data)
@@ -277,9 +273,6 @@ def _read_plain(data: bytes) -> Any:
     return json.loads(data.decode("utf-8"))
 
 
-# The key of the rows array of an interval and of a rectangle file, and how
-# deep its numbers sit in it.
-_ROW_ARRAYS = (("tiles", 2), ("paths", 3))
 # A word of eight digit values, the first most significant, is added up in
 # lanes twice as wide three times: a multiply by _TENS puts each byte plus
 # ten times the byte before it in the byte; a shift, a mask and a multiply
@@ -294,70 +287,65 @@ _LEAST = np.array([0, 0, *_POW10[:18]], dtype=np.uint64)  # of d digits, no lead
 
 
 def _read_tiling(data: bytes) -> dict | None:
-    """The tiling file in data with its rows as a CSR view, or None unless
-    the rows are laid out as write_json prints them.
+    """The interval file in data with its "tiles" as a Tiles view, or None
+    unless they are laid out as write_json prints them, with no "-".
 
-    The rows array, from the key to the last "]]" ("]]]" for paths) in the
-    file, is cut out and "[]" put in its place. The cut is the top-level
-    value of the key: the quoted key occurs once in the file, the rest holds
-    no backslash (so no escaped spelling of the key either), and json.loads
-    finds the key in the top-level object of the rest. _rows_from_bytes
-    accepts the cut only as one complete array, so then the file parses as
-    JSON exactly when the rest does, with the same value everywhere else.
+    The tiles array, from the key to the last "]]" in the file, is cut out
+    and "[]" put in its place. The cut is the top-level value of the key:
+    the quoted key occurs once in the file, the rest holds no backslash (so
+    no escaped spelling of the key either), and json.loads finds the key in
+    the top-level object of the rest. _rows_from_bytes accepts the cut only
+    as one complete array, so then the file parses as JSON exactly when the
+    rest does, with the same value everywhere else.
     """
-    for key, depth in _ROW_ARRAYS:
-        name = f'"{key}"'.encode("ascii")
-        cut = data.find(name + b":[")
-        if cut < 0:
-            continue
-        a = cut + len(name) + 1  # the array's "["
-        end = a + 2 if data.startswith(b"[]", a) else data.rfind(b"]" * depth) + depth
-        if end < a + 2:
-            return None
-        head, tail = data[:a], data[end:]
-        if head.count(name) != 1 or name in tail or b"\\" in head or b"\\" in tail:
-            return None
-        try:
-            obj = json.loads((head + b"[]" + tail).decode("utf-8"))
-        except ValueError:
-            return None
-        if not isinstance(obj, dict) or key not in obj:
-            return None
-        rows = _rows_from_bytes(data, a, end, depth)
-        if rows is None:
-            return None
-        obj[key] = rows
-        return obj
-    return None
+    name = b'"tiles"'
+    cut = data.find(name + b":[")
+    if cut < 0:
+        return None
+    a = cut + len(name) + 1  # the array's "["
+    end = a + 2 if data.startswith(b"[]", a) else data.rfind(b"]]") + 2
+    if end < a + 2:
+        return None
+    head, tail = data[:a], data[end:]
+    if head.count(name) != 1 or name in tail or b"\\" in head or b"\\" in tail:
+        return None
+    try:
+        obj = json.loads((head + b"[]" + tail).decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(obj, dict) or "tiles" not in obj:
+        return None
+    rows = _rows_from_bytes(data, a, end)
+    if rows is None:
+        return None
+    obj["tiles"] = rows
+    return obj
 
 
-def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths | None:
-    """The rows array data[a:end], which ends in `depth` "]", as a Tiles
-    (depth 2) or Paths (depth 3) view, or None if it is anything but
-    canonical rows of int64 values that make a valid view.
+def _rows_from_bytes(data: bytes, a: int, end: int) -> Tiles | None:
+    """The tiles array data[a:end], which ends in "]]", as a Tiles view, or
+    None if it is anything but canonical rows of nonnegative int64 values
+    that make a valid view.
 
-    Canonical rows hold numbers -?(0|[1-9][0-9]*) split by "," within a
-    point (paths), "," or "],[" between points, and "]],[[" between paths.
-    So every bracket inside the array sits next to a comma, and the commas
-    give the bounds of every number. The numbers are read eight digits per
-    word of the file's bytes, which checks that every byte after a number's
-    "-" is a digit; with the commas and the bracket runs beside them, that
-    accounts for every byte.
+    Canonical rows hold numbers 0|[1-9][0-9]* split by "," or "],[". So
+    every bracket inside the array sits next to a comma, and the commas give
+    the bounds of every number. The numbers are read eight digits per word
+    of the file's bytes, which checks that every byte of a number is a
+    digit; with the commas and the brackets beside them, that accounts for
+    every byte, so a "-" anywhere declines the rows.
 
     The numbers are checked and read in pieces of about 16 * types._BLOCK
     bytes, each cut just after a comma, one after another: the read holds
     one piece's scratch, about 5 times its size, beyond the file and its
     arrays. One pass first fixes the pieces and counts the commas and the
-    row breaks ("]" before a comma, "]]" for paths) of each, which sizes the
-    values and the offsets. Then each piece, with a running count of the
-    commas before it:
+    row breaks ("]" before a comma) of each, which sizes the values and the
+    offsets. Then each piece, with a running count of the commas before it:
 
     - finds its commas;
-    - compares the bytes on each side of each comma with "]" and "[" (and
-      the next ones out, for paths), and writes its row breaks;
+    - compares the bytes on each side of each comma with "]" and "[", and
+      writes its row breaks;
     - takes each number's end from its comma and its digit count from the
-      distance to the end before it; only a piece that holds a "-" reads
-      the byte before each number's digits for a sign;
+      distance to the end before it;
     - reads each number from the word of the file's bytes that ends with
       it: "0" taken from every byte, the bytes before its digits masked
       off, a test that every byte is 0-9, and three mask, multiply and
@@ -368,11 +356,10 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
     The bytes beside a comma are read from the whole file, so a seam
     changes nothing: every piece size gives the same view or the same None.
     """
-    per_point = depth - 1  # numbers per point
     if end - a == 2:  # "[]"
-        return (Tiles if depth == 2 else Paths).from_rows([])
-    first, last = a + depth, end - depth  # the numbers and their punctuation
-    if not data.startswith(b"[" * depth, a) or first >= last:
+        return Tiles.from_rows([])
+    first, last = a + 2, end - 2  # the numbers and their punctuation
+    if not data.startswith(b"[[", a) or first >= last:
         return None
     u = np.frombuffer(data, dtype=np.uint8)
     piece = 16 * types._BLOCK
@@ -381,18 +368,11 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
     while s < last:
         cut = data.find(b",", s + piece - 1, last)
         e = last if cut < 0 else cut + 1
-        closed = u[s:e] == ord("]")
-        if depth == 3:
-            closed = closed[:-1] & closed[1:]  # "]]"
-        pieces.append((s, e, np.count_nonzero(u[s:e] == ord(",")), np.count_nonzero(closed)))
+        pieces.append((s, e, np.count_nonzero(u[s:e] == ord(",")), np.count_nonzero(u[s:e] == ord("]"))))
         s = e
-    del closed  # not held by the pieces' loop
-    commas = sum(p[2] for p in pieces)
-    if per_point == 2 and commas % 2 == 0:
-        return None
-    values = np.empty(commas + 1, dtype=np.int64)
+    values = np.empty(sum(p[2] for p in pieces) + 1, dtype=np.int64)
     offsets = np.empty(sum(p[3] for p in pieces) + 2, dtype=np.int64)
-    offsets[0], offsets[-1] = 0, values.size // per_point
+    offsets[0], offsets[-1] = 0, values.size
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # no copy
     before = rows = 0  # the commas and the row breaks before the piece
     for s, e, count, breaks in pieces:
@@ -400,22 +380,14 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
         if c.size != count:
             return None
         # "]" closed just before and "[" opened just after each comma
-        shut, opened = ((u[s + i : e + i].take(c) == ord(b)).view(np.int8) for i, b in ((-1, "]"), (1, "[")))
-        if depth == 3:
-            shut += shut.view(np.bool_) & (u[s - 2 : e - 2].take(c) == ord("]"))
-            opened += opened.view(np.bool_) & (u[s + 2 : e + 2].take(c) == ord("["))
+        shut, opened = (u[s + i : e + i].take(c) == ord(b) for i, b in ((-1, "]"), (1, "[")))
         if not np.array_equal(shut, opened):
             return None
-        # within a point (an even comma overall) nothing closes, between points something does
-        within = before % 2
-        if per_point == 2 and (shut[within::2].any() or not shut[1 - within :: 2].all()):
-            return None
-        # a row break after each comma that closes a row (a path, for paths)
-        found = np.flatnonzero(shut == per_point)
+        # a row break after each comma that closes a tile
+        found = np.flatnonzero(shut)
         if found.size != breaks:
             return None
-        found += before + 1
-        np.right_shift(found, per_point - 1, out=offsets[1 + rows : 1 + rows + breaks])  # halved for paths
+        np.add(found, before + 1, out=offsets[1 + rows : 1 + rows + breaks])
         rows += breaks
         # each number's end, from s: its comma less the "]" before it, and for the last, `last`
         n = c.size + (e == last)
@@ -425,20 +397,13 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
             x[-1] = last - s
         # its digits: from the end before it, less the comma and the brackets between
         digits = np.empty_like(x)
-        head = data[s : s + per_point]  # the "[" run that opens the first number, if any
-        digits[0] = x[0] if s == first else x[0] - len(head) + len(head.lstrip(b"["))
+        digits[0] = x[0] - (s > first and data[s] == ord("["))  # "[" opens a tile after the piece's seam
         np.subtract(x[1:], x[:-1], out=digits[1:])
         gap = shut[: n - 1] * np.int8(2)
         gap += 1
         digits[1:] -= gap
         if digits.min() < 1:
             return None
-        neg = None
-        if data.find(b"-", s, e) >= 0:
-            neg = u[s:e].take(x - digits) == ord("-")
-            digits -= neg
-            if digits.min() < 1:
-                return None
         del c, shut, opened, found, gap  # less scratch held by the word loop
         top = int(digits.max())
         if top > 19:
@@ -448,17 +413,12 @@ def _rows_from_bytes(data: bytes, a: int, end: int, depth: int) -> Tiles | Paths
             return None
         if (mag < _LEAST.take(digits)).any():
             return None
-        if top == 19:  # only these reach 2**63, which only a negative may
-            big = digits == 19
-            over = mag[big] if neg is None else mag[big] - neg[big]  # uint64 throughout
-            if (over > np.uint64(2**63 - 1)).any():
-                return None
-        if neg is not None:
-            np.negative(mag, out=mag, where=neg)
-        del x, digits, neg, mag  # freed before the next piece
+        if top == 19 and (mag > np.uint64(2**63 - 1)).any():  # only a 19-digit number reaches 2**63
+            return None
+        del x, digits, mag  # freed before the next piece
         before += count
     try:
-        return Tiles(offsets, values) if depth == 2 else Paths(offsets, values[::2], values[1::2])
+        return Tiles(offsets, values)
     except PreconditionError:
         return None
 
@@ -534,12 +494,15 @@ def interval_to_obj(t: IntervalTiling, gap_set: GapSet) -> dict:
 
 
 def rectangle_to_obj(r: RectangleTiling) -> dict:
+    """The rectangle file's object, its "paths" as lists of [x, y] points."""
+    points = np.stack((r.paths.xs, r.paths.ys), axis=1).tolist()
+    ends = r.paths.offsets.tolist()
     obj = {
         "kind": "rectangle",
         "width": r.width,
         "height": r.height,
         "step_type": [[[dx, dy], k] for (dx, dy), k in r.step_type],
-        "paths": r.paths,
+        "paths": [points[a:b] for a, b in zip(ends, ends[1:])],
     }
     if r.window is not None:
         obj["window"] = r.window

@@ -442,6 +442,24 @@ class TestSolveCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--len", "-2"], "--len must be >= 1, got -2"),
+            (["solve", "--len", "0"], "--len must be >= 1, got 0"),
+            (["minlen", "--max", "0"], "--max must be >= 1, got 0"),
+            (["minlen", "--max", "-5"], "--max must be >= 1, got -5"),
+        ],
+    )
+    def test_length_bound_below_1_exit_1_without_a_file(self, tmp_path, capsys, args, message):
+        # not a search that found no tiling of an empty interval
+        out = tmp_path / "t.json"
+        assert run([*args, "--gaps", "1:1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerifyCommand:
     def test_good_file_exit_0(self, tmp_path):
@@ -838,7 +856,12 @@ class TestCatalog:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--max-nodes", "0", "max_nodes must be >= 1, got 0")],
+        [
+            ("--max-nodes", "0", "max_nodes must be >= 1, got 0"),
+            ("--nmax", "-5", "n_max must be >= 1, got -5"),
+            ("--max-distance", "0", "max_distance must be >= 1, got 0"),
+            ("--max-multiplicity", "0", "max_multiplicity must be >= 1, got 0"),
+        ],
     )
     def test_out_of_range_option_exit_1_without_a_file(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "catalog.jsonl"

@@ -26,7 +26,7 @@ from gaptiles.serialize import (
     tiling_from_obj,
     write_json,
 )
-from gaptiles.types import Paths, Tiles
+from gaptiles.types import Tiles
 
 
 def test_interval_round_trip_with_annotations():
@@ -79,8 +79,6 @@ def test_rows_print_as_json_lists(chunk):
     for rows, lists in [
         (st.tiling.tiles, [list(t.points) for t in st.tiling.tiles]),
         (Tiles.from_rows([]), []),
-        (stair_tiling(3, 2).paths, [[list(pt) for pt in p.points] for p in stair_tiling(3, 2).paths]),
-        (Paths.from_rows([[(0, 0)], [(1, 0), (1, 1)]]), [[[0, 0]], [[1, 0], [1, 1]]]),
     ]:
         with blocks_of(chunk):
             assert dumps_canonical(rows) == json.dumps(lists, separators=(",", ":")) + "\n"
@@ -135,13 +133,20 @@ def test_canonical_files_take_the_byte_pass(tmp_path, monkeypatch):
     for obj in [
         interval_to_obj(st.tiling, st.gap_prefix),
         {"kind": "interval", "length": 1, "gap_set": [[1, 1]], "tiles": Tiles.from_rows([])},
-        rectangle_to_obj(stair_tiling(3, 2)),
-        rectangle_to_obj(diagonal_stripe_tiling(3, 2, 4)),
     ]:
         write_json(tmp_path / "t.json", obj)
         back = read_json(tmp_path / "t.json")
-        assert back == obj and type(back.get("tiles", back.get("paths"))) in (Tiles, Paths)
+        assert back == obj and type(back["tiles"]) is Tiles
         assert tiling_from_obj(back) == tiling_from_obj(obj)
+
+
+@pytest.mark.parametrize("rect", [stair_tiling(3, 2), diagonal_stripe_tiling(3, 2, 4)])
+def test_rectangle_files_read_back_with_their_paths_as_lists(tmp_path, rect):
+    obj = rectangle_to_obj(rect)
+    write_json(tmp_path / "r.json", obj)
+    back = read_json(tmp_path / "r.json")
+    assert back == obj and type(back["paths"]) is list
+    assert tiling_from_obj(back) == ("rectangle", rect, None)
 
 
 INTERVAL = {"annotations": {}, "gap_set": [[1, 1]], "kind": "interval", "length": 4, "tiles": [[0, 1], [2, 3]]}
@@ -182,6 +187,8 @@ INTERVAL_FILES = {
     "int64-max": tiles("[[0,1],[2,9223372036854775807]]"),
     "int64-min": tiles("[[-9223372036854775808,1],[2,3]]"),
     "two-to-63": tiles("[[0,1],[2,9223372036854775808]]"),
+    # read as an int64, 2**63 would wrap to a valid first point
+    "two-to-63-first": tiles("[[9223372036854775808,1],[2,3]]"),
     "below-int64-min": tiles("[[-9223372036854775809,1],[2,3]]"),
     "20-digits": tiles("[[0,1],[2,10000000000000000000]]"),
     "float": tiles("[[0,1.0],[2,3]]"),
@@ -247,20 +254,16 @@ NAMED_FILES = {
     **{f"interval-{k}": text for k, text in INTERVAL_FILES.items()},
     **{f"rectangle-{k}": text for k, text in RECTANGLE_FILES.items()},
 }
-# The named files whose rows are canonical (a "-0" is, as the grammar has
-# it), with the key once and no backslash: the byte pass reads these, and
-# their padded copies, at every block size, and declines every other.
-READ_BY_BYTES = {
-    "interval-minus-zero", "interval-int64-max", "interval-int64-min", "interval-no-rows",
-    "interval-other-kind", "rectangle-canonical", "rectangle-single-point-paths", "rectangle-minus-zero",
-    "rectangle-float-width", "rectangle-window",
-}
+# The named interval files whose rows are canonical and hold no "-", with
+# the key once and no backslash: the byte pass reads these, and their
+# padded copies, at every block size, and declines every other.
+READ_BY_BYTES = {"interval-int64-max", "interval-no-rows", "interval-other-kind"}
 
 
 @pytest.mark.parametrize("name", list(NAMED_FILES))
 def test_named_files_read_the_same_in_small_pieces(name):
     # with 19-digit numbers, pieces of 16 bytes (blocks of 1) cut the rows
-    # just after every comma, beside every "],[" and "]],[["
+    # just after every comma, beside every "],["
     text = padded(NAMED_FILES[name])
     for block in range(1, 9):
         with blocks_of(block):

@@ -1,8 +1,9 @@
 """Property tests: the canonical dump, printed from the CSR arrays block by
-block, is exactly json.dumps of the same rows as lists, for any int64
-values and wherever a block ends; read_json gives the arrays back by its
-byte pass, whatever size the pieces it reads them in; and any file,
-canonical or not, reads the same by the byte pass as by json.loads alone.
+block, is exactly json.dumps of the same tiles as lists, for any int64
+values and wherever a block ends; read_json gives the arrays of an interval
+file with no "-" back by its byte pass, whatever size the pieces it reads
+them in; and any file, canonical or not, reads the same by the byte pass as
+by json.loads alone.
 Both sizes follow types._BLOCK (a piece is 16 bytes an item), which the
 tests patch."""
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from gaptiles import serialize, types
 from gaptiles.cli import main
 from gaptiles.serialize import dumps_canonical, read_json, tiling_from_obj, write_json
-from gaptiles.types import INT64_MAX, Paths, Tiles
+from gaptiles.types import INT64_MAX, Tiles
 
 INT64_MIN = -INT64_MAX - 1
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -29,18 +30,24 @@ values = st.one_of(
     st.integers(-10_001, 10_001),
     st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 9, 10, 9999, 10_000, INT64_MAX]),
 )
-# magnitudes of 19 digits, the most an int64 has, of either sign
-nineteen = st.integers(10**18, INT64_MAX).flatmap(lambda m: st.sampled_from([m, -m]))
-wide = st.one_of(values, nineteen, st.sampled_from([INT64_MIN, INT64_MAX]))
-tile = st.lists(values, min_size=2, max_size=6, unique=True).map(sorted)
-tiles = st.lists(tile, max_size=8)
+# what the byte pass reads: numbers with no "-"
+naturals = values.filter(lambda v: v >= 0)
+# numbers of 19 digits, the most an int64 has
+nineteen = st.integers(10**18, INT64_MAX)
+
+
+def tiles_of(points):
+    return st.lists(st.lists(points, min_size=2, max_size=6, unique=True).map(sorted), max_size=8)
+
+
+tiles = tiles_of(values)
 
 
 @st.composite
-def paths(draw, coords=values):
+def paths(draw):
     rows = []
     for _ in range(draw(st.integers(0, 6))):
-        x, y = draw(coords), draw(coords)
+        x, y = draw(values), draw(values)
         row = [[x, y]]
         for _ in range(draw(st.integers(0, 4))):
             dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (3, 11), (10_000, 0)]))
@@ -78,19 +85,6 @@ def test_tiles_print_as_json(rows):
     assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@SETTINGS
-@given(st.one_of(paths(), paths(wide)))
-def test_paths_print_as_json(rows):
-    view = Paths.from_rows(rows)
-    text = json.dumps(rows, separators=(",", ":"))
-    for chunk in chunk_sizes(rows):
-        with blocks_of(chunk):
-            assert dumps_canonical(view) == text + "\n"
-    obj = {"paths": view, "width": 2, "window": None}
-    plain = dict(obj, paths=rows)
-    assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _read_back(obj):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.json"
@@ -99,22 +93,12 @@ def _read_back(obj):
 
 
 @SETTINGS
-@given(tiles)
+@given(tiles_of(naturals))
 def test_tiles_read_back_from_bytes(rows):
     view = Tiles.from_rows(rows)
     obj = {"kind": "interval", "length": 1, "gap_set": [[1, 1]], "tiles": view, "annotations": {}}
     back = _read_back(obj)
     assert isinstance(back["tiles"], Tiles)  # the byte pass read it
-    assert back == obj
-
-
-@SETTINGS
-@given(paths())
-def test_paths_read_back_from_bytes(rows):
-    view = Paths.from_rows(rows)
-    obj = {"kind": "rectangle", "width": 2, "height": 1, "step_type": [[[1, 0], 1]], "paths": view}
-    back = _read_back(obj)
-    assert isinstance(back["paths"], Paths)
     assert back == obj
 
 
@@ -167,12 +151,12 @@ SPLICES = [
 # canonical files
 bases = st.one_of(
     st.sampled_from([INTERVAL, RECTANGLE]),
-    tiles.map(lambda rows: dumps_canonical(
+    st.one_of(tiles, tiles_of(naturals)).map(lambda rows: dumps_canonical(
         {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": Tiles.from_rows(rows)}
     ).encode()),
     paths().map(lambda rows: dumps_canonical(
         {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]],
-         "paths": Paths.from_rows(rows)}
+         "paths": rows}
     ).encode()),
 )
 
@@ -180,8 +164,9 @@ bases = st.one_of(
 @SETTINGS
 @given(bases, st.sampled_from([1, 2, 5, 1 << 62]))
 def test_canonical_files_are_read_by_the_byte_pass(text, block):
+    # exactly the interval files with no "-"; rectangle files go to json.loads
     with blocks_of(block):
-        assert_paths_agree(text, byte_pass=True)
+        assert_paths_agree(text, byte_pass=b'"kind":"interval"' in text and b"-" not in text)
 
 
 @st.composite
@@ -224,13 +209,13 @@ def assert_pieces_agree(text: bytes, canonical: bool = False) -> None:
     pieces of every size as in one piece; to a view if they are canonical."""
     reads = rows_reads(text)
     assert reads or not canonical
-    for data, a, end, depth in reads:
+    for data, a, end in reads:
         with blocks_of(1 << 62):
-            whole = serialize._rows_from_bytes(data, a, end, depth)
+            whole = serialize._rows_from_bytes(data, a, end)
         assert whole is not None or not canonical
         for block in range(1, (end - a) // 16 + 2):
             with blocks_of(block):
-                got = serialize._rows_from_bytes(data, a, end, depth)
+                got = serialize._rows_from_bytes(data, a, end)
             assert type(got) is type(whole) and got == whole, block
 
 
@@ -240,18 +225,14 @@ BRACKET_RUNS = [b"]]]", b"[[[", b"]]],[[[", b"-]", b"-]]", b"-]]]", b"-]],[-", b
 
 @st.composite
 def split_rows(draw):
-    """A canonical interval or rectangle file, its rows left whole or with
+    """A canonical interval file with no "-", its rows left whole or with
     one of SPLICES or BRACKET_RUNS put somewhere inside them, and whether
     they were left whole. Its numbers are at times all of 19 digits: pieces
     of 16 bytes then cut the rows just after every comma."""
-    numbers = draw(st.sampled_from([wide, nineteen]))
-    if draw(st.booleans()):
-        few_tiles = st.lists(st.lists(numbers, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
-        key, view = b'"tiles":', Tiles.from_rows(draw(few_tiles))
-        obj = {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": view}
-    else:
-        key, view = b'"paths":', Paths.from_rows(draw(paths(numbers).filter(lambda rows: len(rows) <= 3)))
-        obj = {"kind": "rectangle", "width": 2, "height": 2, "step_type": [[[0, 1], 1]], "paths": view}
+    numbers = draw(st.sampled_from([st.one_of(naturals, nineteen), nineteen]))
+    few_tiles = st.lists(st.lists(numbers, min_size=2, max_size=4, unique=True).map(sorted), max_size=4)
+    key, view = b'"tiles":', Tiles.from_rows(draw(few_tiles))
+    obj = {"kind": "interval", "length": 8, "gap_set": [[1, 1]], "tiles": view}
     rows = dumps_canonical(view).encode()[:-1]
     split = rows
     if draw(st.booleans()):
@@ -279,7 +260,7 @@ def word_edges() -> list[int]:
 
 
 def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
-    path, edges = tmp_path / "t.json", word_edges()
+    path, edges = tmp_path / "t.json", [v for v in word_edges() if v >= 0]
     # each number first in the file, in a piece whose largest number has 19 digits
     for v in edges:
         text = b'{"tiles":[[%d,%d]]}' % (v, INT64_MAX)
@@ -296,8 +277,8 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
         assert isinstance(back, Tiles) and back == want, block
     # each number beside one of 19 digits, which fills a piece of 16 bytes
     # (a block of 1): the piece before each number ends just before it,
-    # after "],[" in rows [v, INT64_MAX] and after "," in rows [INT64_MIN, v]
-    for rows in ([[v, INT64_MAX] for v in edges if v < INT64_MAX], [[INT64_MIN, v] for v in edges if v > INT64_MIN]):
+    # after "],[" in rows [v, INT64_MAX] and after "," in rows [10**18, v]
+    for rows in ([[v, INT64_MAX] for v in edges], [[10**18, v] for v in edges if v > 10**18]):
         path.write_bytes(dumps_canonical({"tiles": rows}).encode())
         for block in (1, 2, 3):
             with blocks_of(block):
@@ -307,19 +288,15 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
 
 def test_numbers_that_fill_each_word_print_as_json_dumps_prints_them():
     edges = word_edges()
-    m = len(edges) - 1
-    tiles = [edges[i : i + 2] for i in range(m)]
-    # each number as a path's first and later x and y, beside numbers of other widths
-    paths = [[[edges[i], edges[m - 1 - i]], [edges[i + 1], edges[m - i]]] for i in range(m)]
-    for view, rows in ((Tiles.from_rows(tiles), tiles), (Paths.from_rows(paths), paths)):
-        text = json.dumps(rows, separators=(",", ":"))
-        for chunk in (1, 2, 3, 5, 1 << 62):
-            with blocks_of(chunk):
-                assert dumps_canonical(view) == text + "\n", chunk
+    rows = [edges[i : i + 2] for i in range(len(edges) - 1)]
+    text = json.dumps(rows, separators=(",", ":"))
+    for chunk in (1, 2, 3, 5, 1 << 62):
+        with blocks_of(chunk):
+            assert dumps_canonical(Tiles.from_rows(rows)) == text + "\n", chunk
 
 
 def test_any_byte_in_place_of_a_digit_reads_as_json_loads_reads_it():
-    text = b'{"tiles":[[-5,%d]]}' % INT64_MAX
+    text = b'{"tiles":[[5,%d]]}' % INT64_MAX
     # the digit of a number in one word, and each digit of one in three
     for i in (text.index(b"5"), *range(text.index(b"922"), text.index(b"]]"))):
         for byte in range(256):
