@@ -16,7 +16,7 @@ import time
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .errors import PreconditionError, SearchExhausted
+from .errors import SearchExhausted, at_least_one
 from .oracle import SearchConfig, min_interval
 from .serialize import dumps_canonical, gap_set_to_obj, interval_to_obj, write_json
 from .types import GapSet
@@ -89,8 +89,7 @@ def run_catalog(
     is a PreconditionError, raised before a file is touched."""
     bounds = {"max_distance": max_distance, "max_multiplicity": max_multiplicity, "n_max": n_max}
     for name, value in bounds.items():
-        if value < 1:
-            raise PreconditionError(f"{name} must be >= 1, got {value}")
+        at_least_one(value, name)
     SearchConfig(max_nodes=max_nodes)
     path = Path(path)
     gap_sets = enumerate_gap_sets(max_distance, max_multiplicity)

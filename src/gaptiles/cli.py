@@ -27,6 +27,7 @@ from .errors import (
     SearchExhausted,
     TilingError,
     VerificationFailed,
+    at_least_one,
 )
 from .grid import min_height_rect
 from .oracle import SearchConfig, SearchStatus, min_interval, solve_interval
@@ -95,13 +96,6 @@ def _int_option(token: str) -> int:
         return _int(token, "option")
     except PreconditionError:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
-
-
-def _at_least_one(value: int, option: str) -> None:
-    """Refuse a value below 1 as malformed input: a search of an empty
-    interval would report a proof claim about no interval at all."""
-    if value < 1:
-        raise PreconditionError(f"{option} must be >= 1, got {value}")
 
 
 def _int_pair(text: str, what: str) -> tuple[int, int]:
@@ -177,7 +171,7 @@ def cmd_construct(args) -> int:
 
 def cmd_solve(args) -> int:
     gaps = parse_gaps(args.gaps)
-    _at_least_one(args.len, "--len")
+    at_least_one(args.len, "--len")
     cfg = SearchConfig(max_nodes=args.max_nodes)
     outcome = solve_interval(gaps, args.len, cfg)
     if outcome.status is SearchStatus.FOUND:
@@ -192,7 +186,7 @@ def cmd_solve(args) -> int:
 
 def cmd_minlen(args) -> int:
     gaps = parse_gaps(args.gaps)
-    _at_least_one(args.max, "--max")
+    at_least_one(args.max, "--max")
     cfg = SearchConfig(max_nodes=args.max_nodes)
     found = min_interval(gaps, args.max, cfg)
     if found is None:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check
+that raises one for a value below 1."""
 
 
 class TilingError(Exception):
@@ -7,6 +8,12 @@ class TilingError(Exception):
 
 class PreconditionError(TilingError, ValueError):
     """An argument violates a documented precondition (range, shape, mismatch)."""
+
+
+def at_least_one(value: int, name: str) -> None:
+    """Refuse a value below 1 (a length, a bound or a budget), naming it."""
+    if value < 1:
+        raise PreconditionError(f"{name} must be >= 1, got {value}")
 
 
 class GrowthViolation(TilingError):

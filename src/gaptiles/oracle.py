@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import ConstructionError, PreconditionError, SearchExhausted
+from .errors import ConstructionError, PreconditionError, SearchExhausted, at_least_one
 from .types import (
     GapSet,
     IntervalTiling,
@@ -53,8 +53,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("max_nodes", "max_solutions"):
-            if getattr(self, name) < 1:
-                raise PreconditionError(f"{name} must be >= 1, got {getattr(self, name)}")
+            at_least_one(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,14 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
     """Exact-cover search for tilings of {0..length-1} by tiles with the given gap set.
 
     EXHAUSTED_NO_SOLUTION is a proof of untilability at this length; budget
-    exhaustion is reported as a status, never an exception.
+    exhaustion is reported as a status, never an exception. A length below 1
+    raises PreconditionError: the empty interval is tiled by no tiles, so
+    no search answers for it.
     """
+    at_least_one(length, "length")
     cfg = cfg or SearchConfig()
     ppt = gap_set.points_per_tile()
-    if length < 1 or length % ppt != 0:
+    if length % ppt != 0:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
     gaps = gap_set.expand()
     span = sum(gaps)
@@ -290,8 +292,10 @@ def min_interval(
     ``cfg.max_nodes``: the sweep counts settled frontier states, the DFS the
     states it enters. Either one running out raises SearchExhausted, naming
     the least length not yet decided: a longer tilable length would not be
-    the least one.
+    the least one. An n_max below 1 raises PreconditionError, as the
+    empty interval is no length to search.
     """
+    at_least_one(n_max, "n_max")
     cfg = cfg or SearchConfig()
     if sum(d * k for d, k in gap_set.entries) >= n_max:  # no tile fits; do not expand the gaps
         return None

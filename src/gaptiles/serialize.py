@@ -8,12 +8,21 @@ Rectangle tilings:
 
 Dumps are canonical (sorted keys, fixed separators, trailing newline), so
 identical inputs always produce byte-identical files. The dict that
-interval_to_obj returns keeps "tiles" as the tiling's CSR view, and the
-rows are printed as bytes straight from its arrays, one block of
-types._BLOCK (16,384) points at a time in the calling thread: each number
-becomes a word holding the text before it and words of eight digits each,
-split by multiplying and shifting, and deleting the NUL bytes of those
-words leaves the text. rectangle_to_obj returns "paths" as lists, which
+interval_to_obj returns keeps "tiles" as the tiling's CSR view. Rows that
+all hold the same number of points, none negative (every tiling gaptiles
+writes, as a verified tiling's tiles all have one size), are printed as
+bytes straight from its arrays, a block of rows of about types._BLOCK
+(16,384) points at a time in the calling thread. Each block is one uint64
+matrix, a row per tile: column 0 holds "]," (NUL for the very first tile),
+and each number takes k words, as many as the block's largest number needs
+with one byte to spare. Its digits are split into bytes by multiplying and
+shifting, and one lookup in a small table by digit count puts "0" into
+every digit byte and the character before the number ("[" first in its
+tile, else ",") into the spare byte just before its first digit; deleting
+the NUL bytes of the matrix leaves the text. The scratch arrays are made
+once a print and reused for every block. Any other rows (of mixed sizes,
+or with a negative point) are printed whole by json.dumps, to the same
+bytes. rectangle_to_obj returns "paths" as lists, which
 json.dumps prints: a rectangle file is a height witness of a few hundred
 points at most. write_json streams the chunks into a temporary file in the
 target's directory and renames it over the target, so a failed write
@@ -72,96 +81,98 @@ _HIGH = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.ui
 _NIBBLES, _THREES, _SIXES = (np.uint64(0x0101010101010101 * b) for b in (0xF0, 0x30, 0x06))
 
 
-def _text_word(text: str) -> int:
-    """text in the last bytes of a little-endian word, NULs before it."""
-    return int.from_bytes(text.encode("ascii").rjust(8, b"\0"), "little")
-
-
-# The text before a number, by its place (see _rows_chunks), then with "-":
-# _PREFIX[place + negative], for an even place.
-_BEFORE = (",", "],[", "")
-_PREFIX = np.array([_text_word(t + sign) for t in _BEFORE for sign in ("", "-")], dtype=np.uint64)
-# _ZONED[k][i] turns the k words of digit values of a number of i + 1 digits
-# into ASCII: 0x30 on every digit byte, leading zeros left NUL.
-_ZONED = {
-    k: np.array(
-        [[_THREES & _HIGH[min(max(i + 1 - 8 * (k - 1 - j), 0), 8)] for j in range(k)] for i in range(8 * k)],
-        dtype=np.uint64,
-    )
-    for k in (1, 2, 3)
-}
+# Column 0 of a row: the text that closes the row before it.
+_CLOSE = np.frombuffer(b"],".rjust(8, b"\0"), dtype="<u8")[0]
+# _FOLDED[k][i] is the text of a number of i + 1 digits printed in k words,
+# "," and then "0" for each digit, NULs before: or'ing the number's digit
+# values in gives its text. _FOLDED[k][i + 8k - 1] holds "[" in place of
+# ",", for the first number of a row.
+_FOLDED = {k: np.array([np.frombuffer((sep + "0" * d).rjust(8 * k, "\0").encode(), dtype="<u8")
+                        for sep in ",[" for d in range(1, 8 * k)], dtype=np.uint64) for k in (1, 2, 3)}
 # A word of eight digits is split into lanes twice as narrow three times:
 # the high part q = g // d goes to the lower lane and the rest g - q * d to
 # the higher, so the word becomes (g << lane) - q * ((d << lane) - 1).
-# Halves of 4 digits divide by 10**4; pairs and digits take q as
-# (g * mul >> shift) & mask, exact below 10**4 and 10**2, as (mul, shift,
-# mask, lane, (d << lane) - 1).
-_E8 = np.uint64(10**8)
+# Each q is taken as (g * mul >> shift) & mask, exact below 10**8, 10**4
+# and 10**2 for d = 10**4, 10**2 and 10, as (mul, shift, mask, lane,
+# (d << lane) - 1).
 _SPLIT = [tuple(map(np.uint64, step)) for step in (
-    (10_486, 20, 0x0000007F0000007F, 16, (100 << 16) - 1), (103, 10, 0x000F000F000F000F, 8, (10 << 8) - 1))]
+    (109_951_163, 40, 0x3FFF, 32, (10_000 << 32) - 1),
+    (10_486, 20, 0x0000007F0000007F, 16, (100 << 16) - 1),
+    (103, 10, 0x000F000F000F000F, 8, (10 << 8) - 1),
+)]
 
 
-def _numbers_bytes(v: np.ndarray, place: np.ndarray) -> bytes:
-    """The numbers v as JSON prints them, each after the text of its place,
-    an even index of _PREFIX (place is overwritten).
-
-    Each number gets one row of a uint64 matrix: a word holding the text
-    before it, then as many words of eight digit values as the chunk's
-    largest magnitude needs. Every byte that holds a digit gets 0x30 and
-    the leading zeros stay NUL, so deleting the NULs from the matrix's
-    bytes leaves the text.
-    """
-    n = v.size
-    neg = v < 0
-    mag = v.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # exact for the int64 minimum too
-    top = len(str(int(mag.max())))  # the chunk's most digits
-    digits = np.zeros(n, dtype=np.uint8)  # one less than the digits
-    for p in _POW10[: top - 1]:
-        digits += mag >= p
-    k = (top + 7) // 8
-    words = np.empty((n, k + 1), dtype=np.uint64)
-    place += neg
-    np.take(_PREFIX, place, out=words[:, 0], mode="wrap")  # in range; "raise" would buffer out
-    g = np.empty((n, k), dtype=np.uint64)  # eight digits a word, the first most significant
-    for j in range(k - 1, 0, -1):
-        np.divmod(mag, _E8, out=(mag, g[:, j]))
-    g[:, 0] = mag
-    t = g // np.uint64(10_000)
-    g <<= np.uint64(32)
-    t *= np.uint64((10_000 << 32) - 1)
-    g -= t
-    for mul, shift, mask, lane, fold in _SPLIT:
-        np.multiply(g, mul, out=t)
-        t >>= shift
-        t &= mask
-        g <<= lane
-        t *= fold
-        g -= t
-    np.bitwise_or(g, _ZONED[k].take(digits, axis=0), out=words[:, 1:])
-    return words.tobytes().translate(None, b"\0")
+def _one_size(tiles: Tiles) -> int | None:
+    """The number of points of every tile, if every tile has the same and
+    no point is negative; else None, and None for no tiles. The offsets are
+    compared a block at a time (types.block_spans)."""
+    o = tiles.offsets
+    if o.size < 2 or tiles.values.min() < 0:
+        return None
+    size = int(o[1])
+    same = all((o[a + 1 : b + 1] - o[a:b] == size).all() for a, b in block_spans(o.size - 1))
+    return size if same else None
 
 
 def _rows_chunks(tiles: Tiles) -> Iterator[bytes]:
-    """The tiles as json.dumps prints them, [[p,...],...], a piece per
-    block of points (types.block_spans), in the calling thread.
+    """The tiles as json.dumps prints them, [[p,...],...], in pieces.
 
-    A point's place picks the text before it (_BEFORE): it comes within its
-    tile (place 0, ","), first in a later tile (2, "],["), or first of all
-    (4, nothing).
+    Tiles of one size with no negative point (every tiling gaptiles
+    writes) print from the arrays a block of rows at a time, about
+    types._BLOCK points, in the calling thread. Each block is one uint64
+    matrix with a row per tile: column 0 holds "]," (NUL for the very first
+    tile), then each point takes k words, where the block's largest number
+    has at most 8k - 1 digits. Its eight-digit groups are split into digit
+    values by multiplying and shifting, and one lookup in _FOLDED adds 0x30
+    to each digit byte and "[" or "," to the byte before the first digit.
+    Deleting the NUL bytes of the matrix leaves the text. The scratch arrays
+    are made once, for the largest block, and reused for every block.
+    Any other tiles print through json.dumps, whole.
     """
-    n = tiles.values.size
-    if n == 0:
-        yield b"[]"
+    size = _one_size(tiles)
+    if size is None:
+        o, v = tiles.offsets.tolist(), tiles.values.tolist()
+        yield json.dumps([v[a:b] for a, b in zip(o, o[1:])], separators=(",", ":")).encode("ascii")
         return
-    yield b"[["
-    for a, b in block_spans(n):
-        place = np.zeros(b - a, dtype=np.intp)
-        lo, hi = np.searchsorted(tiles.offsets, (a, b))
-        place[tiles.offsets[lo:hi] - a] = 2
-        if a == 0:
-            place[0] = 4
-        yield _numbers_bytes(tiles.values[a:b], place)
+    values = tiles.values.reshape(-1, size)
+    step = min(max(types._BLOCK // size, 1), len(values))  # rows a block
+    # the scratch of the largest block, for the most words a number takes
+    most = (len(str(int(values[:, -1].max()))) + 8) // 8
+    n = step * size
+    words = np.zeros(step * (1 + size * most), dtype=np.uint64)
+    digits = np.empty(n * most, dtype=np.uint64)
+    scratch = np.empty(n * most, dtype=np.uint64)
+    index = np.empty(n, dtype=np.uint8)
+    yield b"["
+    for a in range(0, len(values), step):
+        v = values[a : a + step]
+        rows, n = len(v), v.size
+        # the block's fewest and most digits, from its first and last column: each row rises
+        low, top = (len(str(int(x))) for x in (v[:, 0].min(), v[:, -1].max()))
+        k = (top + 8) // 8
+        g = digits[: n * k].reshape(n, k)  # eight digits a word, the first most significant
+        np.copyto(g[:, 0], v.reshape(-1), casting="unsafe")
+        # the digits less one, plus 8k - 1 for a row's first point
+        i = index[:n]
+        i[:] = low - 1
+        for p in _POW10[low - 1 : top - 1]:
+            i += g[:, 0] >= p
+        i.reshape(rows, size)[:, 0] += 8 * k - 1
+        for j in range(k - 1, 0, -1):
+            np.divmod(g[:, 0], np.uint64(10**8), out=(g[:, 0], g[:, j]))
+        t = scratch[: n * k].reshape(n, k)
+        for mul, shift, mask, lane, fold in _SPLIT:
+            np.multiply(g, mul, out=t)
+            t >>= shift
+            t &= mask
+            g <<= lane
+            t *= fold
+            g -= t
+        np.take(_FOLDED[k], i, axis=0, out=t, mode="wrap")  # in range; "raise" would buffer out
+        m = words[: rows * (1 + size * k)].reshape(rows, 1 + size * k)
+        m[int(a == 0) :, 0] = _CLOSE  # the very first row keeps the NUL word it was made with
+        np.bitwise_or(g.reshape(rows, -1), t.reshape(rows, -1), out=m[:, 1:])
+        yield m.tobytes().translate(None, b"\0")
     yield b"]]"
 
 

@@ -3,8 +3,9 @@ of Tiles and Paths, the tile-end scans, a stage's cardinality histogram and
 the gap and window checks) work one block of types._BLOCK items at a time:
 they give the same values, errors and reports for every block size, and
 their scratch memory does not grow with the tiling beyond the cover's one
-boolean mark per point. Nor does the scratch of reading a tiling file (one
-piece of 16 bytes a block item at a time) beyond the arrays it returns."""
+boolean mark per point. Nor does the scratch of printing a tiling's rows
+(a block of rows at a time) or of reading a tiling file (one piece of 16
+bytes a block item at a time) beyond the arrays it returns."""
 
 import gc
 import tracemalloc
@@ -111,9 +112,9 @@ def scratch(fn) -> int:
 
 def passes(n: int) -> dict:
     """Each blocked pass over a tiling of n points in 8-point sequences with
-    step 1, all but the last two checked on that tiling, and the bytes of
-    the arrays it returns by design: the read's values and offsets, none
-    for the rest."""
+    step 1, all but the one-sequence check and the read checked on that
+    tiling, and the bytes of the arrays it returns by design: the read's
+    values and offsets, none for the rest."""
     values = np.arange(n, dtype=np.int64)
     offsets = np.arange(0, n + 1, 8, dtype=np.int64)
     tiles = Tiles(offsets, values)
@@ -131,6 +132,11 @@ def passes(n: int) -> dict:
         rows = serialize._read_tiling(text)["tiles"]
         assert isinstance(rows, Tiles) and len(rows) == n // 2  # by the byte pass
 
+    def printed():
+        # chunk by chunk, as write_json writes them, never joined
+        chunks = sum(1 for _ in serialize._rows_chunks(tiles))
+        assert chunks > 3  # "[", the blocks of rows and "]]": the word path
+
     return {
         "Tiles": (lambda: Tiles(offsets, values), 0),
         "Paths": (lambda: Paths(offsets, values, values), 0),
@@ -138,6 +144,7 @@ def passes(n: int) -> dict:
         "_built": (lambda: pipeline._built(plan, IntervalTiling(n, tiles)), 0),
         "verify_homogeneous, one sequence": (lambda: homogeneous(Tiles([0, n], values)), 0),
         "_read_tiling": (read, values.nbytes + 8 * (n // 2 + 1)),
+        "_rows_chunks": (printed, 0),
     }
 
 

@@ -18,6 +18,7 @@ from gaptiles import (
     solve_rectangle,
     verify_interval_tiling,
 )
+from gaptiles.errors import PreconditionError
 from gaptiles.oracle import _orders
 
 
@@ -97,6 +98,11 @@ class TestSolveInterval:
         assert out.status is SearchStatus.EXHAUSTED_NO_SOLUTION
         assert not naive_tilable((1, 2), 3)
 
+    @pytest.mark.parametrize("length", [0, -2])
+    def test_an_empty_interval_is_refused_not_proved_untilable(self, length):
+        with pytest.raises(PreconditionError, match=f"length must be >= 1, got {length}"):
+            solve_interval(T(1, 1), length)
+
     def test_budget_status(self):
         out = solve_interval(T(2, 3, 7), 36, SearchConfig(max_nodes=2))
         assert out.status is SearchStatus.BUDGET_EXCEEDED
@@ -148,6 +154,11 @@ class TestMinInterval:
 
     def test_not_found_within_bound(self):
         assert min_interval(T(2, 3), 12) is None
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_a_bound_below_one_is_refused(self, n_max):
+        with pytest.raises(PreconditionError, match=f"n_max must be >= 1, got {n_max}"):
+            min_interval(T(1, 1), n_max)
 
     def test_budget_exhaustion_is_not_untilability(self):
         # {3,4,5,5} first tiles at length 70; a budget that runs out at a

@@ -1,9 +1,10 @@
-"""Property tests: the canonical dump, printed from the CSR arrays block by
-block, is exactly json.dumps of the same tiles as lists, for any int64
-values and wherever a block ends; read_json gives the arrays of an interval
-file with no "-" back by its byte pass, whatever size the pieces it reads
-them in; and any file, canonical or not, reads the same by the byte pass as
-by json.loads alone.
+"""Property tests: the canonical dump is exactly json.dumps of the same
+tiles as lists, for any int64 values: rows of one size with no negative
+point are printed from the CSR arrays a block of rows at a time, wherever a
+block ends, and any other rows by json.dumps itself; read_json gives the
+arrays of an interval file with no "-" back by its byte pass, whatever size
+the pieces it reads them in; and any file, canonical or not, reads the same
+by the byte pass as by json.loads alone.
 Both sizes follow types._BLOCK (a piece is 16 bytes an item), which the
 tests patch."""
 
@@ -34,6 +35,14 @@ values = st.one_of(
 naturals = values.filter(lambda v: v >= 0)
 # numbers of 19 digits, the most an int64 has
 nineteen = st.integers(10**18, INT64_MAX)
+# nonnegative numbers of 1 to 19 digits, as many of each count, and those
+# at the edges of the printer's words: a number of 7, 15 or 19 digits fills
+# one, two or three words with the byte before it, one of 8 or 16 needs one
+# more word
+by_digits = st.one_of(
+    st.integers(1, 19).flatmap(lambda d: st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, INT64_MAX))),
+    st.sampled_from([10**6, 10**7 - 1, 10**7, 10**8 - 1, 10**14, 10**15 - 1, 10**15, 10**16 - 1, INT64_MAX]),
+)
 
 
 def tiles_of(points):
@@ -41,6 +50,14 @@ def tiles_of(points):
 
 
 tiles = tiles_of(values)
+
+
+@st.composite
+def one_size(draw):
+    """At least one row, every row of the same size, of by_digits numbers."""
+    size = draw(st.integers(2, 5))
+    row = st.lists(by_digits, min_size=size, max_size=size, unique=True).map(sorted)
+    return draw(st.lists(row, min_size=1, max_size=8))
 
 
 @st.composite
@@ -72,14 +89,34 @@ def chunk_sizes(rows):
     return sorted({1, 2, 3, max(n, 1), n + 1, 1 << 16, *ends} - {0})
 
 
+def printed(view: Tiles) -> tuple[str, bool]:
+    """The canonical dump of view, and whether it was printed from the
+    words, not by json.dumps."""
+    with mock.patch.object(serialize.json, "dumps", wraps=json.dumps) as dumps:
+        text = dumps_canonical(view)
+    return text, not dumps.called
+
+
+@SETTINGS
+@given(one_size())
+def test_rows_of_one_size_print_from_words_as_json(rows):
+    view = Tiles.from_rows(rows)
+    text = json.dumps(rows, separators=(",", ":")) + "\n"
+    for chunk in chunk_sizes(rows):
+        with blocks_of(chunk):
+            assert printed(view) == (text, True), chunk
+
+
 @SETTINGS
 @given(tiles)
 def test_tiles_print_as_json(rows):
     view = Tiles.from_rows(rows)
-    text = json.dumps(rows, separators=(",", ":"))
+    text = json.dumps(rows, separators=(",", ":")) + "\n"
+    # ragged rows, rows with a negative point and no rows go through json.dumps
+    words = len(set(map(len, rows))) == 1 and min(map(min, rows)) >= 0
     for chunk in chunk_sizes(rows):
         with blocks_of(chunk):
-            assert dumps_canonical(view) == text + "\n"
+            assert printed(view) == (text, words), chunk
     obj = {"kind": "interval", "tiles": view, "length": 1}
     plain = dict(obj, tiles=rows)
     assert dumps_canonical(obj) == json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
@@ -250,11 +287,11 @@ def test_every_piece_size_reads_the_rows_as_one_piece(file):
 
 
 def word_edges() -> list[int]:
-    """Numbers of 1, 8, 9, 16, 17 and 19 digits, at the edges of the words
-    of eight digits they are read in, of both signs and up to the int64
-    bounds."""
+    """Numbers of 1, 7, 8, 9, 15, 16, 17 and 19 digits, at the edges of the
+    words of eight digits they are read in and of the words they are
+    printed in, of both signs and up to the int64 bounds."""
     mags = {0}
-    for d in (1, 8, 9, 16, 17, 19):
+    for d in (1, 7, 8, 9, 15, 16, 17, 19):
         mags |= {10 ** (d - 1), int("1234567890123456789"[:d]), min(10**d - 1, INT64_MAX - 1)}
     return sorted({sign * m for m in mags for sign in (1, -1)} | {INT64_MIN})
 
@@ -287,12 +324,15 @@ def test_numbers_that_fill_each_word_read_as_json_loads_reads_them(tmp_path):
 
 
 def test_numbers_that_fill_each_word_print_as_json_dumps_prints_them():
+    # pairs of nonnegative numbers print from the words; with a negative
+    # number among them, through json.dumps
     edges = word_edges()
-    rows = [edges[i : i + 2] for i in range(len(edges) - 1)]
-    text = json.dumps(rows, separators=(",", ":"))
-    for chunk in (1, 2, 3, 5, 1 << 62):
-        with blocks_of(chunk):
-            assert dumps_canonical(Tiles.from_rows(rows)) == text + "\n", chunk
+    for numbers, words in (([v for v in edges if v >= 0], True), (edges, False)):
+        rows = [numbers[i : i + 2] for i in range(len(numbers) - 1)]
+        text = json.dumps(rows, separators=(",", ":")) + "\n"
+        for chunk in (1, 2, 3, 5, 1 << 62):
+            with blocks_of(chunk):
+                assert printed(Tiles.from_rows(rows)) == (text, words), chunk
 
 
 def test_any_byte_in_place_of_a_digit_reads_as_json_loads_reads_it():
