@@ -237,18 +237,22 @@ def _built(plan: StageState, tiling: IntervalTiling) -> StageState:
 
     Raises ConstructionError when the tiling's cardinality histogram, or the
     cardinality of the sequence ending at its last point, is not the plan's.
-    The histogram is counted a block of sequences at a time.
+    Sequences of one size make a histogram of one entry; any others are
+    counted a block of sequences at a time.
     """
     endpoint_index = _endpoints(tiling, plan.d1 if plan.kind == "boundary" else 1)
     if plan.card_counts is not None:
-        offsets = tiling.tiles.offsets
-        per_card: Counter = Counter()
-        for a, b in block_spans(len(tiling.tiles)):
-            part = np.bincount(np.diff(offsets[a : b + 1]))
-            cards = np.flatnonzero(part)
-            per_card.update(dict(zip(cards.tolist(), part[cards].tolist())))
-        counts = tuple(sorted(per_card.items()))
-        last = tiling.tiles.row(endpoint_index[-1][1]).size
+        tiles = tiling.tiles
+        if tiles.size is not None:
+            counts = ((tiles.size, len(tiles)),)
+        else:
+            per_card: Counter = Counter()
+            for a, b in block_spans(len(tiles)):
+                part = np.bincount(np.diff(tiles.offsets[a : b + 1]))
+                cards = np.flatnonzero(part)
+                per_card.update(dict(zip(cards.tolist(), part[cards].tolist())))
+            counts = tuple(sorted(per_card.items()))
+        last = tiles.row(endpoint_index[-1][1]).size
         if counts != plan.card_counts or last != plan.last_card:
             raise ConstructionError(
                 f"{plan.stage_trace['stage']}: built cardinalities {counts} (last {last}) "

@@ -9,8 +9,9 @@ Rectangle tilings:
 Dumps are canonical (sorted keys, fixed separators, trailing newline), so
 identical inputs always produce byte-identical files. The dict that
 interval_to_obj returns keeps "tiles" as the tiling's CSR view. Rows that
-all hold the same number of points, none negative (every tiling gaptiles
-writes, as a verified tiling's tiles all have one size), are printed as
+all hold the same number of points (the view's recorded Tiles.size), none
+negative (every tiling gaptiles writes, as a verified tiling's tiles all
+have one size), are printed as
 bytes straight from its arrays, a block of rows of about types._BLOCK
 (16,384) points at a time in the calling thread. Each block is one uint64
 matrix, a row per tile: column 0 holds "]," (NUL for the very first tile),
@@ -70,7 +71,6 @@ from .types import (
     Tiles,
     TilingAnnotations,
     VerificationReport,
-    block_spans,
     normalize_steps,
 )
 
@@ -102,23 +102,11 @@ _SPLIT = [tuple(map(np.uint64, step)) for step in (
 )]
 
 
-def _one_size(tiles: Tiles) -> int | None:
-    """The number of points of every tile, if every tile has the same and
-    no point is negative; else None, and None for no tiles. The offsets are
-    compared a block at a time (types.block_spans)."""
-    o = tiles.offsets
-    if o.size < 2 or tiles.values.min() < 0:
-        return None
-    size = int(o[1])
-    same = all((o[a + 1 : b + 1] - o[a:b] == size).all() for a, b in block_spans(o.size - 1))
-    return size if same else None
-
-
 def _rows_chunks(tiles: Tiles) -> Iterator[bytes]:
     """The tiles as json.dumps prints them, [[p,...],...], in pieces.
 
-    Tiles of one size with no negative point (every tiling gaptiles
-    writes) print from the arrays a block of rows at a time, about
+    Tiles of one size (tiles.size) with no negative point (every tiling
+    gaptiles writes) print from the arrays a block of rows at a time, about
     types._BLOCK points, in the calling thread. Each block is one uint64
     matrix with a row per tile: column 0 holds "]," (NUL for the very first
     tile), then each point takes k words, where the block's largest number
@@ -129,8 +117,8 @@ def _rows_chunks(tiles: Tiles) -> Iterator[bytes]:
     are made once, for the largest block, and reused for every block.
     Any other tiles print through json.dumps, whole.
     """
-    size = _one_size(tiles)
-    if size is None:
+    size = tiles.size
+    if size is None or tiles.values.min() < 0:
         o, v = tiles.offsets.tolist(), tiles.values.tolist()
         yield json.dumps([v[a:b] for a, b in zip(o, o[1:])], separators=(",", ":")).encode("ascii")
         return

@@ -9,7 +9,12 @@ Tilings store their points as int64 CSR arrays: one ``offsets`` array of
 length T+1 plus flat ``values`` (tiles) or ``xs``/``ys`` (paths), where
 element i spans ``offsets[i]:offsets[i+1]``. ``Tiles`` and ``Paths`` are
 read-only sequence views over them that build a ``Tile``/``LatticePath`` only
-when an element is read.
+when an element is read. Each records its elements' common number of points
+as ``size`` (None for mixed sizes or no elements), read off the least size
+that the offsets' check finds and the number of points, with no further
+pass over the offsets: every tiling of a gap set has tiles of one
+size, and passes over such rows read them as consecutive slices of
+``size`` points instead of searching the offsets.
 """
 
 from __future__ import annotations
@@ -240,38 +245,49 @@ def _first_non_pair(rows: Sequence[Sequence]) -> str:
 class _Rows(Sequence):
     """Read-only sequence over the rows of a CSR layout.
 
-    Row i of every column array spans ``offsets[i]:offsets[i+1]``. Equality
-    and hashing compare contents.
+    Row i of every column array spans ``offsets[i]:offsets[i+1]``. ``size``
+    is the number of points of every row when all rows have the same, else
+    None (also for no rows); the rows are then the consecutive slices of
+    ``size`` points of each column. Equality and hashing compare contents.
     """
 
-    __slots__ = ("offsets",)
+    __slots__ = ("offsets", "size")
 
     def _init_offsets(self, offsets, n_values: int, least: int, short: str) -> None:
-        """Offsets rising from 0 to n_values, no element below `least` points (else `short`)."""
+        """Offsets rising from 0 to n_values, no element below `least` points
+        (else `short`); records the elements' common size, if any."""
         self.offsets = o = _frozen(offsets)
         rise = "offsets must rise from 0 to the number of points"
         if o.ndim != 1 or o.size == 0 or o[0] != 0 or o[-1] != n_values:
             raise PreconditionError(rise)
         # a negative size is a fall; each block's sizes are freed as they are read
         blocks = block_spans(o.size - 1)
-        fewest = min(((o[a + 1 : b + 1] - o[a:b]).min() for a, b in blocks), default=least)
+        fewest = int(min(((o[a + 1 : b + 1] - o[a:b]).min() for a, b in blocks), default=least))
         if fewest < least:
             raise PreconditionError(rise if fewest < 0 else short)
+        # no size is below the fewest, so all are equal iff they add up to rows * fewest
+        rows = o.size - 1
+        self.size = fewest if rows and int(o[-1]) == rows * fewest else None
 
     def _require_steps(self, holds: Callable[[int, int], np.ndarray], message: str) -> None:
         """PreconditionError(message) unless holds(a, b), the test of each
         pair of consecutive points (j, j + 1) for j in [a, b), is true for
-        every pair within an element; the pairs are tested a block at a time."""
-        o = self.offsets
+        every pair within an element; the pairs are tested a block of points
+        at a time, however long an element is."""
+        o, t = self.offsets, self.size
         n = int(o[-1])
         lo = 1  # offsets[lo:hi] lie in (a, b]: the pair before each straddles two elements
         for a, b in block_spans(n - 1):
             ok = holds(a, b)
-            hi = np.searchsorted(o, b + 1) if b + 1 < n else o.size - 1
-            ok[o[lo:hi] - (a + 1)] = True  # pairs that straddle two elements
+            # pairs that straddle two elements: those with j + 1 a multiple of t if one size
+            if t is not None:
+                ok[(t - 1 - a) % t :: t] = True
+            else:
+                hi = np.searchsorted(o, b + 1) if b + 1 < n else o.size - 1
+                ok[o[lo:hi] - (a + 1)] = True
+                lo = hi
             if not ok.all():
                 raise PreconditionError(message)
-            lo = hi
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
@@ -360,9 +376,14 @@ class Tiles(_Rows):
 
     def ending_from(self, point: int) -> np.ndarray:
         """The indices of the tiles whose last point is `point` or above,
-        ascending; the last points are read a block of tiles at a time."""
-        o, v = self.offsets, self.values
-        found = [np.flatnonzero(v[o[a + 1 : b + 1] - 1] >= point) + a for a, b in block_spans(len(self))]
+        ascending; the last points are read a block of tiles at a time, as
+        a strided view of the values when the tiles have one size."""
+        o, v, t = self.offsets, self.values, self.size
+
+        def last(a: int, b: int) -> np.ndarray:
+            return v[o[a + 1 : b + 1] - 1] if t is None else v[(a + 1) * t - 1 : b * t : t]
+
+        found = [np.flatnonzero(last(a, b) >= point) + a for a, b in block_spans(len(self))]
         return np.concatenate(found or [np.zeros(0, dtype=np.int64)])
 
     def with_row(self, i: int, points: Sequence[int]) -> "Tiles":

@@ -10,7 +10,11 @@ in the calling thread, and take each block's steps as differences of its
 own points, so the step arrays are bounded by the block, not the tiling.
 They count, for each distinct target value, the steps of a window equal
 to it, and compare the counts with the target's multiplicities, which is
-exact as the values are distinct (_windows_differ). The window check holds
+exact as the values are distinct (_steps_differ). The gap check reads a
+block of rows that all have one point more than the gap set has gaps (as
+the view's recorded size says) as one (rows, width + 1) view of the
+points; rows of mixed sizes are gathered a column at a time, as the
+window check gathers its windows (_windows_differ). The window check holds
 the starts of one block of windows, and a row and an offset only for a
 failing window. A rectangle's "points" for them are the prefix sums of its
 step codes. The checks start no thread, so their time does not hang on free
@@ -118,50 +122,67 @@ def _counted(entries: Sequence[tuple[int, int]], points: int) -> tuple[np.ndarra
     return values, np.array(counts).reshape(-1, 1), min(sum(counts), points)
 
 
-def _windows_differ(
-    seq: np.ndarray, starts: np.ndarray, values: np.ndarray, counts: np.ndarray, width: int
+def _steps_differ(
+    column: Callable[[int], np.ndarray], count: int, values: np.ndarray, counts: np.ndarray, width: int
 ) -> np.ndarray:
-    """Whether the `width` steps from each start s, the differences of
-    seq[s : s + width + 1], differ as a multiset from the distinct values
-    taken their counts times (columns from _counted).
+    """Whether the `width` steps of each of `count` windows, the differences
+    column(j + 1) - column(j) of its points j, differ as a multiset from the
+    distinct values taken their counts times (columns from _counted).
 
-    The steps are gathered a column at a time; each column is compared with
-    every value, and the matches are tallied per value and window in the
-    least unsigned type that holds width. This is exact: the values are
-    distinct, so a step adds to one tally at most and the tallies add up to
-    width at most; they equal the counts, which add up to width, only when
-    every step matched a value. A step that wraps around int64 is compared
-    as it wrapped.
+    Each column of steps is compared with every value, and the matches are
+    tallied per value and window in the least unsigned type that holds
+    width. This is exact: the values are distinct, so a step adds to one
+    tally at most and the tallies add up to width at most; they equal the
+    counts, which add up to width, only when every step matched a value. A
+    step that wraps around int64 is compared as it wrapped.
     """
-    if not starts.size:
-        return np.zeros(0, dtype=bool)
-    tallies = np.zeros((values.size, starts.size), dtype=np.min_scalar_type(width))
+    tallies = np.zeros((values.size, count), dtype=np.min_scalar_type(width))
     match = np.empty(tallies.shape, dtype=bool)
     hits = match.view(np.uint8)  # added to the tallies without a cast
-    ahead = seq[starts]
+    ahead = column(0)
     for j in range(width):
-        behind, ahead = ahead, seq[starts + (j + 1)]
+        behind, ahead = ahead, column(j + 1)
         np.equal(ahead - behind, values, out=match)
         tallies += hits
     return (tallies != counts).any(axis=0)
 
 
+def _windows_differ(
+    seq: np.ndarray, starts: np.ndarray, values: np.ndarray, counts: np.ndarray, width: int
+) -> np.ndarray:
+    """Whether the `width` steps from each start s, the differences of
+    seq[s : s + width + 1], differ as a multiset from the distinct values
+    taken their counts times (_steps_differ); the points are gathered a
+    column at a time."""
+    if not starts.size:
+        return np.zeros(0, dtype=bool)
+    return _steps_differ(lambda j: seq[starts + j], starts.size, values, counts, width)
+
+
 def _row_mismatches(
-    offsets: np.ndarray, seq: np.ndarray, entries: Sequence[tuple[int, int]]
+    offsets: np.ndarray, seq: np.ndarray, entries: Sequence[tuple[int, int]], size: int | None
 ) -> np.ndarray:
     """Rows whose steps differ as a multiset from the (value, count) entries,
-    rows of another length included.
+    rows of another length included; `size` is the rows' common number of
+    points, or None (as Tiles.size and Paths.size).
 
     A row's steps are the differences seq[j + 1] - seq[j] for each of its
-    points j but the last. The rows are checked a block at a time.
+    points j but the last. The rows are checked a block at a time. When
+    every row has one point more than the entries have steps, a block's
+    points are one contiguous slice of seq, read as a (rows, width + 1)
+    view; otherwise the points of the rows that fit are gathered.
     """
     values, counts, width = _counted(entries, seq.size)
     bad = [np.zeros(0, dtype=np.int64)]
     for a, b in block_spans(offsets.size - 1):
-        bounds = offsets[a : b + 1]
-        wrong = np.diff(bounds) != width + 1
-        fit = ~wrong
-        wrong[fit] = _windows_differ(seq, bounds[:-1][fit], values, counts, width)
+        if size == width + 1:
+            block = seq[offsets[a] : offsets[b]].reshape(b - a, width + 1)
+            wrong = _steps_differ(lambda j: block[:, j], b - a, values, counts, width)
+        else:
+            bounds = offsets[a : b + 1]
+            wrong = np.diff(bounds) != width + 1
+            fit = ~wrong
+            wrong[fit] = _windows_differ(seq, bounds[:-1][fit], values, counts, width)
         bad.append(np.flatnonzero(wrong) + a)
     return np.concatenate(bad)
 
@@ -221,7 +242,7 @@ def verify_interval_tiling(
     rep = ReportBuilder(max_violations)
     tiles = tiling.tiles
     _cover(tiles.values, tiling.length, rep)
-    bad = _row_mismatches(tiles.offsets, tiles.values, gap_set.entries)
+    bad = _row_mismatches(tiles.offsets, tiles.values, gap_set.entries, tiles.size)
     rep.add_all("GapMismatch", bad, "tile gap multiset differs from the target gap set")
     return rep.build()
 
@@ -297,7 +318,7 @@ def verify_rectangle_tiling(
     _cover(xs[inside] + ys[inside] * width, width * height, rep, cell)
     codes, entries = _step_codes(paths, rect.step_type)
     if window is None:
-        bad = _row_mismatches(paths.offsets, codes, entries)
+        bad = _row_mismatches(paths.offsets, codes, entries, paths.size)
         rep.add_all("TypeMismatch", bad, "path step multiset differs from declared type")
         return rep.build()
     short = np.flatnonzero(paths.sizes() - 1 < window)

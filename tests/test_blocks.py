@@ -112,9 +112,10 @@ def scratch(fn) -> int:
 
 def passes(n: int) -> dict:
     """Each blocked pass over a tiling of n points in 8-point sequences with
-    step 1, all but the one-sequence check and the read checked on that
-    tiling, and the bytes of the arrays it returns by design: the read's
-    values and offsets, none for the rest."""
+    step 1, all but the one-row passes and the read checked on that tiling,
+    and the bytes of the arrays it returns by design: the read's values and
+    offsets, none for the rest. A tiling of one row is of one size, so its
+    CSR check must still take blocks of points, not of rows."""
     values = np.arange(n, dtype=np.int64)
     offsets = np.arange(0, n + 1, 8, dtype=np.int64)
     tiles = Tiles(offsets, values)
@@ -139,6 +140,7 @@ def passes(n: int) -> dict:
 
     return {
         "Tiles": (lambda: Tiles(offsets, values), 0),
+        "Tiles, one row": (lambda: Tiles([0, n], values), 0),
         "Paths": (lambda: Paths(offsets, values, values), 0),
         "verify_homogeneous": (lambda: homogeneous(tiles), 0),
         "_built": (lambda: pipeline._built(plan, IntervalTiling(n, tiles)), 0),

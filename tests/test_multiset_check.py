@@ -112,14 +112,21 @@ def naive_windows(offsets, seq, width, expected):
 @given(data=st.data(), case=windows(max_width=6), block=st.integers(1, 9))
 def test_row_and_window_checks_match_the_sort_for_every_block(data, case, block):
     values, counts, seq = case
-    cuts = sorted(data.draw(st.lists(st.integers(0, seq.size), max_size=10)))
-    offsets = np.array([0, *cuts, seq.size], dtype=np.int64)
     entries = list(zip(values, counts))
     width = sum(counts)
+    # rows cut anywhere, or of one size: width + 1 points (read as a view) or another
+    size = data.draw(st.sampled_from([None, width + 1, width + 2, width]))
+    if size is None:
+        cuts = sorted(data.draw(st.lists(st.integers(0, seq.size), max_size=10)))
+        offsets = np.array([0, *cuts, seq.size], dtype=np.int64)
+        sizes = np.diff(offsets)
+        size = int(sizes[0]) if (sizes == sizes[0]).all() else None
+    else:
+        offsets = np.arange(0, seq.size + 1, size, dtype=np.int64)
     expected = sorted(np.repeat(values, counts).tolist())
     with mock.patch.object(types, "_BLOCK", block):
         row, off = verify._window_mismatches(offsets, seq, entries)
-        rows = verify._row_mismatches(offsets, seq, entries)
+        rows = verify._row_mismatches(offsets, seq, entries, size)
     assert list(zip(row.tolist(), off.tolist())) == naive_windows(offsets, seq, width, expected)
     assert rows.tolist() == [
         r

@@ -1,9 +1,13 @@
 """Property tests: on random single-point corruptions of small constructed
 tilings, the array verifiers give the same report as the set-based
 reference verifiers in naive_verify.py (same violations in the same order,
-the same cap and truncation, and an exact ok flag)."""
+the same cap and truncation, and an exact ok flag). The interval and
+rectangle cases keep their rows of one size or give one row another size,
+so both the one-size view and the gather of the row check run, at every
+block size; Tiles.size and Paths.size are checked against the rows."""
 
 from functools import lru_cache
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,13 +25,15 @@ from gaptiles import (
     homogeneous_base,
     min_height_rect,
     stair_tiling,
+    types,
     verify_homogeneous,
     verify_interval_tiling,
     verify_rectangle_tiling,
 )
-from gaptiles.types import expand_steps
+from gaptiles.types import Paths, Tiles, expand_steps
 
 CAPS = st.sampled_from([1, 3, 32, 10_000])
+BLOCKS = st.sampled_from([1, 2, 3, 64, 1 << 62])  # types._BLOCK
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
@@ -51,6 +57,13 @@ def rectangle_cases():
     )
 
 
+def common_size(rows):
+    """The number of points of every row if all have the same, else None
+    (also for no rows)."""
+    sizes = set(map(len, rows))
+    return sizes.pop() if len(sizes) == 1 else None
+
+
 def assert_same(report, expected, cap):
     got = [(v.kind, v.location, v.detail) for v in report.violations]
     assert got == expected[:cap]
@@ -71,15 +84,34 @@ def moved_point(draw, rows, length):
     return rows, length + draw(st.sampled_from([0, 0, -2, 1, 40]))
 
 
+@st.composite
+def resized(draw, rows, length):
+    """rows as they are, or with one row given a point fewer or one more
+    near [0, length), so that its size differs from the others'."""
+    rows = [list(r) for r in rows]
+    kind = draw(st.sampled_from(["keep", "keep", "drop", "add"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "drop":
+        assume(len(rows[i]) > 2)
+        del rows[i][draw(st.integers(0, len(rows[i]) - 1))]
+    elif kind == "add":
+        point = draw(st.integers(-3, length + 3))
+        assume(point not in rows[i])
+        rows[i] = sorted(rows[i] + [point])
+    return rows
+
+
 @SETTINGS
-@given(data=st.data(), case=st.integers(0, 2), cap=CAPS)
-def test_interval_verifier_matches_reference(data, case, cap):
+@given(data=st.data(), case=st.integers(0, 2), cap=CAPS, block=BLOCKS)
+def test_interval_verifier_matches_reference(data, case, cap, block):
     tiling, gaps = interval_cases()[case]
     rows, length = data.draw(moved_point([t.points for t in tiling.tiles], tiling.length))
-    broken = IntervalTiling(length, tuple(Tile(tuple(r)) for r in rows))
-    assert_same(
-        verify_interval_tiling(broken, gaps, cap), interval_violations(rows, length, gaps.expand()), cap
-    )
+    rows = data.draw(resized(rows, length))
+    with mock.patch.object(types, "_BLOCK", block):
+        broken = IntervalTiling(length, tuple(Tile(tuple(r)) for r in rows))
+        report = verify_interval_tiling(broken, gaps, cap)
+    assert broken.tiles.size == common_size(rows)
+    assert_same(report, interval_violations(rows, length, gaps.expand()), cap)
 
 
 @SETTINGS
@@ -100,8 +132,11 @@ def test_homogeneous_verifier_matches_reference(data, cap):
     case=st.integers(0, 3),
     cap=CAPS,
     full_window=st.booleans(),
+    block=BLOCKS,
 )
-def test_rectangle_verifier_matches_reference(data, case, cap, full_window):
+def test_rectangle_verifier_matches_reference(data, case, cap, full_window, block):
+    """Cases 0 and 1 are uniform rectangles whose paths have one size, kept
+    by the edits "none" and "move-*"; cases 2 and 3 are windowed stripes."""
     rect = rectangle_cases()[case]
     paths = [list(p.points) for p in rect.paths]
     i = data.draw(st.integers(0, len(paths) - 1))
@@ -121,14 +156,13 @@ def test_rectangle_verifier_matches_reference(data, case, cap, full_window):
     # Uniform stairs and witnesses can also be checked in windowed mode with
     # one window per path; stripes are windowed by construction.
     window = len(steps) if full_window else rect.window
-    broken = RectangleTiling(
-        rect.width, rect.height, tuple(LatticePath(tuple(p)) for p in paths), rect.step_type, window
-    )
-    assert_same(
-        verify_rectangle_tiling(broken, cap),
-        rectangle_violations(paths, rect.width, rect.height, steps, window),
-        cap,
-    )
+    with mock.patch.object(types, "_BLOCK", block):
+        broken = RectangleTiling(
+            rect.width, rect.height, tuple(LatticePath(tuple(p)) for p in paths), rect.step_type, window
+        )
+        report = verify_rectangle_tiling(broken, cap)
+    assert broken.paths.size == common_size(paths)
+    assert_same(report, rectangle_violations(paths, rect.width, rect.height, steps, window), cap)
 
 
 @st.composite
@@ -177,6 +211,8 @@ def test_small_and_empty_covers_match_reference(rows, n, cap):
     many points as n, some partitions among them."""
     gaps = GapSet.from_gaps([1])
     seqs = tuple(Tile(tuple(r)) for r in rows)
+    assert Tiles.of(seqs).size == common_size(rows)
+    assert Paths.from_rows([[(p, 0) for p in r] for r in rows]).size == common_size(rows)
     assert_same(verify_homogeneous(seqs, n, gaps, cap), homogeneous_violations(rows, n, gaps.expand()), cap)
     if n:
         assert_same(
