@@ -47,14 +47,10 @@ _EXPORTS = {
     ),
     "grid": (
         "HeightTable",
-        "RaggedTiling",
-        "as_rectangle",
         "concat_columns",
         "diagonal_stripe_tiling",
-        "dilate_x",
         "flatten",
         "lift_over_points",
-        "merge_ragged",
         "min_height_rect",
         "residue_interleave",
         "stack_to_height",

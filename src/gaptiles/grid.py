@@ -1,23 +1,25 @@
 """Rectangle-tiling constructions and the geometric transforms the pipeline composes.
 
-A "ragged" tiling is a rectangle tiling whose x-coordinates live on an explicit
-strictly increasing support instead of 0..W-1; the pipeline's lifts produce
-ragged intermediates whose supports are later merged back into true rectangles.
+The pipeline places a rectangle witness along a sequence of points by
+lifting it: column x goes to the sequence's point x (lift_over_points). Its
+column blocks are those lifts, repeats stacked up (stack_to_height) and laid
+side by side (concat_columns, residue_interleave), and a stage flattens its
+blocks into one interval tiling (flatten).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from dataclasses import replace
+from itertools import groupby
 from math import gcd
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, PreconditionError, SearchExhausted
+from .errors import PreconditionError, SearchExhausted
 from .oracle import SearchStatus, solve_rectangle
 from .serialize import dumps_canonical  # noqa: F401  benchmarks/tracing.py patches it here
 from .serialize import read_json, rectangle_to_obj, tiling_from_obj, write_json
@@ -35,50 +37,8 @@ from .types import (
 )
 from .verify import verify_rectangle_tiling
 
-
-@dataclass(frozen=True)
-class RaggedTiling:
-    """Paths over support x [0, height-1] for an explicit x-support.
-
-    ``paths`` may be given as any sequence of ``LatticePath``; it is stored as
-    a ``Paths`` view.
-    """
-
-    support: tuple[int, ...]
-    height: int
-    paths: Paths
-    step_type: StepType | None = None
-    window: int | None = None
-
-    def __post_init__(self):
-        if self.height < 1:
-            raise PreconditionError("height must be positive")
-        if not self.support:
-            raise PreconditionError("support must be non-empty")
-        for a, b in zip(self.support, self.support[1:]):
-            if b <= a:
-                raise PreconditionError("support must be strictly increasing")
-        object.__setattr__(self, "paths", Paths.of(self.paths))
-
-    @property
-    def width(self) -> int:
-        return len(self.support)
-
-
-def as_ragged(r: RectangleTiling | RaggedTiling) -> RaggedTiling:
-    if isinstance(r, RaggedTiling):
-        return r
-    return RaggedTiling(tuple(range(r.width)), r.height, r.paths, r.step_type, r.window)
-
-
-def as_rectangle(r: RaggedTiling | RectangleTiling) -> RectangleTiling:
-    if isinstance(r, RectangleTiling):
-        return r
-    if r.support != tuple(range(len(r.support))):
-        raise PreconditionError("support is not contiguous from 0; not a rectangle")
-    if r.step_type is None:
-        raise PreconditionError("rectangle tilings need a declared step type")
-    return RectangleTiling(len(r.support), r.height, r.paths, r.step_type, r.window)
+# names benchmarks/tracing.py still patches here; nothing calls them (ROADMAP item 7)
+merge_ragged = dilate_x = translate_x = as_rectangle = None
 
 
 # ---------------------------------------------------------------------------
@@ -276,73 +236,39 @@ def _repeat(paths: Paths, copies: int, dy: int) -> Paths:
     return Paths(offsets, np.tile(paths.xs, copies), (paths.ys + dy * j).ravel())
 
 
-def _concat(parts: Sequence[Paths]) -> Paths:
-    """The paths of every part, in order."""
-    return Paths(
-        offsets_from_sizes(np.concatenate([p.sizes() for p in parts])),
-        np.concatenate([p.xs for p in parts]),
-        np.concatenate([p.ys for p in parts]),
-    )
-
-
 def lift_over_points(
-    r: RectangleTiling | RaggedTiling,
-    xs: Sequence[int],
-    step_type: StepType | None = None,
-    window: int | None = None,
-) -> RaggedTiling:
-    """Apply (x, y) -> (xs[rank(x)], y) to every path point.
+    pieces: Sequence[tuple[RectangleTiling, Sequence[int]]], step_type: StepType, window: int | None
+) -> RectangleTiling:
+    """One rectangle of every piece (r, points)'s paths, each mapped by
+    (x, y) -> (points[x], y), in piece order; its width is the total number
+    of points and the caller declares its step type and window.
 
-    xs must be strictly increasing with one entry per source column. The output
-    records xs as its support; the caller declares the lifted step type (it is
-    not derivable from the geometry for a general support).
+    Each piece gives one point per column of r. That the points of all
+    pieces partition [0, width) is not checked: flatten's bounds check and a
+    verification of the output refuse points that collide or leave a gap.
     """
-    src = as_ragged(r)
-    if len(xs) != len(src.support):
-        raise PreconditionError(f"support has {len(src.support)} columns, xs has {len(xs)}")
-    xs = as_int64(xs)
-    support = as_int64(src.support)
-    rank = np.searchsorted(support, src.paths.xs)
-    if np.any(support[np.minimum(rank, support.size - 1)] != src.paths.xs):
-        raise PreconditionError("a path point lies outside the support")
-    paths = Paths(src.paths.offsets, xs[rank], src.paths.ys)
-    return RaggedTiling(tuple(xs.tolist()), src.height, paths, step_type, window)
+    if not pieces:
+        raise PreconditionError("need at least one piece")
+    h = pieces[0][0].height
+    xs, ys, sizes = [], [], []
+    for r, points in pieces:
+        if r.width != len(points):
+            raise PreconditionError(f"a piece has {r.width} columns and {len(points)} points")
+        if r.height != h:
+            raise PreconditionError("pieces must share a height")
+        xs.append(as_int64(points)[r.paths.xs])
+        ys.append(r.paths.ys)
+        sizes.append(r.paths.sizes())
+    paths = Paths(offsets_from_sizes(np.concatenate(sizes)), np.concatenate(xs), np.concatenate(ys))
+    return RectangleTiling(sum(len(points) for _, points in pieces), h, paths, step_type, window)
 
 
-def dilate_x(
-    r: RectangleTiling | RaggedTiling, d: int, offset: int = 0
-) -> RaggedTiling:
-    """Stretch the x-axis by d with a residue offset: column i -> offset + d*i.
-
-    Horizontal steps scale uniformly, so the declared step type carries over
-    with (dx, dy) -> (d*dx, dy).
-    """
-    if d < 1:
-        raise PreconditionError("dilation ratio must be >= 1")
-    if not (0 <= offset < d):
-        raise PreconditionError("offset must satisfy 0 <= offset < d")
-    src = as_ragged(r)
-    xs = offset + d * np.arange(len(src.support))
-    st = None
-    if src.step_type is not None:
-        st = normalize_steps({(dx * d, dy): mult for (dx, dy), mult in src.step_type})
-    return lift_over_points(src, xs, st, src.window)
-
-
-def translate_x(r: RaggedTiling, delta: int) -> RaggedTiling:
-    xs = as_int64(r.support) + delta
-    return lift_over_points(r, xs, r.step_type, r.window)
-
-
-def stack_to_height(r: RectangleTiling | RaggedTiling, height: int):
+def stack_to_height(r: RectangleTiling, height: int) -> RectangleTiling:
     """Repeat a block vertically to the requested height (a multiple of the period)."""
     period = r.height
     if height % period != 0:
         raise PreconditionError(f"height {height} is not a multiple of the period {period}")
-    paths = _repeat(r.paths, height // period, period)
-    if isinstance(r, RaggedTiling):
-        return RaggedTiling(r.support, height, paths, r.step_type, r.window)
-    return replace(r, height=height, paths=paths)
+    return replace(r, height=height, paths=_repeat(r.paths, height // period, period))
 
 
 def concat_columns(blocks: Sequence[RectangleTiling]) -> RectangleTiling:
@@ -385,50 +311,27 @@ def concat_columns(blocks: Sequence[RectangleTiling]) -> RectangleTiling:
     return RectangleTiling(x0, h, Paths(offsets, xs, ys), st, win)
 
 
-def merge_ragged(pieces: Sequence[RaggedTiling]) -> RaggedTiling:
-    """Union of ragged tilings with pairwise disjoint supports and equal heights."""
-    if not pieces:
-        raise PreconditionError("need at least one piece")
-    h = pieces[0].height
-    st, win = pieces[0].step_type, pieces[0].window
-    for piece in pieces:
-        if piece.height != h:
-            raise PreconditionError("pieces must share a height")
-        if piece.step_type != st or piece.window != win:
-            raise PreconditionError("pieces must share a declared step type")
-    merged = np.sort(as_int64(list(chain.from_iterable(p.support for p in pieces))))
-    collide = np.flatnonzero(merged[1:] == merged[:-1])
-    if collide.size:
-        raise ConstructionError(f"supports collide at x={merged[collide[0]]}")
-    return RaggedTiling(tuple(merged.tolist()), h, _concat([p.paths for p in pieces]), st, win)
-
-
 def residue_interleave(
-    col_a: RaggedTiling, col_b: RaggedTiling, d1: int, t: int
+    col_a: RectangleTiling, col_b: RectangleTiling, d1: int, t: int
 ) -> RectangleTiling:
-    """Overlay t offset-copies of col_a (offsets 0..t-1) and d1-t offset-copies
-    of col_b (offsets t..d1-1) into one true rectangle of width a*d1 + t.
+    """Interleave t copies of col_a (residues 0..t-1) and d1-t copies of
+    col_b (residues t..d1-1) into one rectangle of width a*d1 + t, col_b
+    being a columns wide and col_a one wider.
 
-    col_a and col_b must be x-dilations by d1 (supports 0, d1, 2*d1, ...) with
-    col_a one column wider; distinct residues keep the copies disjoint.
+    The copy of residue i lifts column x to i + d1*x, so the copies fill the
+    width exactly and every horizontal step is scaled by d1.
     """
     if not (0 <= t < d1):
         raise PreconditionError("need 0 <= t < d1")
-    a = len(col_b.support)
-    if len(col_a.support) != a + 1:
+    a = col_b.width
+    if col_a.width != a + 1:
         raise PreconditionError("col_a must be exactly one column wider than col_b")
-    if col_a.height != col_b.height:
-        raise PreconditionError("columns must share a height")
-    for col in (col_a, col_b):
-        if col.support != tuple(range(0, d1 * len(col.support), d1)):
-            raise PreconditionError("columns must be dilations by d1 starting at 0")
-    pieces = [translate_x(col_a, i) for i in range(t)]
-    pieces += [translate_x(col_b, i) for i in range(t, d1)]
-    merged = merge_ragged(pieces)
-    width = a * d1 + t
-    if merged.support != tuple(range(width)):
-        raise ConstructionError("interleaved supports do not fill the rectangle")
-    return as_rectangle(merged)
+    if col_a.step_type != col_b.step_type or col_a.window != col_b.window:
+        raise PreconditionError("columns must share a declared step type")
+    pieces = [(col_a, i + d1 * np.arange(a + 1)) for i in range(t)]
+    pieces += [(col_b, i + d1 * np.arange(a)) for i in range(t, d1)]
+    step_type = normalize_steps({(dx * d1, dy): mult for (dx, dy), mult in col_a.step_type})
+    return lift_over_points(pieces, step_type, col_a.window)
 
 
 def _sorted_block(b: RectangleTiling, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

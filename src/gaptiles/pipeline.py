@@ -19,7 +19,10 @@ Three stages lift rectangle witnesses over the previous stage's tiles or
 sequences: a boundary step, a homogeneous step and the final stage. Each
 names once its witness for c points (_final_witnesses, which the boundary
 step shares with the final stage, or _stripe_witnesses), and one builder,
-_block, lifts them into every column block. _lift reads the homogeneous
+_block, makes every column block one lift (grid.lift_over_points): column x
+of the witness over a sequence goes to the sequence's point x. The lift
+does not check that the sequences partition the block; the stage's output
+checks refuse a block where they do not. _lift reads the homogeneous
 step's and final stage's heights, block counts, histogram and last
 cardinality off the same witnesses.
 
@@ -59,18 +62,16 @@ from .errors import (
     VerificationFailed,
 )
 from .grid import (
-    as_rectangle,
     concat_columns,
     diagonal_stripe_tiling,
-    dilate_x,
     flatten,
     lift_over_points,
-    merge_ragged,
     min_height_rect,
     residue_interleave,
     stack_to_height,
     stair_tiling,
 )
+from .grid import as_rectangle, dilate_x, merge_ragged  # noqa: F401  benchmarks/tracing.py patches them here
 from .types import (
     INT64_MAX,
     GapSet,
@@ -196,13 +197,14 @@ def _block(
 ) -> RectangleTiling:
     """One column block of a lifted stage, as wide as seqs' points: each
     sequence of c points, or the points `replaced` gives for its index in
-    its place, carries base(c) stacked to height h (once for each c) and
-    lifted over those points with the step type and window given."""
+    its place, carries base(c) stacked to height h (once for each c), its
+    column x lifted to the sequence's point x, with the step type and window
+    given. The block's paths are the sequences' in order. That the sequences
+    partition the block's width is left to the stage's output checks."""
     stacked = cache(lambda c: stack_to_height(base(c), h))
     replaced = replaced or {}
     rows = (replaced.get(i, seqs.row(i)) for i in range(len(seqs)))
-    cols = [lift_over_points(stacked(len(r)), r, step_type, window) for r in rows]
-    return as_rectangle(merge_ragged(cols))
+    return lift_over_points([(stacked(len(r)), r) for r in rows], step_type, window)
 
 
 def _final_witnesses(n: int, k: int) -> Callable[[int], RectangleTiling]:
@@ -391,7 +393,7 @@ def boundary_base(d1: int, d2: int, k1: int, k2: int) -> StageState:
     # Narrow blocks left, wide (staircase) blocks right: the top-right corner
     # path of the rightmost staircase carries the boundary-prefix property.
     def column(narrow: int, wide: int):
-        return dilate_x(concat_columns([first] * narrow + [second] * wide), d1, 0)
+        return concat_columns([first] * narrow + [second] * wide)
 
     return _checked_output([residue_interleave(column(c2, b2), column(c1, b1), d1, blocks["t"])], plan)
 

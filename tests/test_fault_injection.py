@@ -7,6 +7,10 @@ check catches are still caught: a point moved to the position that flattens
 to the same value, a point covered twice, a point dropped, and two steps of
 a path swapped. Each is made once in the concatenated rectangle, and once
 in a block object that several columns share, so it repeats in every copy.
+
+The lift that builds a block does not check that its sequences partition the
+block's width. Two more faults are made in the sequences a block is lifted
+over: two sequences over the same points, and one moved past the width.
 """
 
 from unittest import mock
@@ -209,3 +213,40 @@ def test_blocks_out_of_order_break_the_boundary_prefix(monkeypatch):
     monkeypatch.setattr(pipeline, "concat_columns", lambda blocks: real(blocks[::-1]))
     with pytest.raises(VerificationFailed, match="BoundaryPrefixViolation"):
         boundary_base(1, 10, 1, 1)
+
+
+def collide(seqs, replaced):
+    """Lift the first two sequences of one size that the block lifts as they
+    are over the same points: those points are covered twice, the second's
+    not at all, and the width is unchanged."""
+    by_size = {}
+    for i in range(len(seqs)):
+        if i not in replaced:
+            first = by_size.setdefault(seqs.row(i).size, i)
+            if first != i:
+                return {i: seqs.row(first)}
+    raise AssertionError("no two sequences of one size")
+
+
+def past_width(seqs, replaced):
+    """Move the first sequence's points past the block's width."""
+    return {0: replaced.get(0, seqs.row(0)) + 2 * seqs.values.size}
+
+
+@pytest.mark.parametrize("stage", sorted(STEP_RUNS))
+@pytest.mark.parametrize(
+    "fault, caught_by",
+    [(collide, "output failed verification"), (past_width, "rectangle does not flatten")],
+    ids=["collide", "past_width"],
+)
+def test_lifted_sequences_that_do_not_partition_the_block_never_yield_a_tiling(stage, fault, caught_by):
+    real = pipeline._block
+
+    def block(seqs, base, step_type, window, h, replaced=None):
+        replaced = replaced or {}
+        return real(seqs, base, step_type, window, h, {**replaced, **fault(seqs, replaced)})
+
+    d = {"boundary-step": 4225, "homogeneous-step": 3025}[stage]
+    with mock.patch.object(pipeline, "_block", block):
+        with pytest.raises(VerificationFailed, match=f"^stage-3 {stage} {caught_by}"):
+            STEP_RUNS[stage](d)

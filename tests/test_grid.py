@@ -10,17 +10,14 @@ from gaptiles import (
     Paths,
     RectangleTiling,
     SplitSpec,
-    as_rectangle,
     boundary_base,
     concat_columns,
     construct,
     diagonal_stripe_tiling,
-    dilate_x,
     flatten,
     homogeneous_base,
     homogeneous_step,
     lift_over_points,
-    merge_ragged,
     min_height_rect,
     residue_interleave,
     solve_rectangle,
@@ -225,43 +222,27 @@ class TestDiagonalStripes:
 class TestTransforms:
     def test_lift_identity(self):
         rect = stair_tiling(2, 2)
-        lifted = lift_over_points(rect, range(rect.width), rect.step_type, rect.window)
-        assert as_rectangle(lifted) == rect
+        assert lift_over_points([(rect, range(rect.width))], rect.step_type, rect.window) == rect
 
     def test_lift_figure_gaps(self):
         f, wit = min_height_rect(3, 2, 4)
-        lifted = lift_over_points(wit, (0, 1, 3, 7))
-        assert lifted.support == (0, 1, 3, 7)
-        for p in lifted.paths:
-            xs = sorted({x for x, _ in p.points})
-            # a path's x-projection is a run of consecutive support entries
-            i = (0, 1, 3, 7).index(xs[0])
-            assert tuple(xs) == (0, 1, 3, 7)[i : i + len(xs)]
-        # the lifted paths cover support x [0, f) exactly once
+        gapped, rest = (0, 1, 3, 7), (2, 4, 5, 6)
+        lifted = lift_over_points([(wit, gapped), (wit, rest)], wit.step_type, None)
+        assert (lifted.width, lifted.height) == (8, f)
+        # every (x, y) goes to (points[x], y); path sizes and order are kept, piece by piece
+        assert np.array_equal(lifted.paths.sizes(), np.tile(wit.paths.sizes(), 2))
+        expected = [[(pts[x], y) for x, y in p.points] for pts in (gapped, rest) for p in wit.paths]
+        assert [list(p.points) for p in lifted.paths] == expected
+        # the two lifts cover x [0, 8) x [0, f) exactly once
         points = sorted(pt for p in lifted.paths for pt in p.points)
-        assert points == sorted((x, y) for x in (0, 1, 3, 7) for y in range(f))
+        assert points == sorted((x, y) for x in range(8) for y in range(f))
 
     def test_lift_width_mismatch(self):
+        rect = stair_tiling(1, 1)
         with pytest.raises(PreconditionError):
-            lift_over_points(stair_tiling(1, 1), (0, 1))
-
-    def test_dilate_identity_and_offsets(self):
-        rect = stair_tiling(1, 2)
-        same = dilate_x(rect, 1, 0)
-        assert same.support == tuple(range(rect.width))
-        shifted = dilate_x(rect, 3, 1)
-        assert shifted.support == (1, 4, 7, 10)
+            lift_over_points([(rect, (0, 1))], rect.step_type, None)
         with pytest.raises(PreconditionError):
-            dilate_x(rect, 3, 3)
-
-    def test_dilate_scales_horizontal_steps(self):
-        rect = stair_tiling(2, 3)
-        for d in (2, 5):
-            lifted = dilate_x(rect, d, 0)
-            for orig, new in zip(rect.paths, lifted.paths):
-                for (dx, dy), (ex, ey) in zip(orig.steps(), new.steps()):
-                    assert (ex, ey) == (dx * d, dy)
-            assert lifted.step_type == normalize_steps({(d, 0): 2, (0, 1): 3})
+            lift_over_points([(rect, (0, 1, 2)), (stack_to_height(rect, 4), (3, 4, 5))], rect.step_type, None)
 
     def test_stack(self):
         rect = stair_tiling(1, 2)  # height 3
@@ -283,32 +264,44 @@ class TestTransforms:
             concat_columns([a, b])
 
     def test_residue_interleave_single_class(self):
-        col_b = dilate_x(stair_tiling(1, 1), 1, 0)  # width 3
-        col_a = dilate_x(stack_to_height(stair_tiling(2, 1), 2), 1, 0)  # width 4
+        col_b = stack_to_height(stair_tiling(1, 1), 6)  # width 3
+        narrow = stack_to_height(min_height_rect(1, 1, 2)[1], 6)
+        col_a = concat_columns([narrow, narrow])  # width 4
         rect = residue_interleave(col_a, col_b, 1, 0)
-        assert rect.width == 3
+        assert rect == col_b
         assert verify_rectangle_tiling(rect).ok
 
     def test_residue_interleave_two_classes(self):
-        # width-2 and width-3 unit blocks of the same height, dilated by 2
+        # width-2 and width-3 unit blocks of the same height, interleaved mod 2
         f, narrow = min_height_rect(1, 1, 2)  # 2 x 3
-        wide = stack_to_height(stair_tiling(1, 1), 6)  # 3 x 6
-        narrow = stack_to_height(narrow, 6)
-        col_b = dilate_x(narrow, 2, 0)
-        col_a = dilate_x(wide, 2, 0)
+        col_a = stack_to_height(stair_tiling(1, 1), 6)  # 3 x 6
+        col_b = stack_to_height(narrow, 6)
         rect = residue_interleave(col_a, col_b, 2, 1)
         assert rect.width == 2 * 2 + 1
         assert verify_rectangle_tiling(rect).ok
+        # the copy of residue i takes column x to i + 2x, col_a's paths first
+        expected = [[(i + 2 * x, y) for x, y in p.points] for col, i in ((col_a, 0), (col_b, 1))
+                    for p in col.paths]
+        assert [list(p.points) for p in rect.paths] == expected
         with pytest.raises(PreconditionError):
             residue_interleave(col_a, col_b, 2, 2)
+        with pytest.raises(PreconditionError):
+            residue_interleave(col_b, col_b, 2, 1)
+        windowed = RectangleTiling(col_b.width, col_b.height, col_b.paths, col_b.step_type, 2)
+        with pytest.raises(PreconditionError, match="share a declared step type"):
+            residue_interleave(col_a, windowed, 2, 1)
 
-    def test_merge_ragged_detects_collision(self):
-        a = lift_over_points(stair_tiling(1, 1), (0, 1, 2))
-        b = lift_over_points(stair_tiling(1, 1), (2, 3, 4))
-        from gaptiles.errors import ConstructionError
-
-        with pytest.raises(ConstructionError):
-            merge_ragged([a, b])
+    def test_residue_interleave_scales_horizontal_steps(self):
+        f, wit = min_height_rect(2, 3, 5)
+        h = f * 4 // gcd(f, 4)
+        col_a, col_b = stack_to_height(stair_tiling(2, 3), h), stack_to_height(wit, h)  # widths 6 and 5
+        for d in (2, 5):
+            rect = residue_interleave(col_a, col_b, d, 1)
+            assert rect.step_type == normalize_steps({(d, 0): 2, (0, 1): 3})
+            orig = [*col_a.paths, *[p for _ in range(1, d) for p in col_b.paths]]
+            for old, new in zip(orig, rect.paths, strict=True):
+                assert new.steps() == tuple((dx * d, dy) for dx, dy in old.steps())
+            assert verify_rectangle_tiling(rect).ok
 
     def test_flatten_arithmetic(self):
         rect = stair_tiling(1, 1)  # 3 x 2
