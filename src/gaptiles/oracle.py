@@ -5,12 +5,13 @@ ascending order for intervals, row-major order for rectangles) must be the
 first point of the next placed tile or path. Monotonicity makes this sound,
 so a fully exhausted search is a proof that no tiling of that size exists.
 
-One search serves both shapes: an interval of length n is a width-n,
-height-1 rectangle whose paths take steps (g, 0), one per gap.
+One search core (_solve) serves both shapes: an interval of length n is the
+width-n, height-1 rectangle whose paths take steps (g, 0), one per gap.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import defaultdict
 from contextlib import contextmanager
@@ -18,14 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConstructionError, PreconditionError, SearchExhausted, at_least_one
 from .types import (
     GapSet,
     IntervalTiling,
-    LatticePath,
+    Paths,
     RectangleTiling,
     StepType,
-    Tile,
+    Tiles,
     expand_steps,
     normalize_steps,
 )
@@ -43,7 +46,8 @@ class SearchConfig:
     """Budgets of one search. ``max_nodes`` bounds the DFS states one
     solve_interval or solve_rectangle call counts, as SearchOutcome counts
     them; min_interval gives the same bound to its frontier sweep, which
-    counts settled states, and to the search at the length the sweep finds.
+    counts the frontier states it holds, and to the search at the length the
+    sweep finds.
     Every search is one serial DFS in the calling process, so a budget and
     its witnesses do not depend on the host. A value out of range raises
     PreconditionError."""
@@ -62,8 +66,10 @@ class SearchOutcome:
     placed-tile configuration, solution leaves included): those the search
     enters, plus each child its look-ahead skips, as one state, because no
     tile starts at the child's leftmost free point. ``max_nodes`` bounds the
-    same count. Intervals and rectangles share the search; only intervals
-    keep its memo of dead frontiers."""
+    same count. Intervals and rectangles share the search; only one-row
+    rectangles, intervals among them, keep its memo of dead frontiers. A
+    step multiset with more than _MAX_ORDERS distinct orders is
+    BUDGET_EXCEEDED after 0 states."""
 
     status: SearchStatus
     witnesses: tuple
@@ -116,6 +122,25 @@ def _orders(steps: tuple[tuple[int, int], ...], width: int) -> tuple[tuple[int, 
             runs.append((1 << move, tuple(masks)))
             masks.clear()
     return tuple(runs)
+
+
+# (12, 12), the largest shape a height search lists, has 2,704,156 orders.
+# (13, 13) has 10,400,600: their listing held about 790 MB, and no width of
+# (13, 13) that was tried decided within the default budget.
+_MAX_ORDERS = 3_000_000
+
+
+def _too_many_orders(steps: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the steps have more than _MAX_ORDERS distinct orders, their
+    multinomial coefficient, counted before any order is listed."""
+    count, placed = 1, 0
+    for key in set(steps):
+        k = steps.count(key)
+        placed += k
+        count *= math.comb(placed, k)
+        if count > _MAX_ORDERS:
+            return True
+    return False
 
 
 def _offsets(mask: int) -> list[int]:
@@ -190,11 +215,29 @@ def _search(startable, runs, cfg: SearchConfig, memo: bool):
     return solutions, budget[0], bool(budget[2])
 
 
-def _outcome(witnesses: tuple, nodes: int, budget_hit: bool, verify) -> SearchOutcome:
-    """Checks every witness with ``verify`` and classifies the search."""
-    for wit in witnesses:
-        if not verify(wit).ok:
-            raise ConstructionError("search produced a witness that fails verification")
+def _solve(steps, width: int, height: int, cfg: SearchConfig, tiling, verify) -> SearchOutcome:
+    """The search of [0,width-1] x [0,height-1] by paths of the given steps;
+    ``tiling(offsets, points)`` wraps a witness's CSR arrays, its points
+    row-major, and ``verify`` checks it. Only one-row searches keep the memo:
+    on taller rectangles it got no hits."""
+    ppp = len(steps) + 1
+    if (width * height) % ppp:
+        return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
+    if _too_many_orders(steps):
+        return SearchOutcome(SearchStatus.BUDGET_EXCEEDED, (), 0)
+    # Steps are nonnegative, so every path's last point lies kmax columns
+    # right of and lmax rows above its first, and no point lies farther.
+    kmax = sum(dx for dx, _ in steps)
+    lmax = sum(dy for _, dy in steps)
+    startable = [x + kmax < width for x in range(width)] * max(height - lmax, 0)
+    startable += [False] * (width * min(lmax, height)) + [True]
+    runs = _orders(steps, width if lmax else 1)
+    solutions, nodes, budget_hit = _search(startable, runs, cfg, height == 1)
+    # a solution's placements come in order of their first points
+    flat = ([c + o for c, mask in p for o in _offsets(mask)] for p in solutions)
+    witnesses = tuple(tiling(np.arange(0, len(pts) + 1, ppp), np.array(pts, np.int64)) for pts in flat)
+    if not all(verify(wit).ok for wit in witnesses):
+        raise ConstructionError("search produced a witness that fails verification")
     if witnesses:
         return SearchOutcome(SearchStatus.FOUND, witnesses, nodes)
     status = SearchStatus.BUDGET_EXCEEDED if budget_hit else SearchStatus.EXHAUSTED_NO_SOLUTION
@@ -202,7 +245,8 @@ def _outcome(witnesses: tuple, nodes: int, budget_hit: bool, verify) -> SearchOu
 
 
 def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None) -> SearchOutcome:
-    """Exact-cover search for tilings of {0..length-1} by tiles with the given gap set.
+    """Exact-cover search for tilings of {0..length-1} by tiles with the given
+    gap set: the search of that one-row rectangle by paths of steps (g, 0).
 
     EXHAUSTED_NO_SOLUTION is a proof of untilability at this length; budget
     exhaustion is reported as a status, never an exception. A length below 1
@@ -210,20 +254,11 @@ def solve_interval(gap_set: GapSet, length: int, cfg: SearchConfig | None = None
     no search answers for it.
     """
     at_least_one(length, "length")
-    cfg = cfg or SearchConfig()
-    ppt = gap_set.points_per_tile()
-    if length % ppt != 0:
-        return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
-    gaps = gap_set.expand()
-    span = sum(gaps)
-    startable = [c + span < length for c in range(length)] + [True]  # a tile at c ends at c + span
-    solutions, nodes, budget_hit = _search(startable, _orders(tuple((g, 0) for g in gaps), 1), cfg, True)
-    # placements come in order of their first points
-    witnesses = tuple(
-        IntervalTiling(length, tuple(Tile(tuple(c + o for o in _offsets(mask))) for c, mask in p))
-        for p in solutions
+    return _solve(
+        tuple((g, 0) for g in gap_set.expand()), length, 1, cfg or SearchConfig(),
+        lambda offsets, p: IntervalTiling(length, Tiles(offsets, p)),
+        lambda wit: verify_interval_tiling(wit, gap_set),
     )
-    return _outcome(witnesses, nodes, budget_hit, lambda wit: verify_interval_tiling(wit, gap_set))
 
 
 def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | None:
@@ -240,28 +275,31 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
     occupied ahead completes length ``c + span + 1``, so the first one found
     is the least length. No tile placed at ``c >= n_max - span`` fits.
     Only buckets that hold a state are kept, so the memory does not grow
-    with ``n_max``, and the sweep stops once none is left.
-    Settled states count against ``max_nodes``; when it runs out,
+    with ``n_max``, and the sweep stops once none is left. Every state it
+    reaches is kept, so the reached states count against ``max_nodes``; when
+    it runs out, or the gaps have more than _MAX_ORDERS orders,
     SearchExhausted names the least admissible length not yet decided.
     """
     span = sum(gaps)
-    runs = _orders(tuple((g, 0) for g in gaps), 1)
+    steps = tuple((g, 0) for g in gaps)
+
+    def exhausted(c: int) -> SearchExhausted:
+        ppt = len(gaps) + 1
+        n = -(-(c + span + 1) // ppt) * ppt
+        gs = GapSet.from_gaps(gaps)
+        return SearchExhausted(f"interval search budget exceeded at length {n} for {{{gs}}}")
+
+    if _too_many_orders(steps):
+        raise exhausted(0)
+    runs = _orders(steps, 1)
     limit = n_max - span
     buckets: dict[int, list[int]] = {0: [0]}  # position -> rests not yet settled
     # rest -> position. A dict, not a set: on the catalog's largest sweep
     # (20k rests) a set peaked at 3.3 MB, this dict at 1.3 MB.
     reached = {0: 0}
-    settled = 0
     c = 0
     while buckets and c < limit:
         for rest in buckets.pop(c, ()):
-            settled += 1
-            if settled > max_nodes:
-                ppt = len(gaps) + 1
-                n = -(-(c + span + 1) // ppt) * ppt
-                raise SearchExhausted(
-                    f"interval search budget exceeded at length {n} for {{{GapSet.from_gaps(gaps)}}}"
-                )
             for bit, orders in runs:
                 if rest & bit:
                     continue
@@ -275,6 +313,8 @@ def _least_length(gaps: tuple[int, ...], n_max: int, max_nodes: int) -> int | No
                         return c + step
                     if c + step < limit and nxt not in reached:
                         reached[nxt] = c + step
+                        if len(reached) > max_nodes:
+                            raise exhausted(c)
                         buckets.setdefault(c + step, []).append(nxt)
         c += 1
     return None
@@ -289,10 +329,10 @@ def min_interval(
     One frontier sweep (_least_length) finds the least length and proves
     every shorter one untilable; solve_interval then searches that length
     alone, so the witness is the first one its DFS finds. Both searches get
-    ``cfg.max_nodes``: the sweep counts settled frontier states, the DFS the
-    states it enters. Either one running out raises SearchExhausted, naming
-    the least length not yet decided: a longer tilable length would not be
-    the least one. An n_max below 1 raises PreconditionError, as the
+    ``cfg.max_nodes``: the sweep counts the frontier states it holds, the
+    DFS the states it enters. Either one running out raises SearchExhausted,
+    naming the least length not yet decided: a longer tilable length would
+    not be the least one. An n_max below 1 raises PreconditionError, as the
     empty interval is no length to search.
     """
     at_least_one(n_max, "n_max")
@@ -318,26 +358,14 @@ def solve_rectangle(
 ) -> SearchOutcome:
     """Exact-cover search for tilings of [0,width-1] x [0,height-1] by monotone
     lattice paths with the given step multiset."""
-    cfg = cfg or SearchConfig()
     st = normalize_steps(step_type)
     steps = expand_steps(st)
     if not steps:  # as RectangleTiling refuses it; _orders would list no order
         raise PreconditionError("step_type must be non-empty")
-    ppp = len(steps) + 1
-    if width < 1 or height < 1 or (width * height) % ppp != 0:
+    if width < 1 or height < 1:
         return SearchOutcome(SearchStatus.EXHAUSTED_NO_SOLUTION, (), 0)
-    runs = _orders(steps, width)
-    # Steps are nonnegative, so every path's last point lies kmax columns
-    # right of and lmax rows above its first, and no point lies farther.
-    kmax = sum(dx for dx, _ in steps)
-    lmax = sum(dy for _, dy in steps)
-    startable = [
-        c % width + kmax < width and c // width + lmax < height for c in range(width * height)
-    ] + [True]
-    # No memo: one on the rectangle states got no hits.
-    solutions, nodes, budget_hit = _search(startable, runs, cfg, False)
-    witnesses = []
-    for p in solutions:
-        paths = (LatticePath(tuple(((c + o) % width, (c + o) // width) for o in _offsets(mask))) for c, mask in p)
-        witnesses.append(RectangleTiling(width, height, tuple(paths), st))
-    return _outcome(tuple(witnesses), nodes, budget_hit, verify_rectangle_tiling)
+    return _solve(
+        steps, width, height, cfg or SearchConfig(),
+        lambda offsets, p: RectangleTiling(width, height, Paths(offsets, p % width, p // width), st),
+        verify_rectangle_tiling,
+    )

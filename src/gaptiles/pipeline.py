@@ -484,10 +484,11 @@ def homogeneous_base(prev: StageState) -> StageState:
     _buildable(plan, prev)
     L, d1 = prev.L, prev.d1
     idx = dict(prev.endpoint_index)[L - d1 + 1]
-    seq = prev.tiling.tiles[idx]
-    if seq.gaps()[0] != d1:
+    tiles = prev.tiling.tiles
+    row = tiles.row(idx)
+    if row[1] - row[0] != d1:
         raise ConstructionError("anchor tile does not start with a d1 gap")
-    tiles = prev.tiling.tiles.with_row(idx, seq.points + (L + 1,))
+    tiles = tiles.with_row(idx, np.append(row, L + 1))
     gaps = prev.gap_prefix
     tiling = IntervalTiling(L + 2, tiles, TilingAnnotations(homogeneous_for=gaps))
     _require_ok(verify_homogeneous(tiling.tiles, L + 2, gaps), "homogeneous base tiling")

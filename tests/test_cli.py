@@ -379,6 +379,30 @@ class TestSolveCommands:
         proc = run_child(["minlen", "--gaps", gaps, "--max", "10000000000"], timeout=60, max_bytes=1 << 30)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{least}\n", "")
 
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            # the sweep holds every frontier it reaches, so --max-nodes counts
+            # them all, not only the settled ones
+            (
+                ["minlen", "--gaps", ",".join(f"{g}:1" for g in range(1, 10)), "--max", "400"]
+                + ["--max-nodes", "1000"],
+                "length 50 for {1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1}",
+            ),
+            # 40,116,600 and 12! step orders: refused before they are listed
+            (["fvalue", "--k", "14", "--l", "14", "--m", "16"], "f=29 for (14,14,16)"),
+            (
+                ["minlen", "--gaps", ",".join(f"{g}:1" for g in range(1, 13)), "--max", "1000"],
+                "length 91 for {1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1,10:1,11:1,12:1}",
+            ),
+        ],
+    )
+    def test_a_search_too_large_for_memory_exits_3_naming_it(self, args, names):
+        proc = run_child(args, timeout=60, max_bytes=1 << 30)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.endswith(f"budget exceeded at {names}\n")
+        assert proc.stderr.count("\n") == 1
+
     def test_solve_found(self, tmp_path, capsys):
         assert run(["solve", "--gaps", "1:1", "--len", "2"]) == 0
         assert "[0, 1]" in capsys.readouterr().out

@@ -12,14 +12,16 @@ from gaptiles import (
     GapSet,
     SearchConfig,
     SearchExhausted,
+    SearchOutcome,
     SearchStatus,
+    min_height_rect,
     min_interval,
     solve_interval,
     solve_rectangle,
     verify_interval_tiling,
 )
 from gaptiles.errors import PreconditionError
-from gaptiles.oracle import _orders
+from gaptiles.oracle import _orders, _too_many_orders
 
 
 def T(*gaps):
@@ -75,6 +77,28 @@ class TestOrders:
         # alone, 26 MiB when each order also kept its steps and its offsets
         steps = ((1, 0),) * 9 + ((0, 1),) * 9
         assert peak_of(lambda: _orders.__wrapped__(steps, 18)) < 8 << 20
+
+
+class TestOrderCap:
+    def test_twelve_and_twelve_steps_list_and_thirteen_do_not(self):
+        assert not _too_many_orders(((1, 0),) * 12 + ((0, 1),) * 12)  # 2,704,156 orders
+        assert _too_many_orders(((1, 0),) * 13 + ((0, 1),) * 13)  # 10,400,600 orders
+
+    def test_a_rectangle_with_too_many_orders_is_refused_before_listing_them(self):
+        # 16 x 29 holds 16 paths of 29 points, so the area check passes
+        before = _orders.cache_info()
+        out = solve_rectangle({(1, 0): 14, (0, 1): 14}, 16, 29)
+        assert out == SearchOutcome(SearchStatus.BUDGET_EXCEEDED, (), 0)
+        assert _orders.cache_info() == before
+
+    def test_a_height_search_with_too_many_orders_names_the_shape(self):
+        with pytest.raises(SearchExhausted, match=r"budget exceeded at f=29 for \(14,14,16\)"):
+            min_height_rect(14, 14, 16)
+
+    def test_a_sweep_with_too_many_orders_names_the_gap_set(self):
+        gs = GapSet.from_gaps(range(1, 13))  # 12! orders
+        with pytest.raises(SearchExhausted, match=re.escape(f"budget exceeded at length 91 for {{{gs}}}")):
+            min_interval(gs, 1000)
 
 
 class TestSolveInterval:

@@ -2,8 +2,8 @@
 tilability, and its exhaustive solution lists hold every tiling exactly once
 (counted here by a set-based cover over all placements). min_interval's
 frontier sweep finds the length that searching every length in turn finds.
-The interval search, with its memo, agrees with the memo-free rectangle
-search on the same interval as one row. A budget only cuts a search short."""
+The interval search is the search of the same interval as one row. A budget
+only cuts a search short."""
 
 import itertools
 
@@ -124,9 +124,9 @@ def test_rectangle_solution_list_is_every_tiling_once(k, l, width, height):
 
 @SETTINGS
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 30))
-def test_interval_memo_agrees_with_the_memo_free_rectangle_search(gaps, n):
-    # An interval is a one-row rectangle tiled by paths of steps (g, 0); only
-    # the interval search keeps a memo of dead frontiers, which may only prune.
+def test_an_interval_is_searched_as_the_one_row_rectangle(gaps, n):
+    # An interval is a one-row rectangle tiled by paths of steps (g, 0), and
+    # both searches keep the one-row memo of dead frontiers.
     gs = GapSet.from_gaps(gaps)
     interval = solve_interval(gs, n)
     rectangle = solve_rectangle({(d, 0): k for d, k in gs.entries}, n, 1)
@@ -134,7 +134,7 @@ def test_interval_memo_agrees_with_the_memo_free_rectangle_search(gaps, n):
     assert [[t.points for t in w.tiles] for w in interval.witnesses] == [
         [tuple(x for x, _ in p.points) for p in w.paths] for w in rectangle.witnesses
     ]
-    assert interval.nodes_explored <= rectangle.nodes_explored
+    assert interval.nodes_explored == rectangle.nodes_explored
 
 
 def assert_budget_only_cuts_short(search):
